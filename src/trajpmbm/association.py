@@ -2,10 +2,10 @@
 
 The measurement update reduces the choice among association events under one
 prior global hypothesis to a rectangular assignment problem: columns are the
-scan's measurements, rows are the existing tracks plus one pseudo-row per
-measurement for the track it may start.  Entries are negative log weight
-ratios against the all-miss baseline, so the k cheapest assignments are the k
-heaviest posterior global hypotheses.
+measurements some chosen hypothesis gates, rows are the tracks that gate any
+of them plus one pseudo-row per column for the track it may start.  Entries
+are negative log weight ratios against the all-miss baseline, so the k
+cheapest assignments are the k heaviest posterior global hypotheses.
 """
 
 from __future__ import annotations
@@ -14,35 +14,25 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import bernoulli, gaussseq
 from .density import GlobalHypothesis, PmbmDensity
+from .models import clutter_density
 
 __all__ = [
-    "gate",
     "CostMatrix",
     "Assignment",
     "ScanTables",
     "build_cost_matrix",
     "scan_weight_tables",
-    "hungarian_best",
     "murty_kbest",
 ]
 
 INF = float("inf")
-LOG_2PI = math.log(2.0 * math.pi)
-
-
-def gate(seq, m: gaussseq.ModelLG, z, gate_prob: float) -> bool:
-    """Ellipsoidal gate: squared Mahalanobis innovation distance against the
-    chi-square quantile at ``gate_prob`` with measurement-dimension dof."""
-    if not 0.0 < gate_prob <= 1.0:
-        raise ValueError("gate probability must lie in (0, 1]")
-    Z = np.asarray(z, dtype=float).reshape(1, -1)
-    mask, _ = gaussseq.gate_likelihoods(seq, m, Z, gate_prob)
-    return bool(mask[0])
 
 
 @dataclass(frozen=True)
@@ -51,29 +41,6 @@ class Assignment:
 
     mapping: tuple
     cost: float
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """Assignment problem for one prior global hypothesis.
-
-    ``matrix`` has one row per existing track followed by one pseudo-row per
-    measurement (finite only in its own column), and one column per
-    measurement.  ``base`` is the log weight of the all-miss association, so
-    a child global's log weight is ``prior + base - cost``.
-    """
-
-    matrix: np.ndarray
-    track_ids: tuple  # track id per track row
-    base: float
-
-    @property
-    def n_tracks(self) -> int:
-        return len(self.track_ids)
-
-    @property
-    def n_meas(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -90,47 +57,81 @@ class ScanTables:
     new_log: dict  # j -> log new-track weight
     ppp_gated: dict  # j -> tuple of (ppp component index, likelihood)
 
+    @cached_property
+    def gated_by_hyp(self) -> dict:
+        """(track, hyp) -> set of the measurements it gates."""
+        out: dict = {}
+        for tid, hidx, j in self.det_log:
+            out.setdefault((tid, hidx), set()).add(j)
+        return out
 
-def build_cost_matrix(
-    p: PmbmDensity,
-    g: GlobalHypothesis,
-    scan,
-    model: gaussseq.ModelLG,
-    sensor,
-    tables: ScanTables = None,
-) -> CostMatrix:
-    """Negative log weight ratios for the scan under one prior global.
+    @cached_property
+    def unexplained(self) -> tuple:
+        """Measurements that no local hypothesis gates and that cannot start a
+        track (zero clutter and Poisson intensity, e.g. outside the region):
+        no association explains them, so they are left out of it."""
+        gated = {j for _, _, j in self.det_log}
+        return tuple(j for j, w in self.new_log.items() if w == -INF and j not in gated)
 
-    Entry (track, j): detection-vs-miss log ratio (infinite when gating
-    failed); entry (pseudo-row j, j): negative log of the new-track weight
-    (clutter plus detected Poisson mass).  ``tables`` may carry precomputed
-    per-hypothesis factors from :func:`scan_weight_tables`.
+
+@dataclass(frozen=True)
+class CostMatrix:
+    """Reduced assignment problem for one prior global hypothesis.
+
+    ``matrix`` has a row per track in ``rows``, then a new-track pseudo-row
+    per column (finite only in its own column), and a column per measurement
+    in ``cols``.  The ``forced`` measurements, which no chosen hypothesis
+    gates, start their own track in every child.  ``base`` is the log weight
+    of the child in which every track misses.
     """
-    if tables is None:
-        tables = scan_weight_tables(p, scan, model, sensor)
+
+    matrix: np.ndarray
+    chosen: dict  # track id -> hypothesis index under the prior global
+    rows: tuple  # track id per track row
+    cols: tuple  # measurement index per column
+    forced: tuple
+    base: float
+
+
+def build_cost_matrix(p: PmbmDensity, g: GlobalHypothesis, tables: ScanTables) -> CostMatrix:
+    """Negative log weight ratios of the scan's contested associations under
+    the prior global ``g``.
+
+    Entry (track, j): detection-vs-miss log ratio (infinite when it is not
+    finite); entry (pseudo-row of j, j): negative log new-track weight.
+    Measurements in ``tables.unexplained`` appear nowhere.
+    """
     miss_log, det_log, new_log = tables.miss_log, tables.det_log, tables.new_log
-    m = len(scan)
     chosen = dict(g.choice)
-    track_ids = tuple(t.id for t in p.tracks)
-    mat = np.full((len(track_ids) + m, m), INF)
-    base = 0.0
-    for row, tid in enumerate(track_ids):
-        hidx = chosen[tid]
-        miss = miss_log[(tid, hidx)]
+    track_ids = [t.id for t in p.tracks]
+    miss_total = sum(miss_log[(tid, chosen[tid])] for tid in track_ids)
+    contested: set = set()
+    rows = []
+    for tid in track_ids:
+        js = tables.gated_by_hyp.get((tid, chosen[tid]))
+        if js:
+            rows.append(tid)
+            contested |= js
+    cols = sorted(contested)
+    skip = contested.union(tables.unexplained)
+    forced = [j for j in range(len(new_log)) if j not in skip]
+    forced_logw = sum(new_log[j] for j in forced)
+    base = g.log_weight + miss_total + forced_logw
+    mat = np.full((len(rows) + len(cols), len(cols)), INF)
+    for r_i, tid in enumerate(rows):
+        miss = miss_log[(tid, chosen[tid])]
         # a certain detection makes the miss weight zero; floor it so the
-        # ratio stays finite (exact child weights are recomputed from the
-        # factor tables, the matrix only drives the enumeration order)
+        # ratio stays finite (child weights are summed from the factor
+        # tables, the matrix only drives the enumeration order)
         safe_miss = miss if math.isfinite(miss) else -745.0
-        base += safe_miss
-        for j in range(m):
-            if (tid, hidx, j) in det_log:
-                ratio = det_log[(tid, hidx, j)] - safe_miss
-                if math.isfinite(ratio):
-                    mat[row, j] = -ratio
-    for j in range(m):
-        if new_log[j] > -INF:
-            mat[len(track_ids) + j, j] = -new_log[j]
-    return CostMatrix(mat, track_ids, base)
+        for c_i, j in enumerate(cols):
+            d = det_log.get((tid, chosen[tid], j))
+            if d is not None and math.isfinite(d - safe_miss):
+                mat[r_i, c_i] = -(d - safe_miss)
+    for c_i, j in enumerate(cols):
+        if math.isfinite(new_log[j]):
+            mat[len(rows) + c_i, c_i] = -new_log[j]
+    return CostMatrix(mat, chosen, tuple(rows), tuple(cols), tuple(forced), base)
 
 
 def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) -> ScanTables:
@@ -151,8 +152,7 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
             if h.r == 0.0 or h.density is None:
                 miss_log[(t.id, hidx)] = 0.0
                 continue
-            pd_mass = pd * sum(c.weight * c.alive_mass(k) for c in h.density.components)
-            miss_log[(t.id, hidx)] = bernoulli._log(1.0 - h.r * pd_mass)
+            miss_log[(t.id, hidx)] = bernoulli._log(1.0 - h.r * bernoulli._mixture_detection_prob(h.density, pd, k))
             if m == 0:
                 continue
             gated_any = np.zeros(m, dtype=bool)
@@ -178,8 +178,7 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
             evid[j] += c.weight * a * liks[j]
             ppp_gated[j].append((idx, float(liks[j])))
     for j, z in enumerate(scan):
-        lam_fa = sensor.clutter_rate / sensor.region.volume if sensor.region.contains(z) else 0.0
-        new_log[j] = bernoulli._log(lam_fa + pd * evid[j])
+        new_log[j] = bernoulli._log(clutter_density(sensor, z) + pd * evid[j])
     return ScanTables(miss_log, det_log, new_log, {j: tuple(v) for j, v in ppp_gated.items()})
 
 
@@ -204,39 +203,7 @@ def _solve(matrix: np.ndarray):
     return tuple(int(r) for r in mapping), float(cost)
 
 
-def hungarian_best(c) -> Assignment:
-    """Optimal assignment; among equal-cost optima the lexicographically
-    smallest column-to-row mapping is returned."""
-    matrix = np.asarray(c.matrix if isinstance(c, CostMatrix) else c, dtype=float)
-    best = _solve(matrix)
-    if best is None:
-        raise ValueError("infeasible assignment problem")
-    mapping, cost = best
-    # refine column by column: force the smallest row that still attains the
-    # optimal cost (exact-equality ties only)
-    work = matrix.copy()
-    refined = []
-    for col in range(matrix.shape[1]):
-        chosen = mapping[col]
-        for row in sorted(r for r in range(matrix.shape[0]) if np.isfinite(work[r, col])):
-            if row == chosen:
-                break
-            trial = work.copy()
-            trial[:, col] = INF
-            trial[row, col] = work[row, col]
-            sol = _solve(trial)
-            if sol is not None and sol[1] == cost:
-                chosen = row
-                mapping = sol[0]
-                break
-        refined.append(chosen)
-        work[:, col] = INF
-        if chosen >= 0:
-            work[chosen, col] = matrix[chosen, col]
-    return Assignment(tuple(refined), cost)
-
-
-def murty_kbest(c, M: int, max_gap=None) -> list:
+def murty_kbest(matrix: np.ndarray, M: int, max_gap=None) -> list:
     """Up to M cheapest assignments in nondecreasing cost order.
 
     Classic partition-of-the-solution-space enumeration: each dequeued
@@ -248,7 +215,7 @@ def murty_kbest(c, M: int, max_gap=None) -> list:
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    matrix = np.asarray(c.matrix if isinstance(c, CostMatrix) else c, dtype=float)
+    matrix = np.asarray(matrix, dtype=float)
     n_rows, n_cols = matrix.shape
     if n_cols == 0:
         return [Assignment((), 0.0)]

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import gaussseq
 from .density import LocalHypothesis
 from .marginal import epsilon_pmf_miss_update, epsilon_pmf_predict
-from .models import SensorModel
+from .models import SensorModel, clutter_density
 from .trajectory import MixtureComponent, TrajectoryMixture, prune_mixture
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "detect_update",
     "thin_ppp",
     "new_track_hypotheses",
-    "detection_evidence",
 ]
 
 NEG_INF = float("-inf")
@@ -87,17 +84,7 @@ def miss_update(h: LocalHypothesis, pd: float, k: int) -> LocalHypothesis:
     pd_mass = _mixture_detection_prob(mix, pd, k)
     w_factor = 1.0 - h.r * pd_mass
     r = h.r * (1.0 - pd_mass) / w_factor if w_factor > 0.0 else 0.0
-    comps = []
-    for c in mix.components:
-        alive = c.alive_mass(k)
-        scale = 1.0 - pd * alive
-        if scale <= 0.0:
-            continue
-        if c.eps_pmf is not None and alive > 0.0:
-            pmf = tuple(sorted(epsilon_pmf_miss_update(dict(c.eps_pmf), pd, k).items()))
-        else:
-            pmf = c.eps_pmf
-        comps.append(MixtureComponent(c.weight * scale, c.seq, pmf))
+    comps = _miss_components(mix, pd, k)
     total = sum(c.weight for c in comps)
     if total <= 0.0 or r <= 0.0:
         return LocalHypothesis(h.log_weight + _log(w_factor), 0.0, None, h.meas_history)
@@ -105,19 +92,6 @@ def miss_update(h: LocalHypothesis, pd: float, k: int) -> LocalHypothesis:
         tuple(MixtureComponent(c.weight / total, c.seq, c.eps_pmf) for c in comps)
     )
     return LocalHypothesis(h.log_weight + _log(w_factor), r, density, h.meas_history)
-
-
-def detection_evidence(
-    mix: TrajectoryMixture, model: gaussseq.ModelLG, pd: float, z, k: int
-) -> float:
-    """<f, likelihood(z) * detection> for a mixture at scan k."""
-    total = 0.0
-    for c in mix.components:
-        alive = c.alive_mass(k)
-        if alive <= 0.0:
-            continue
-        total += c.weight * alive * gaussseq.predictive_likelihood(c.seq, model, z)
-    return pd * total
 
 
 def detect_update(
@@ -160,24 +134,31 @@ def detect_update(
     return LocalHypothesis(h.log_weight + log_factor, 1.0, density, h.meas_history | {scan})
 
 
+def _miss_components(mix: TrajectoryMixture, pd: float, k: int) -> tuple:
+    """Components weighted by their miss probability 1 - pd * alive mass at
+    scan k, with death-time pmfs reconditioned on the miss; components a miss
+    rules out are dropped."""
+    comps = []
+    for c in mix.components:
+        alive = c.alive_mass(k)
+        scale = 1.0 - pd * alive
+        if scale <= 0.0:
+            continue
+        if c.eps_pmf is not None and alive > 0.0:
+            pmf = tuple(sorted(epsilon_pmf_miss_update(dict(c.eps_pmf), pd, k).items()))
+        else:
+            pmf = c.eps_pmf
+        comps.append(MixtureComponent(c.weight * scale, c.seq, pmf))
+    return tuple(comps)
+
+
 def thin_ppp(ppp: TrajectoryMixture, pd: float, k: int) -> TrajectoryMixture:
     """Undetected intensity after a scan: alive mass is scaled by (1 - pd).
 
     Components keep their identity; in all-trajectories mode the death-time
     pmf is reconditioned on the miss, in current mode the weight just scales.
     """
-    comps = []
-    for c in ppp.components:
-        alive = c.alive_mass(k)
-        scale = 1.0 - pd * alive
-        if scale <= 0.0:
-            continue
-        if c.eps_pmf is not None and alive > 0.0:
-            pmf = epsilon_pmf_miss_update(dict(c.eps_pmf), pd, k)
-            comps.append(MixtureComponent(c.weight * scale, c.seq, tuple(sorted(pmf.items()))))
-        else:
-            comps.append(MixtureComponent(c.weight * scale, c.seq, c.eps_pmf))
-    return TrajectoryMixture(tuple(comps), "intensity")
+    return TrajectoryMixture(_miss_components(ppp, pd, k), "intensity")
 
 
 def new_track_hypotheses(
@@ -186,28 +167,18 @@ def new_track_hypotheses(
     sensor: SensorModel,
     z,
     scan: tuple,
+    gated: tuple,
     component_threshold: float = 1e-3,
-    gated=None,
 ) -> tuple:
     """Two-hypothesis Bernoulli for the track started on measurement z.
 
     Returns (non-existence hypothesis, existence hypothesis).  The existence
     weight is the clutter intensity at z plus the detected Poisson mass; the
-    existence probability is the detected mass' share of it.  ``gated`` may
-    carry precomputed (component index, likelihood) pairs for the components
-    that pass the gate; otherwise gating is evaluated here.
+    existence probability is the detected mass' share of it.  ``gated`` lists
+    (component index, likelihood) for the Poisson components that pass the
+    gate with z, as :func:`association.scan_weight_tables` records them.
     """
-    k, j = scan
-    lam_fa = sensor.clutter_rate / sensor.region.volume if sensor.region.contains(z) else 0.0
-    if gated is None:
-        gated = []
-        Z = np.asarray(z, dtype=float).reshape(1, -1)
-        for idx, c in enumerate(ppp.components):
-            if c.alive_mass(k) <= 0.0:
-                continue
-            mask, liks = gaussseq.gate_likelihoods(c.seq, model, Z, sensor.gate_prob)
-            if mask[0]:
-                gated.append((idx, float(liks[0])))
+    k = scan[0]
     comps = []
     evid = 0.0
     for idx, lik in gated:
@@ -221,7 +192,7 @@ def new_track_hypotheses(
         if w > 0.0:
             comps.append(MixtureComponent(w, seq))
     signal = sensor.pd * evid
-    w_exist = lam_fa + signal
+    w_exist = clutter_density(sensor, z) + signal
     r = signal / w_exist if w_exist > 0.0 else 0.0
     no_exist = LocalHypothesis(0.0, 0.0, None, frozenset())
     if not comps or r == 0.0:

@@ -86,12 +86,6 @@ class GlobalHypothesis:
     def __post_init__(self):
         object.__setattr__(self, "choice", tuple(sorted((int(t), int(h)) for t, h in self.choice)))
 
-    def chosen(self, track_id: int) -> int:
-        for t, h in self.choice:
-            if t == track_id:
-                return h
-        raise KeyError(f"track {track_id} not covered by this global hypothesis")
-
 
 @dataclass(frozen=True)
 class PruneThresholds:
@@ -109,7 +103,10 @@ class PmbmDensity:
     window: TimeWindow
     mode: str  # "all" or "current"
     measurement_record: tuple = ()  # (scan, measurement count) per updated scan
-    retired: frozenset = frozenset()  # measurements of removed all-r=0 tracks
+    # measurements no global's tracks cover any more: those of removed
+    # all-r=0 tracks, and those no association could explain (nothing gated
+    # them and no track could start on them, e.g. outside the region)
+    retired: frozenset = frozenset()
 
     def __post_init__(self):
         if self.ppp.kind != "intensity":

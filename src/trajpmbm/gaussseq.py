@@ -11,9 +11,13 @@ spanning the steps of its window.  Three representations are provided:
                      most recent L steps and treats older steps as mutually
                      independent.
 
-All three support prediction (append one step), measurement update at the
-last step, time marginalization, likelihood evaluation, and moment recovery.
-Values are immutable; every operation returns a new value.
+Each backend carries its own operations as methods: ``predict`` (append one
+step), ``update`` (condition on the last state), ``last_moments``,
+``full_mean``, ``marginalize`` and ``to_moment``.  The module functions
+``predict_seq``, ``update_seq``, ``last_state_moments``, ``mean_sequence``,
+``marginalize_steps`` and ``to_moment`` delegate to them; ``gate_likelihoods``
+scores a batch of measurements against any backend's last state.  Values are
+immutable; every operation returns a new value.
 """
 
 from __future__ import annotations
@@ -35,20 +39,12 @@ __all__ = [
     "InfoSeq",
     "LScanSeq",
     "make_seq",
-    "predict_moment",
-    "update_moment",
-    "predict_info",
-    "update_info",
-    "predict_lscan",
-    "update_lscan",
     "predict_seq",
     "update_seq",
     "recover_moments",
     "marginalize_steps",
-    "predictive_likelihood",
     "last_state_moments",
     "mean_sequence",
-    "nonzero_counts",
     "to_moment",
 ]
 
@@ -147,13 +143,39 @@ def _measurement_update(mean: np.ndarray, cov: np.ndarray, m: ModelLG, z: np.nda
     return new_mean, new_cov, loglik
 
 
+class _Seq:
+    """Operations every backend shares; a backend supplies ``window``,
+    ``nx``, ``_predict``, ``update``, ``last_moments``, ``_select`` and
+    ``to_moment``."""
+
+    def predict(self, m: ModelLG):
+        """Append the one-step-ahead state."""
+        if self.nx != m.nx:
+            raise ValueError("state dimension mismatch")
+        return self._predict(m, TimeWindow(self.window.alpha, self.window.gamma + 1))
+
+    def full_mean(self) -> np.ndarray:
+        """Full mean over the window, flattened."""
+        return np.asarray(self.mean)
+
+    def marginalize(self, keep: TimeWindow):
+        """Gaussian marginal over a contiguous kept sub-window."""
+        if not self.window.contains(keep):
+            raise ValueError("kept steps outside the sequence window")
+        if keep == self.window:
+            return self
+        i0 = (keep.alpha - self.window.alpha) * self.nx
+        i1 = (keep.gamma - self.window.alpha + 1) * self.nx
+        return self._select(keep, i0, i1)
+
+
 # ---------------------------------------------------------------------------
 # moment form
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class MomentSeq:
+class MomentSeq(_Seq):
     """Joint Gaussian over the window's states as (mean, covariance)."""
 
     window: TimeWindow
@@ -174,19 +196,24 @@ class MomentSeq:
     def nx(self) -> int:
         return self.mean.size // self.window.length
 
+    def _predict(self, m: ModelLG, window: TimeWindow) -> "MomentSeq":
+        mean, cov = _append_step(np.asarray(self.mean), np.asarray(self.cov), m)
+        return MomentSeq(window, mean, cov)
 
-def predict_moment(s: MomentSeq, m: ModelLG) -> MomentSeq:
-    """Append the one-step-ahead state; earlier blocks are unchanged."""
-    if s.nx != m.nx:
-        raise ValueError("state dimension mismatch")
-    mean, cov = _append_step(np.asarray(s.mean), np.asarray(s.cov), m)
-    return MomentSeq(TimeWindow(s.window.alpha, s.window.gamma + 1), mean, cov)
+    def update(self, m: ModelLG, z) -> tuple:
+        """Condition the whole sequence on a measurement of the last state."""
+        mean, cov, loglik = _measurement_update(np.asarray(self.mean), np.asarray(self.cov), m, z)
+        return MomentSeq(self.window, mean, cov), loglik
 
+    def last_moments(self) -> tuple:
+        nx = self.nx
+        return np.asarray(self.mean[-nx:]), np.asarray(self.cov[-nx:, -nx:])
 
-def update_moment(s: MomentSeq, m: ModelLG, z) -> tuple:
-    """Condition the whole sequence on a measurement of the last state."""
-    mean, cov, loglik = _measurement_update(np.asarray(s.mean), np.asarray(s.cov), m, z)
-    return MomentSeq(s.window, mean, cov), loglik
+    def _select(self, keep: TimeWindow, i0: int, i1: int) -> "MomentSeq":
+        return MomentSeq(keep, self.mean[i0:i1], self.cov[i0:i1, i0:i1])
+
+    def to_moment(self) -> "MomentSeq":
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +222,15 @@ def update_moment(s: MomentSeq, m: ModelLG, z) -> tuple:
 
 
 @dataclass(frozen=True)
-class InfoSeq:
+class InfoSeq(_Seq):
     """Information-form joint Gaussian with block-tridiagonal structure.
 
     ``diag`` holds the length-many diagonal blocks of the information matrix
     and ``off`` the superdiagonal blocks (subdiagonal blocks follow by
     symmetry); everything outside the band is exactly zero.  The mean and
     covariance of the *last* state are carried alongside so that likelihoods
-    and gating never require a solve.
+    and gating never require a solve.  Marginals and the moment view are
+    recovered by sparse solves and returned in moment form.
     """
 
     window: TimeWindow
@@ -228,50 +256,49 @@ class InfoSeq:
     def nx(self) -> int:
         return self.diag.shape[1]
 
+    def _predict(self, m: ModelLG, window: TimeWindow) -> "InfoSeq":
+        """Grow the band by one step.
 
-def _info_from_moments(window: TimeWindow, mean: np.ndarray, cov: np.ndarray, nx: int) -> InfoSeq:
-    Y = np.linalg.inv(cov)
-    y = Y @ mean
-    nu = window.length
-    diag = np.stack([Y[i * nx : (i + 1) * nx, i * nx : (i + 1) * nx] for i in range(nu)])
-    off = np.stack([Y[i * nx : (i + 1) * nx, (i + 1) * nx : (i + 2) * nx] for i in range(nu - 1)]) if nu > 1 else np.zeros((0, nx, nx))
-    return InfoSeq(window, y, diag, off, mean[-nx:], _symmetrize(cov[-nx:, -nx:]))
+        The previous last diagonal block gains F'Q^{-1}F, the new off-diagonal
+        block is -F'Q^{-1}, the new diagonal block is Q^{-1}, and the information
+        vector is padded with zeros; the corners stay exactly zero.
+        """
+        F, Qinv = np.asarray(m.F), m.Qinv
+        diag = np.concatenate([self.diag, Qinv[None]])
+        diag[-2] = diag[-2] + F.T @ Qinv @ F
+        off = np.concatenate([self.off, (-F.T @ Qinv)[None]])
+        ivec = np.concatenate([self.ivec, np.zeros(m.nx)])
+        last_mean = F @ self.last_mean
+        last_cov = _symmetrize(F @ self.last_cov @ F.T + np.asarray(m.Q))
+        return InfoSeq(window, ivec, diag, off, last_mean, last_cov)
 
+    def update(self, m: ModelLG, z) -> tuple:
+        """Add H'R^{-1}z / H'R^{-1}H to the trailing entries; nothing else moves."""
+        H, R, Rinv = np.asarray(m.H), np.asarray(m.R), m.Rinv
+        z = np.asarray(z, dtype=float).reshape(-1)
+        ivec = self.ivec.copy()
+        ivec[-m.nx :] += H.T @ Rinv @ z
+        diag = self.diag.copy()
+        diag[-1] = diag[-1] + H.T @ Rinv @ H
+        S = _symmetrize(H @ self.last_cov @ H.T + R)
+        v = z - H @ self.last_mean
+        loglik = _gauss_loglik(v, S)
+        K = self.last_cov @ H.T @ np.linalg.inv(S)
+        last_mean = self.last_mean + K @ v
+        last_cov = _symmetrize(self.last_cov - K @ H @ self.last_cov)
+        return InfoSeq(self.window, ivec, diag, self.off, last_mean, last_cov), loglik
 
-def predict_info(s: InfoSeq, m: ModelLG) -> InfoSeq:
-    """Grow the band by one step.
+    def last_moments(self) -> tuple:
+        return np.asarray(self.last_mean), np.asarray(self.last_cov)
 
-    The previous last diagonal block gains F'Q^{-1}F, the new off-diagonal
-    block is -F'Q^{-1}, the new diagonal block is Q^{-1}, and the information
-    vector is padded with zeros; the corners stay exactly zero.
-    """
-    if s.nx != m.nx:
-        raise ValueError("state dimension mismatch")
-    F, Qinv = np.asarray(m.F), m.Qinv
-    diag = np.concatenate([s.diag, Qinv[None]])
-    diag[-2] = diag[-2] + F.T @ Qinv @ F
-    off = np.concatenate([s.off, (-F.T @ Qinv)[None]])
-    ivec = np.concatenate([s.ivec, np.zeros(m.nx)])
-    last_mean = F @ s.last_mean
-    last_cov = _symmetrize(F @ s.last_cov @ F.T + np.asarray(m.Q))
-    return InfoSeq(TimeWindow(s.window.alpha, s.window.gamma + 1), ivec, diag, off, last_mean, last_cov)
+    def full_mean(self) -> np.ndarray:
+        return _BandCholesky(np.asarray(self.diag), np.asarray(self.off)).solve(np.asarray(self.ivec))
 
+    def _select(self, keep: TimeWindow, i0: int, i1: int) -> MomentSeq:
+        return MomentSeq(keep, *recover_moments(self, keep))
 
-def update_info(s: InfoSeq, m: ModelLG, z) -> tuple:
-    """Add H'R^{-1}z / H'R^{-1}H to the trailing entries; nothing else moves."""
-    H, R, Rinv = np.asarray(m.H), np.asarray(m.R), m.Rinv
-    z = np.asarray(z, dtype=float).reshape(-1)
-    ivec = s.ivec.copy()
-    ivec[-m.nx :] += H.T @ Rinv @ z
-    diag = s.diag.copy()
-    diag[-1] = diag[-1] + H.T @ Rinv @ H
-    S = _symmetrize(H @ s.last_cov @ H.T + R)
-    v = z - H @ s.last_mean
-    loglik = _gauss_loglik(v, S)
-    K = s.last_cov @ H.T @ np.linalg.inv(S)
-    last_mean = s.last_mean + K @ v
-    last_cov = _symmetrize(s.last_cov - K @ H @ s.last_cov)
-    return InfoSeq(s.window, ivec, diag, s.off, last_mean, last_cov), loglik
+    def to_moment(self) -> MomentSeq:
+        return MomentSeq(self.window, *recover_moments(self, self.window))
 
 
 class _BandCholesky:
@@ -348,7 +375,7 @@ def recover_moments(s: InfoSeq, steps: TimeWindow) -> tuple:
 
 
 @dataclass(frozen=True)
-class LScanSeq:
+class LScanSeq(_Seq):
     """Mean plus covariance that is dense only over the most recent steps.
 
     ``old_blocks`` holds one marginal covariance per step older than the tail;
@@ -387,32 +414,58 @@ class LScanSeq:
     def tail_len(self) -> int:
         return self.tail_cov.shape[0] // self.nx
 
+    def _predict(self, m: ModelLG, window: TimeWindow) -> "LScanSeq":
+        """Append the new state to the tail, detaching the oldest tail step
+        into ``old_blocks`` once the tail would exceed L steps."""
+        nx = self.nx
+        n_old = self.old_blocks.shape[0]
+        tail_mean, tail = _append_step(np.asarray(self.mean[n_old * nx :]), np.asarray(self.tail_cov), m)
+        mean = np.concatenate([np.asarray(self.mean[: n_old * nx]), tail_mean])
+        old = np.asarray(self.old_blocks)
+        if self.tail_len == self.L:
+            old = np.concatenate([old, tail[:nx, :nx][None]])
+            tail = tail[nx:, nx:]
+        return LScanSeq(window, self.L, mean, old, tail)
 
-def predict_lscan(s: LScanSeq, m: ModelLG) -> LScanSeq:
-    """Append the one-step-ahead state to the tail, detaching the oldest tail
-    step into ``old_blocks`` once the tail would exceed L steps."""
-    if s.nx != m.nx:
-        raise ValueError("state dimension mismatch")
-    nx = s.nx
-    n_old = s.old_blocks.shape[0]
-    tail_mean, tail = _append_step(np.asarray(s.mean[n_old * nx :]), np.asarray(s.tail_cov), m)
-    mean = np.concatenate([np.asarray(s.mean[: n_old * nx]), tail_mean])
-    old = np.asarray(s.old_blocks)
-    if s.tail_len == s.L:
-        old = np.concatenate([old, tail[:nx, :nx][None]])
-        tail = tail[nx:, nx:]
-    return LScanSeq(TimeWindow(s.window.alpha, s.window.gamma + 1), s.L, mean, old, tail)
+    def update(self, m: ModelLG, z) -> tuple:
+        """Measurement update confined to the tail; old blocks are untouched."""
+        nx = self.nx
+        n_old = self.old_blocks.shape[0]
+        tail_mean, tail_cov, loglik = _measurement_update(
+            np.asarray(self.mean[n_old * nx :]), np.asarray(self.tail_cov), m, z
+        )
+        mean = np.concatenate([np.asarray(self.mean[: n_old * nx]), tail_mean])
+        return LScanSeq(self.window, self.L, mean, self.old_blocks, tail_cov), loglik
 
+    def last_moments(self) -> tuple:
+        nx = self.nx
+        return np.asarray(self.mean[-nx:]), np.asarray(self.tail_cov[-nx:, -nx:])
 
-def update_lscan(s: LScanSeq, m: ModelLG, z) -> tuple:
-    """Measurement update confined to the tail; old blocks are untouched."""
-    nx = s.nx
-    n_old = s.old_blocks.shape[0]
-    tail_mean, tail_cov, loglik = _measurement_update(
-        np.asarray(s.mean[n_old * nx :]), np.asarray(s.tail_cov), m, z
-    )
-    mean = np.concatenate([np.asarray(s.mean[: n_old * nx]), tail_mean])
-    return LScanSeq(s.window, s.L, mean, s.old_blocks, tail_cov), loglik
+    def _select(self, keep: TimeWindow, i0: int, i1: int) -> "LScanSeq":
+        nx = self.nx
+        n_old = self.old_blocks.shape[0]
+        first_tail = self.window.alpha + n_old
+        if keep.gamma >= first_tail:
+            old = np.asarray(self.old_blocks[keep.alpha - self.window.alpha : n_old])
+            t0 = (max(keep.alpha, first_tail) - first_tail) * nx
+            t1 = (keep.gamma - first_tail + 1) * nx
+            tail = np.asarray(self.tail_cov[t0:t1, t0:t1])
+        else:
+            # kept window lies entirely in the independent prefix: the last
+            # kept block becomes a one-step tail
+            old = np.asarray(self.old_blocks[keep.alpha - self.window.alpha : keep.gamma - self.window.alpha])
+            tail = np.asarray(self.old_blocks[keep.gamma - self.window.alpha])
+        return LScanSeq(keep, self.L, self.mean[i0:i1], old, tail)
+
+    def to_moment(self) -> MomentSeq:
+        """Dense moment-form view of the implied joint covariance."""
+        nx, nu = self.nx, self.window.length
+        cov = np.zeros((nu * nx, nu * nx))
+        n_old = self.old_blocks.shape[0]
+        for i in range(n_old):
+            cov[i * nx : (i + 1) * nx, i * nx : (i + 1) * nx] = self.old_blocks[i]
+        cov[n_old * nx :, n_old * nx :] = self.tail_cov
+        return MomentSeq(self.window, self.mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +479,15 @@ def make_seq(backend: str, window: TimeWindow, mean, cov, L: int = 1):
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     if backend == "moment":
         return MomentSeq(window, mean, cov)
+    nx, nu = mean.size // window.length, window.length
     if backend == "info":
-        return _info_from_moments(window, mean, cov, mean.size // window.length)
+        Y = np.linalg.inv(cov)
+        diag = np.stack([Y[i * nx : (i + 1) * nx, i * nx : (i + 1) * nx] for i in range(nu)])
+        off = np.stack([Y[i * nx : (i + 1) * nx, (i + 1) * nx : (i + 2) * nx] for i in range(nu - 1)]) if nu > 1 else np.zeros((0, nx, nx))
+        return InfoSeq(window, Y @ mean, diag, off, mean[-nx:], _symmetrize(cov[-nx:, -nx:]))
     if backend == "lscan":
-        nx = mean.size // window.length
-        t = min(L, window.length)
-        n_old = window.length - t
+        t = min(L, nu)
+        n_old = nu - t
         if n_old:
             # only single-step construction needs no decorrelation; longer
             # windows are accepted when the prefix is already independent
@@ -443,45 +499,32 @@ def make_seq(backend: str, window: TimeWindow, mean, cov, L: int = 1):
 
 
 def predict_seq(s, m: ModelLG):
-    if isinstance(s, MomentSeq):
-        return predict_moment(s, m)
-    if isinstance(s, InfoSeq):
-        return predict_info(s, m)
-    if isinstance(s, LScanSeq):
-        return predict_lscan(s, m)
-    raise TypeError(f"not a sequence density: {type(s).__name__}")
+    return s.predict(m)
 
 
 def update_seq(s, m: ModelLG, z):
-    if isinstance(s, MomentSeq):
-        return update_moment(s, m, z)
-    if isinstance(s, InfoSeq):
-        return update_info(s, m, z)
-    if isinstance(s, LScanSeq):
-        return update_lscan(s, m, z)
-    raise TypeError(f"not a sequence density: {type(s).__name__}")
+    return s.update(m, z)
 
 
 def last_state_moments(s) -> tuple:
     """Mean and covariance of the most recent state."""
-    nx = s.nx
-    if isinstance(s, MomentSeq):
-        return np.asarray(s.mean[-nx:]), np.asarray(s.cov[-nx:, -nx:])
-    if isinstance(s, InfoSeq):
-        return np.asarray(s.last_mean), np.asarray(s.last_cov)
-    if isinstance(s, LScanSeq):
-        return np.asarray(s.mean[-nx:]), np.asarray(s.tail_cov[-nx:, -nx:])
-    raise TypeError(f"not a sequence density: {type(s).__name__}")
+    return s.last_moments()
 
 
 def mean_sequence(s) -> np.ndarray:
     """Full mean over the window, flattened."""
-    if isinstance(s, (MomentSeq, LScanSeq)):
-        return np.asarray(s.mean)
-    if isinstance(s, InfoSeq):
-        fac = _BandCholesky(np.asarray(s.diag), np.asarray(s.off))
-        return fac.solve(np.asarray(s.ivec))
-    raise TypeError(f"not a sequence density: {type(s).__name__}")
+    return s.full_mean()
+
+
+def marginalize_steps(s, keep: TimeWindow):
+    """Gaussian marginal over a contiguous kept sub-window (moment form for
+    the information backend)."""
+    return s.marginalize(keep)
+
+
+def to_moment(s) -> MomentSeq:
+    """Dense moment-form view of any backend (covariance fully materialized)."""
+    return s.to_moment()
 
 
 @lru_cache(maxsize=32)
@@ -496,7 +539,7 @@ def gate_likelihoods(s, m: ModelLG, Z: np.ndarray, gate_prob: float = 1.0):
     Returns (mask, likelihoods) over the rows of Z; ungated entries keep
     their likelihood value (callers decide whether to zero them).
     """
-    mean, cov = last_state_moments(s)
+    mean, cov = s.last_moments()
     H, R = np.asarray(m.H), np.asarray(m.R)
     S = _symmetrize(H @ cov @ H.T + R)
     try:
@@ -513,76 +556,3 @@ def gate_likelihoods(s, m: ModelLG, Z: np.ndarray, gate_prob: float = 1.0):
     else:
         mask = d2 <= _gate_threshold(gate_prob, m.nz)
     return mask, liks
-
-
-def predictive_likelihood(s, m: ModelLG, z) -> float:
-    """Gaussian evidence N(z; H m_last, H P_last H' + R), detection-free."""
-    mean, cov = last_state_moments(s)
-    H, R = np.asarray(m.H), np.asarray(m.R)
-    S = _symmetrize(H @ cov @ H.T + R)
-    v = np.asarray(z, dtype=float).reshape(-1) - H @ mean
-    return math.exp(_gauss_loglik(v, S))
-
-
-def marginalize_steps(s, keep: TimeWindow):
-    """Gaussian marginal over a contiguous kept sub-window.
-
-    Moment and L-scan forms select blocks; the information form recovers the
-    kept block's moments and returns a moment-form result.
-    """
-    if not s.window.contains(keep):
-        raise ValueError("kept steps outside the sequence window")
-    if keep == s.window:
-        return s
-    nx = s.nx
-    i0 = (keep.alpha - s.window.alpha) * nx
-    i1 = (keep.gamma - s.window.alpha + 1) * nx
-    if isinstance(s, MomentSeq):
-        return MomentSeq(keep, s.mean[i0:i1], s.cov[i0:i1, i0:i1])
-    if isinstance(s, InfoSeq):
-        mean, cov = recover_moments(s, keep)
-        return MomentSeq(keep, mean, cov)
-    if isinstance(s, LScanSeq):
-        n_old = s.old_blocks.shape[0]
-        first_tail = s.window.alpha + n_old
-        if keep.gamma >= first_tail:
-            old = np.asarray(s.old_blocks[keep.alpha - s.window.alpha : n_old])
-            t0 = (max(keep.alpha, first_tail) - first_tail) * nx
-            t1 = (keep.gamma - first_tail + 1) * nx
-            tail = np.asarray(s.tail_cov[t0:t1, t0:t1])
-        else:
-            # kept window lies entirely in the independent prefix: the last
-            # kept block becomes a one-step tail
-            old = np.asarray(s.old_blocks[keep.alpha - s.window.alpha : keep.gamma - s.window.alpha])
-            tail = np.asarray(s.old_blocks[keep.gamma - s.window.alpha])
-        return LScanSeq(keep, s.L, s.mean[i0:i1], old, tail)
-    raise TypeError(f"not a sequence density: {type(s).__name__}")
-
-
-def to_moment(s) -> MomentSeq:
-    """Dense moment-form view of any backend (covariance fully materialized)."""
-    if isinstance(s, MomentSeq):
-        return s
-    if isinstance(s, InfoSeq):
-        mean, cov = recover_moments(s, s.window)
-        return MomentSeq(s.window, mean, cov)
-    if isinstance(s, LScanSeq):
-        nx, nu = s.nx, s.window.length
-        cov = np.zeros((nu * nx, nu * nx))
-        n_old = s.old_blocks.shape[0]
-        for i in range(n_old):
-            cov[i * nx : (i + 1) * nx, i * nx : (i + 1) * nx] = s.old_blocks[i]
-        cov[n_old * nx :, n_old * nx :] = s.tail_cov
-        return MomentSeq(s.window, s.mean, cov)
-    raise TypeError(f"not a sequence density: {type(s).__name__}")
-
-
-def nonzero_counts(s) -> tuple:
-    """(mean, covariance) nonzero-entry counts of the stored representation."""
-    if isinstance(s, MomentSeq):
-        return s.mean.size, s.cov.size
-    if isinstance(s, InfoSeq):
-        return int(np.count_nonzero(s.ivec)), int(s.diag.shape[0] + 2 * s.off.shape[0]) * s.nx**2
-    if isinstance(s, LScanSeq):
-        return s.mean.size, int(s.old_blocks.shape[0] * s.nx**2 + s.tail_cov.size)
-    raise TypeError(f"not a sequence density: {type(s).__name__}")

@@ -5,8 +5,8 @@ a window [alpha, gamma], keeping only trajectories alive somewhere in
 [eta, zeta], yields another PMBM density whose parameters follow in closed
 form: components that never touch the alive interval are discarded, (b, e)
 windows are clamped, and state sequences are marginalized.  This module also
-provides the closed-form and recursive death-time pmfs used to bookkeep runs
-of missed detections.
+provides the death-time pmf steps (survival split, missed-detection
+conditioning) used to bookkeep runs of missed detections.
 """
 
 from __future__ import annotations
@@ -27,12 +27,8 @@ __all__ = [
     "marginalize_bernoulli",
     "marginalize_ppp",
     "marginalize_pmbm",
-    "birth_pmf",
-    "epsilon_pmf_closed",
-    "epsilon_pmf_recursive",
     "epsilon_pmf_predict",
     "epsilon_pmf_miss_update",
-    "death_time_estimate",
 ]
 
 
@@ -68,10 +64,6 @@ def _clamp_component(c: MixtureComponent, q: AliveQuery) -> MixtureComponent:
     return MixtureComponent(c.weight, seq)
 
 
-def _alive(c: MixtureComponent, q: AliveQuery) -> bool:
-    return c.b <= q.zeta and q.eta <= c.e
-
-
 def marginalize_bernoulli(h: LocalHypothesis, q: AliveQuery) -> LocalHypothesis:
     """Bernoulli restricted to the query window.
 
@@ -80,8 +72,7 @@ def marginalize_bernoulli(h: LocalHypothesis, q: AliveQuery) -> LocalHypothesis:
     """
     if h.r == 0.0 or h.density is None:
         return LocalHypothesis(h.log_weight, 0.0, None, h.meas_history)
-    mix = materialize_mixture(h.density)
-    alive = [c for c in mix.components if _alive(c, q)]
+    alive = materialize_mixture(h.density, q.alive).components
     alive_mass = sum(c.weight for c in alive)
     r = h.r * alive_mass
     if alive_mass <= 0.0:
@@ -97,8 +88,7 @@ def marginalize_ppp(ppp: TrajectoryMixture, q: AliveQuery) -> TrajectoryMixture:
     surviving components are unchanged)."""
     if ppp.kind != "intensity":
         raise ValueError("expected an intensity mixture")
-    mix = materialize_mixture(ppp)
-    comps = tuple(_clamp_component(c, q) for c in mix.components if _alive(c, q))
+    comps = tuple(_clamp_component(c, q) for c in materialize_mixture(ppp, q.alive).components)
     return TrajectoryMixture(comps, "intensity")
 
 
@@ -123,59 +113,9 @@ def marginalize_pmbm(p: PmbmDensity, q: AliveQuery) -> PmbmDensity:
     )
 
 
-def birth_pmf(ppp_prior: TrajectoryMixture, z, model: gaussseq.ModelLG, k: int) -> dict:
-    """Posterior pmf over the birth step of a track started on measurement z.
-
-    Only prior Poisson components alive at the current scan contribute; each
-    contributes its weight times the Gaussian evidence of z under its
-    predicted last state.  The constant detection probability cancels.
-    """
-    masses: dict = {}
-    for c in ppp_prior.components:
-        a = c.alive_mass(k)
-        if a <= 0.0:
-            continue
-        lik = gaussseq.predictive_likelihood(c.seq, model, z)
-        masses[c.b] = masses.get(c.b, 0.0) + c.weight * a * lik
-    total = sum(masses.values())
-    if total <= 0.0:
-        raise ValueError("no prior component alive at the current scan")
-    return {b: m / total for b, m in sorted(masses.items())}
-
-
 # ---------------------------------------------------------------------------
 # death-time pmf under consecutive missed detections
 # ---------------------------------------------------------------------------
-
-
-def epsilon_pmf_closed(tau: int, k: int, ps: float, pd: float) -> dict:
-    """Posterior death-time pmf after misses on every scan in (tau, k].
-
-    ``tau`` is the scan of the last association.  Mass decays geometrically
-    with the per-step probability qdps = (1 - pd) * ps of surviving
-    undetected; the remaining mass sits at the current scan.
-    """
-    qdps = (1.0 - pd) * ps
-    if qdps >= 1.0:
-        raise ValueError("(1 - pd) * ps must be < 1")
-    if k < tau:
-        raise ValueError("current scan before the last association")
-    n = k - tau
-    if n == 0:
-        return {tau: 1.0}
-    qs = 1.0 - ps
-    c = qs * (1.0 - qdps**n) / (1.0 - qdps) + qdps**n
-    if c <= 0.0:
-        raise ValueError("a run of missed detections has probability zero")
-    pmf = {}
-    for i in range(n):
-        m = qs * qdps**i / c
-        if m > 0.0:
-            pmf[tau + i] = m
-    m = qdps**n / c
-    if m > 0.0:
-        pmf[k] = m
-    return pmf
 
 
 def epsilon_pmf_predict(prev: dict, ps: float, k: int) -> dict:
@@ -203,27 +143,3 @@ def epsilon_pmf_miss_update(pred: dict, pd: float, k: int) -> dict:
         if mm > 0.0:
             out[e] = mm
     return dict(sorted(out.items()))
-
-
-def epsilon_pmf_recursive(prev: dict, ps: float, pd: float, k: int) -> dict:
-    """Advance the death-time pmf by one scan with a missed detection:
-    survival split to scan k, then the miss conditioning."""
-    total = sum(prev.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError("input pmf not normalized")
-    return epsilon_pmf_miss_update(epsilon_pmf_predict(prev, ps, k), pd, k)
-
-
-def death_time_estimate(pmf: dict, method: str = "map") -> int:
-    """Point estimate of the death time from its pmf.
-
-    ``map`` takes the highest-mass step (ties toward the earlier step);
-    ``mean`` rounds the expected death time to the nearest integer.
-    """
-    if not pmf:
-        raise ValueError("empty pmf")
-    if method == "map":
-        return max(sorted(pmf), key=lambda e: pmf[e])
-    if method == "mean":
-        return int(round(sum(e * m for e, m in pmf.items())))
-    raise ValueError(f"unknown method {method!r}")

@@ -25,10 +25,9 @@ from typing import Optional
 import numpy as np
 
 from . import bernoulli, estimate, gaussseq
-from .association import murty_kbest, scan_weight_tables
+from .association import build_cost_matrix, murty_kbest, scan_weight_tables
 from .density import (
     GlobalHypothesis,
-    LocalHypothesis,
     PmbmDensity,
     PruneThresholds,
     Track,
@@ -40,8 +39,6 @@ from .models import BirthModel, SensorModel, SurvivalModel, birth_intensity_at
 from .trajectory import BirthDeathPmf, TimeWindow, TrajectoryMixture, birth_death_pmf
 
 __all__ = ["TrackerConfig", "TrackerState", "PmbmTracker", "RunResult"]
-
-INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -121,57 +118,37 @@ class PmbmTracker:
         """Extend every component alive at the previous scan; its death-time
         pmf splits between ending there and surviving.  Track counts, weights
         and existence probabilities are unchanged."""
-        if s.density.mode != "all":
-            raise ValueError("density is not in all-trajectories mode")
-        k = s.k + 1
-        ps = self.survival.ps
-        ppp = bernoulli.predict_mixture(s.density.ppp, self.model, ps, k, "all")
-        births = birth_intensity_at(self.birth, k, self.config.backend, self.config.L)
-        ppp = TrajectoryMixture(ppp.components + births.components, "intensity")
-        tracks = tuple(
-            Track(
-                t.id,
-                tuple(
-                    h
-                    if h.r == 0.0 or h.density is None
-                    else replace(h, density=bernoulli.predict_mixture(h.density, self.model, ps, k, "all"))
-                    for h in t.hypotheses
-                ),
-            )
-            for t in s.density.tracks
-        )
-        density = replace(s.density, ppp=ppp, tracks=tracks, window=TimeWindow(0, k))
-        return TrackerState(density, k, s.next_track_id)
+        return self._predict(s, "all")
 
     def predict_current(self, s: TrackerState) -> TrackerState:
         """Scale existence and Poisson weights by survival, extend densities."""
-        if s.density.mode != "current":
-            raise ValueError("density is not in current-trajectories mode")
+        return self._predict(s, "current")
+
+    def _predict(self, s: TrackerState, mode: str) -> TrackerState:
+        if s.density.mode != mode:
+            raise ValueError(f"density is not in {mode}-trajectories mode")
         k = s.k + 1
         ps = self.survival.ps
-        ppp_comps = tuple(
-            replace(bernoulli.predict_component(c, self.model, ps, k, "current"), weight=c.weight * ps)
-            for c in s.density.ppp.components
-        )
+        scale = ps if mode == "current" else 1.0  # survival of existence and Poisson weights
+        ppp = bernoulli.predict_mixture(s.density.ppp, self.model, ps, k, mode).components
+        if scale != 1.0:
+            ppp = tuple(replace(c, weight=c.weight * scale) for c in ppp)
         births = birth_intensity_at(self.birth, k, self.config.backend, self.config.L)
-        ppp = TrajectoryMixture(ppp_comps + births.components, "intensity")
         tracks = tuple(
             Track(
                 t.id,
                 tuple(
                     h
                     if h.r == 0.0 or h.density is None
-                    else LocalHypothesis(
-                        h.log_weight,
-                        h.r * ps,
-                        bernoulli.predict_mixture(h.density, self.model, ps, k, "current"),
-                        h.meas_history,
+                    else replace(
+                        h, r=h.r * scale, density=bernoulli.predict_mixture(h.density, self.model, ps, k, mode)
                     )
                     for h in t.hypotheses
                 ),
             )
             for t in s.density.tracks
         )
+        ppp = TrajectoryMixture(ppp + births.components, "intensity")
         density = replace(s.density, ppp=ppp, tracks=tracks, window=TimeWindow(0, k))
         return TrackerState(density, k, s.next_track_id)
 
@@ -195,63 +172,35 @@ class PmbmTracker:
         miss_log, det_log, new_log = tables.miss_log, tables.det_log, tables.new_log
         track_ids = [t.id for t in p.tracks]
 
-        # enumerate children of every prior global on a reduced problem:
-        # measurements gated by no chosen hypothesis can only start their own
-        # track, and tracks gating nothing can only miss, so neither needs a
-        # place in the assignment matrix
+        # enumerate children of every prior global on its reduced problem
         weights = np.array([g.log_weight for g in p.global_hyps])
         weights = np.exp(weights - weights.max()) if len(weights) else weights
         weights = weights / weights.sum() if len(weights) else weights
-        det_by_hyp: dict = {}
-        for tid, hidx, j in det_log:
-            det_by_hyp.setdefault((tid, hidx), set()).add(j)
+        # children further than the prune floor below their global's best
+        # would be dropped right away, so stop enumerating there
+        gap = -math.log(self.config.thresholds.global_w) if self.config.prune_enabled else None
         chosen_children = []  # (child log weight, prior choice dict, {tid: j}, new js)
         for g, w in zip(p.global_hyps, weights):
             if self.config.murty_budget is None:
                 budget = sys.maxsize
             else:
                 budget = max(1, math.ceil(w * self.config.murty_budget))
-            chosen = dict(g.choice)
-            miss_total = sum(miss_log[(tid, chosen[tid])] for tid in track_ids)
-            contested: set = set()
-            rows = []
-            for tid in track_ids:
-                js = det_by_hyp.get((tid, chosen[tid]))
-                if js:
-                    rows.append(tid)
-                    contested |= js
-            cols = sorted(contested)
-            forced = [j for j in range(m) if j not in contested]
-            forced_logw = sum(new_log[j] for j in forced)
-            base = g.log_weight + miss_total + forced_logw
-            if not math.isfinite(base):
+            cm = build_cost_matrix(p, g, tables)
+            if not math.isfinite(cm.base):
                 continue  # some measurement is impossible under this global
-            mat = np.full((len(rows) + len(cols), len(cols)), INF)
-            for r_i, tid in enumerate(rows):
-                miss = miss_log[(tid, chosen[tid])]
-                safe_miss = miss if math.isfinite(miss) else -745.0
-                for c_i, j in enumerate(cols):
-                    d = det_log.get((tid, chosen[tid], j))
-                    if d is not None and math.isfinite(d - safe_miss):
-                        mat[r_i, c_i] = -(d - safe_miss)
-            for c_i, j in enumerate(cols):
-                if math.isfinite(new_log[j]):
-                    mat[len(rows) + c_i, c_i] = -new_log[j]
-            # children further than the prune floor below this global's best
-            # would be dropped right away, so stop enumerating there
-            gap = -math.log(self.config.thresholds.global_w) if self.config.prune_enabled else None
             try:
-                assignments = murty_kbest(mat, budget, max_gap=gap)
+                assignments = murty_kbest(cm.matrix, budget, max_gap=gap)
             except ValueError:
                 continue  # no feasible association under this global
+            chosen = cm.chosen
             for a in assignments:
                 detected = {}
-                new_js = list(forced)
-                logw = base
+                new_js = list(cm.forced)
+                logw = cm.base
                 for c_i, row in enumerate(a.mapping):
-                    j = cols[c_i]
-                    if row < len(rows):
-                        tid = rows[row]
+                    j = cm.cols[c_i]
+                    if row < len(cm.rows):
+                        tid = cm.rows[row]
                         detected[tid] = j
                         logw += det_log[(tid, chosen[tid], j)] - miss_log[(tid, chosen[tid])]
                     else:
@@ -295,18 +244,6 @@ class PmbmTracker:
 
         realized_new = sorted({j for _, _, _, new_js in chosen_children for j in new_js})
         new_track_ids = {j: s.next_track_id + j for j in range(m)}
-        new_pairs = {
-            j: bernoulli.new_track_hypotheses(
-                p.ppp,
-                self.model,
-                self.sensor,
-                scan[j],
-                (k, j),
-                self.config.new_component_threshold,
-                gated=tables.ppp_gated[j],
-            )
-            for j in realized_new
-        }
 
         # assemble the new track table and the child choice maps
         needed_by_track: dict = {}
@@ -320,8 +257,11 @@ class PmbmTracker:
             index_of.update({key: i for i, key in enumerate(keys)})
             tracks.append(Track(t.id, hyps))
         for j in realized_new:
-            no_exist, exist = new_pairs[j]
-            tracks.append(Track(new_track_ids[j], (no_exist, exist)))
+            gated = tables.ppp_gated[j]
+            pair = bernoulli.new_track_hypotheses(
+                p.ppp, self.model, self.sensor, scan[j], (k, j), gated, self.config.new_component_threshold
+            )
+            tracks.append(Track(new_track_ids[j], pair))
 
         globals_ = []
         for logw, chosen, detected, new_js in chosen_children:
@@ -338,6 +278,7 @@ class PmbmTracker:
             tracks=tuple(tracks),
             global_hyps=tuple(globals_),
             measurement_record=p.measurement_record + ((k, m),),
+            retired=p.retired | {(k, j) for j in tables.unexplained},
         )
         density = normalize(density)
         if self.config.prune_enabled:

@@ -8,10 +8,8 @@ each pin a (b, e) window and carry a Gaussian state-sequence density for it.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,8 +22,6 @@ __all__ = [
     "birth_death_pmf",
     "materialize_mixture",
     "prune_mixture",
-    "GridSurrogate",
-    "trajectory_set_integral",
 ]
 
 PMF_TOL = 1e-12
@@ -116,9 +112,6 @@ class BirthDeathPmf:
             raise ValueError(f"total mass {total} != 1")
         object.__setattr__(self, "support", items)
 
-    def mass(self, beta: int, epsilon: int) -> float:
-        return dict(self.support).get((beta, epsilon), 0.0)
-
     def as_dict(self) -> dict:
         return dict(self.support)
 
@@ -126,12 +119,6 @@ class BirthDeathPmf:
         """Highest-mass pair; ties broken toward smaller epsilon, then smaller beta."""
         best = max(self.support, key=lambda kv: (kv[1], -kv[0][1], -kv[0][0]))
         return best[0]
-
-    def epsilon_marginal(self) -> dict:
-        out: dict = {}
-        for (b, e), m in self.support:
-            out[e] = out.get(e, 0.0) + m
-        return out
 
 
 @dataclass(frozen=True)
@@ -234,29 +221,33 @@ def birth_death_pmf(mix: TrajectoryMixture) -> BirthDeathPmf:
     return BirthDeathPmf(tuple((k, m / total) for k, m in masses.items()))
 
 
-def materialize_mixture(mix: TrajectoryMixture) -> TrajectoryMixture:
+def materialize_mixture(mix: TrajectoryMixture, alive: Optional[TimeWindow] = None) -> TrajectoryMixture:
     """Expand deferred death-time pmfs into explicit (b, e) components.
 
     Each deferred component (w, seq over b..e, pmf) becomes one component per
     death time eps with weight w * pmf[eps] and the sequence marginalized to
-    b..eps.  Explicit components pass through unchanged.
+    b..eps.  Explicit components pass through unchanged.  When ``alive`` is
+    given, only the components whose (b, e) window intersects it are kept
+    (death times outside it are never marginalized), and the result is an
+    intensity mixture since its weights no longer sum to one.
     """
     from . import gaussseq  # local import: gaussseq depends on this module
+
+    def kept(b: int, e: int) -> bool:
+        return alive is None or alive.intersects(TimeWindow(b, e))
 
     out = []
     for c in mix.components:
         if c.eps_pmf is None:
-            out.append(c)
+            if kept(c.b, c.e):
+                out.append(c)
             continue
         for e, m in c.eps_pmf:
-            if m <= 0.0:
+            if m <= 0.0 or not kept(c.b, e):
                 continue
-            if e == c.e:
-                seq = c.seq
-            else:
-                seq = gaussseq.marginalize_steps(c.seq, TimeWindow(c.b, e))
+            seq = c.seq if e == c.e else gaussseq.marginalize_steps(c.seq, TimeWindow(c.b, e))
             out.append(MixtureComponent(c.weight * m, seq))
-    return TrajectoryMixture(tuple(out), mix.kind)
+    return TrajectoryMixture(tuple(out), mix.kind if alive is None else "intensity")
 
 
 def prune_mixture(mix: TrajectoryMixture, threshold: float = 1e-3) -> TrajectoryMixture:
@@ -272,58 +263,3 @@ def prune_mixture(mix: TrajectoryMixture, threshold: float = 1e-3) -> Trajectory
         s = sum(c.weight for c in kept)
         kept = [MixtureComponent(c.weight / s, c.seq, c.eps_pmf) for c in kept]
     return TrajectoryMixture(tuple(kept), mix.kind)
-
-
-@dataclass(frozen=True)
-class GridSurrogate:
-    """Finite discretization of the trajectory space, for test-side integrals.
-
-    ``points`` is a (G, n_x) grid of base states with shared cell volume, and
-    ``windows`` lists the (b, e) pairs to sum over.  A trajectory atom is a
-    (b, e) pair plus one grid point per step.
-    """
-
-    points: np.ndarray
-    cell_volume: float
-    windows: tuple
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise ValueError("empty grid")
-        object.__setattr__(self, "points", _frozen_array(pts))
-        object.__setattr__(self, "windows", tuple((int(b), int(e)) for b, e in self.windows))
-
-    def atoms(self):
-        """Yield (Trajectory, volume) pairs for every atom of the surrogate."""
-        for b, e in self.windows:
-            nu = e - b + 1
-            vol = self.cell_volume**nu
-            for combo in itertools.product(range(len(self.points)), repeat=nu):
-                yield Trajectory(b, e, self.points[list(combo)]), vol
-
-
-def trajectory_set_integral(
-    f: Callable[[Sequence[Trajectory]], float],
-    max_cardinality: int,
-    surrogate: GridSurrogate,
-) -> float:
-    """Set integral of ``f`` approximated on a discrete surrogate.
-
-    Sums f over the empty set plus, for each cardinality n up to
-    ``max_cardinality``, 1/n! times the sum of f over ordered n-tuples of
-    surrogate atoms weighted by their cell volumes.  ``f`` receives a list of
-    trajectories (the n-argument form of the set function).  Only intended for
-    verifying normalization of small set densities in tests.
-    """
-    if max_cardinality < 0:
-        raise ValueError("max_cardinality must be >= 0")
-    atoms = list(surrogate.atoms())
-    total = f([])
-    for n in range(1, max_cardinality + 1):
-        contrib = 0.0
-        for tup in itertools.product(atoms, repeat=n):
-            vol = math.prod(v for _, v in tup)
-            contrib += f([t for t, _ in tup]) * vol
-        total += contrib / math.factorial(n)
-    return total

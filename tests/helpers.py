@@ -1,4 +1,5 @@
-"""Shared glue for comparing tracker states against the reference oracles."""
+"""Shared glue: tracker setups, comparisons against the reference oracles,
+and small views of library values that only tests need."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from trajpmbm import gaussseq as gs
 from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Track, TrajectoryMixture
 from trajpmbm.models import BirthComponent, BirthModel, Rectangle, SensorModel, SurvivalModel
 from trajpmbm.tracker import PmbmTracker, TrackerConfig, TrackerState
+from trajpmbm.marginal import epsilon_pmf_miss_update, epsilon_pmf_predict
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, birth_death_pmf
 
 SCALAR_REGION = Rectangle(-50.0, 50.0, -1.0, 1.0)
@@ -73,3 +75,48 @@ def assert_tables_match(actual, expected, tol=1e-9):
             assert set(pmf_a) == set(pmf_e)
             for be in pmf_e:
                 assert pmf_a[be] == pytest.approx(pmf_e[be], abs=tol)
+
+
+def gate(seq, m, z, gate_prob: float) -> bool:
+    """Whether z passes the ellipsoidal gate of ``seq``'s last state."""
+    if not 0.0 < gate_prob <= 1.0:
+        raise ValueError("gate probability must lie in (0, 1]")
+    mask, _ = gs.gate_likelihoods(seq, m, np.asarray(z, dtype=float).reshape(1, -1), gate_prob)
+    return bool(mask[0])
+
+
+def nonzero_counts(s) -> tuple:
+    """(mean, covariance) nonzero-entry counts of the stored representation."""
+    if isinstance(s, gs.MomentSeq):
+        return s.mean.size, s.cov.size
+    if isinstance(s, gs.InfoSeq):
+        return int(np.count_nonzero(s.ivec)), int(s.diag.shape[0] + 2 * s.off.shape[0]) * s.nx**2
+    return s.mean.size, int(s.old_blocks.shape[0] * s.nx**2 + s.tail_cov.size)
+
+
+def epsilon_pmf_recursive(prev: dict, ps: float, pd: float, k: int) -> dict:
+    """The tracker's death-time pmf step: survival split to scan k, then the
+    missed-detection conditioning."""
+    if abs(sum(prev.values()) - 1.0) > 1e-9:
+        raise ValueError("input pmf not normalized")
+    return epsilon_pmf_miss_update(epsilon_pmf_predict(prev, ps, k), pd, k)
+
+
+def epsilon_marginal(pmf) -> dict:
+    """Death-time marginal of a (birth, death) pmf."""
+    out: dict = {}
+    for (_, e), m in pmf.support:
+        out[e] = out.get(e, 0.0) + m
+    return out
+
+
+def death_time_estimate(pmf: dict, method: str = "map") -> int:
+    """Death-time point estimate: ``map`` takes the highest-mass step (ties
+    toward the earlier step), ``mean`` rounds the expected death time."""
+    if not pmf:
+        raise ValueError("empty pmf")
+    if method == "map":
+        return max(sorted(pmf), key=lambda e: pmf[e])
+    if method == "mean":
+        return int(round(sum(e * m for e, m in pmf.items())))
+    raise ValueError(f"unknown method {method!r}")

@@ -2,9 +2,12 @@
 
 Everything here is deliberately written from scratch against the defining
 formulas, not by calling the library: dense joint Kalman operations with a
-stacked measurement matrix, a tracker that materializes every death split
-explicitly and enumerates every association map per scan, and a point-target
-PMBM filter over plain state vectors.
+stacked measurement matrix, predictive likelihoods and the birth-step pmf,
+the closed-form death-time pmf, an optimal assignment with a lexicographic
+tie-break, a set integral on a grid surrogate, a tracker that materializes
+every death split explicitly and enumerates every association map per scan,
+and a point-target PMBM filter over plain state vectors.  Only the last-state
+moments of a sequence density are read through the library.
 """
 
 from __future__ import annotations
@@ -14,9 +17,15 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.stats import multivariate_normal
 
+from trajpmbm.association import Assignment
+from trajpmbm.gaussseq import last_state_moments
+from trajpmbm.trajectory import Trajectory
+
 NEG_INF = float("-inf")
+INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +69,58 @@ def point_update(mean, cov, H, R, z):
     return mean2, 0.5 * (cov2 + cov2.T), lik
 
 
+def predictive_likelihood(s, model, z) -> float:
+    """Gaussian evidence N(z; H m_last, H P_last H' + R) of a sequence density."""
+    mean, cov = last_state_moments(s)
+    H, R = np.asarray(model.H), np.asarray(model.R)
+    return float(multivariate_normal.pdf(np.asarray(z, float).reshape(-1), mean=H @ mean, cov=H @ cov @ H.T + R))
+
+
+def birth_pmf(ppp_prior, z, model, k: int) -> dict:
+    """Posterior pmf over the birth step of a track started on measurement z:
+    each prior Poisson component alive at k contributes its weight times the
+    evidence of z under its last state (the detection probability cancels)."""
+    masses: dict = {}
+    for c in ppp_prior.components:
+        a = c.alive_mass(k)
+        if a > 0.0:
+            masses[c.b] = masses.get(c.b, 0.0) + c.weight * a * predictive_likelihood(c.seq, model, z)
+    total = sum(masses.values())
+    if total <= 0.0:
+        raise ValueError("no prior component alive at the current scan")
+    return {b: m / total for b, m in sorted(masses.items())}
+
+
+def epsilon_pmf_closed(tau: int, k: int, ps: float, pd: float) -> dict:
+    """Death-time pmf after misses on every scan in (tau, k], ``tau`` being
+    the scan of the last association: mass decays geometrically with the
+    per-step probability qdps = (1 - pd) * ps of surviving undetected, and
+    the remaining mass sits at the current scan."""
+    qdps = (1.0 - pd) * ps
+    if qdps >= 1.0:
+        raise ValueError("(1 - pd) * ps must be < 1")
+    if k < tau:
+        raise ValueError("current scan before the last association")
+    n = k - tau
+    if n == 0:
+        return {tau: 1.0}
+    qs = 1.0 - ps
+    c = qs * (1.0 - qdps**n) / (1.0 - qdps) + qdps**n
+    if c <= 0.0:
+        raise ValueError("a run of missed detections has probability zero")
+    pmf = {}
+    for i in range(n):
+        m = qs * qdps**i / c
+        if m > 0.0:
+            pmf[tau + i] = m
+    m = qdps**n / c
+    if m > 0.0:
+        pmf[k] = m
+    return pmf
+
+
 # ---------------------------------------------------------------------------
-# brute-force assignment enumeration
+# assignment: brute-force enumeration and a lexicographic optimum
 # ---------------------------------------------------------------------------
 
 
@@ -76,6 +135,98 @@ def enumerate_assignments(matrix):
         if np.isfinite(cost):
             out.append((float(cost), tuple(rows)))
     return sorted(out)
+
+
+def _solve(matrix):
+    """Minimum-cost assignment with forbidden (inf) entries as (mapping
+    col->row, cost), or None when infeasible."""
+    try:
+        rows, cols = linear_sum_assignment(matrix)
+    except ValueError:
+        return None
+    cost = matrix[rows, cols].sum()
+    if not np.isfinite(cost):
+        return None
+    mapping = [-1] * matrix.shape[1]
+    for r, c in zip(rows, cols):
+        mapping[c] = int(r)
+    return tuple(mapping), float(cost)
+
+
+def hungarian_best(matrix) -> Assignment:
+    """Optimal assignment; among equal-cost optima the lexicographically
+    smallest column-to-row mapping."""
+    matrix = np.asarray(matrix, dtype=float)
+    best = _solve(matrix)
+    if best is None:
+        raise ValueError("infeasible assignment problem")
+    mapping, cost = best
+    # refine column by column: force the smallest row that still attains the
+    # optimal cost (exact-equality ties only)
+    work = matrix.copy()
+    refined = []
+    for col in range(matrix.shape[1]):
+        chosen = mapping[col]
+        for row in sorted(r for r in range(matrix.shape[0]) if np.isfinite(work[r, col])):
+            if row == chosen:
+                break
+            trial = work.copy()
+            trial[:, col] = INF
+            trial[row, col] = work[row, col]
+            sol = _solve(trial)
+            if sol is not None and sol[1] == cost:
+                chosen, mapping = row, sol[0]
+                break
+        refined.append(chosen)
+        work[:, col] = INF
+        if chosen >= 0:
+            work[chosen, col] = matrix[chosen, col]
+    return Assignment(tuple(refined), cost)
+
+
+# ---------------------------------------------------------------------------
+# set integral on a discrete surrogate of the trajectory space
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GridSurrogate:
+    """Finite discretization of the trajectory space: ``points`` is a (G, n_x)
+    grid of base states with a shared cell volume, ``windows`` the (b, e)
+    pairs to sum over.  An atom is a (b, e) pair plus one grid point per step."""
+
+    points: np.ndarray
+    cell_volume: float
+    windows: tuple
+
+    def __post_init__(self):
+        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if pts.size == 0:
+            raise ValueError("empty grid")
+        object.__setattr__(self, "points", pts)
+
+    def atoms(self):
+        """Yield (Trajectory, volume) for every atom of the surrogate."""
+        for b, e in self.windows:
+            nu = e - b + 1
+            for combo in itertools.product(range(len(self.points)), repeat=nu):
+                yield Trajectory(b, e, self.points[list(combo)]), self.cell_volume**nu
+
+
+def trajectory_set_integral(f, max_cardinality: int, surrogate: GridSurrogate) -> float:
+    """Set integral of ``f`` on the surrogate: f of the empty set plus, per
+    cardinality n up to ``max_cardinality``, 1/n! times the volume-weighted
+    sum of f over ordered n-tuples of atoms (``f`` takes a list)."""
+    if max_cardinality < 0:
+        raise ValueError("max_cardinality must be >= 0")
+    atoms = list(surrogate.atoms())
+    total = f([])
+    for n in range(1, max_cardinality + 1):
+        contrib = 0.0
+        for tup in itertools.product(atoms, repeat=n):
+            contrib += f([t for t, _ in tup]) * math.prod(v for _, v in tup)
+        total += contrib / math.factorial(n)
+    return total
 
 
 # ---------------------------------------------------------------------------

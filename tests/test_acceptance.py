@@ -27,8 +27,6 @@ from trajpmbm.density import (
 from trajpmbm.estimate import extract_set
 from trajpmbm.marginal import (
     AliveQuery,
-    epsilon_pmf_closed,
-    epsilon_pmf_recursive,
     marginalize_bernoulli,
     marginalize_pmbm,
     marginalize_ppp,
@@ -47,8 +45,8 @@ from trajpmbm.tracker import PmbmTracker, TrackerConfig
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
 from conftest import run_pipeline, random_spd
-from helpers import SCALAR_REGION, assert_tables_match, scalar_setup, tracker_global_table
-from oracles import OracleTracker, PointPmbmOracle, enumerate_assignments
+from helpers import SCALAR_REGION, assert_tables_match, epsilon_pmf_recursive, scalar_setup, tracker_global_table
+from oracles import OracleTracker, PointPmbmOracle, enumerate_assignments, epsilon_pmf_closed
 
 
 def criterion(number, name, budget_s=None):
@@ -239,9 +237,9 @@ def _scalar_chain(seed, n_steps, meas):
     model = gs.ModelLG(F=[[1.0]], Q=[[1.0]], H=[[1.0]], R=[[1.0]])
     s = gs.MomentSeq(TimeWindow(0, 0), [0.3 * seed], [[1.0 + 0.2 * seed]])
     for i in range(n_steps):
-        s = gs.predict_moment(s, model)
+        s = gs.predict_seq(s, model)
         if i in meas:
-            s, _ = gs.update_moment(s, model, [meas[i]])
+            s, _ = gs.update_seq(s, model, [meas[i]])
     return s
 
 

@@ -8,20 +8,13 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from trajpmbm import gaussseq as gs
-from trajpmbm.association import (
-    Assignment,
-    CostMatrix,
-    build_cost_matrix,
-    gate,
-    hungarian_best,
-    murty_kbest,
-    scan_weight_tables,
-)
+from trajpmbm.association import Assignment, build_cost_matrix, murty_kbest, scan_weight_tables
 from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Track
 from trajpmbm.models import Rectangle, SensorModel
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
-from oracles import enumerate_assignments
+from helpers import gate
+from oracles import enumerate_assignments, hungarian_best, predictive_likelihood
 
 INF = float("inf")
 
@@ -165,25 +158,28 @@ class TestCostMatrix:
         # measurement model here is 1-d: region check needs 2 coords, widen z
         return p, model, sensor
 
+    def cost_matrix(self, p, scan, model, sensor):
+        return build_cost_matrix(p, p.global_hyps[0], scan_weight_tables(p, scan, model, sensor))
+
     def test_single_track_single_measurement(self):
         p, model, sensor = self.build_fixture()
         z = np.array([0.5, 0.0])
         # 1-d measurement: use only the first coordinate
         scan = [z[:1]]
-        cm = build_cost_matrix(p, p.global_hyps[0], scan, model, sensor)
+        cm = self.cost_matrix(p, scan, model, sensor)
         assert cm.matrix.shape == (2, 1)
         h = p.track_by_id(0).hypotheses[0]
-        lik = gs.predictive_likelihood(h.density.components[0].seq, model, scan[0])
+        lik = predictive_likelihood(h.density.components[0].seq, model, scan[0])
         w_miss = 1.0 - 0.6 * 0.8
         w_det = 0.6 * 0.8 * lik
         assert cm.base == pytest.approx(math.log(w_miss))
         assert cm.matrix[0, 0] == pytest.approx(-(math.log(w_det) - math.log(w_miss)))
         lam = sensor.clutter_rate / sensor.region.volume
-        ppp_lik = gs.predictive_likelihood(p.ppp.components[0].seq, model, scan[0])
+        ppp_lik = predictive_likelihood(p.ppp.components[0].seq, model, scan[0])
         w_new = lam + 0.8 * 0.4 * ppp_lik
         assert cm.matrix[1, 0] == pytest.approx(-math.log(w_new))
         # the two-association posterior from the costs matches enumeration
-        out = murty_kbest(cm, 2)
+        out = murty_kbest(cm.matrix, 2)
         weights = np.array([math.exp(cm.base - a.cost) for a in out])
         direct = np.array([w_miss * w_new, w_det])
         np.testing.assert_allclose(
@@ -191,27 +187,49 @@ class TestCostMatrix:
         )
 
     def test_no_tracks_pure_new_costs(self):
+        # with no track, each measurement can only start its own track: it
+        # is forced, and its new-track weight is banked in the base
         p, model, sensor = self.build_fixture()
         p = PmbmDensity(p.ppp, (), (GlobalHypothesis(0.0, ()),), p.window, "all")
         scan = [np.array([0.5]), np.array([-0.5])]
-        cm = build_cost_matrix(p, p.global_hyps[0], scan, model, sensor)
-        assert cm.matrix.shape == (2, 2)
-        assert cm.base == 0.0
-        assert np.isfinite(cm.matrix[0, 0]) and np.isfinite(cm.matrix[1, 1])
-        assert cm.matrix[0, 1] == INF and cm.matrix[1, 0] == INF
+        cm = self.cost_matrix(p, scan, model, sensor)
+        assert cm.matrix.shape == (0, 0)
+        assert cm.forced == (0, 1)
+        lam = sensor.clutter_rate / sensor.region.volume
+        c = p.ppp.components[0]
+        w_new = [lam + 0.8 * 0.4 * predictive_likelihood(c.seq, model, z) for z in scan]
+        assert cm.base == pytest.approx(math.log(w_new[0]) + math.log(w_new[1]))
+        assert murty_kbest(cm.matrix, 5) == [Assignment((), 0.0)]
 
     def test_clutter_only_new_track_when_no_ppp(self):
         p, model, sensor = self.build_fixture()
         empty_ppp = TrajectoryMixture((), "intensity")
         p = PmbmDensity(empty_ppp, (), (GlobalHypothesis(0.0, ()),), p.window, "all")
         scan = [np.array([0.5])]
-        cm = build_cost_matrix(p, p.global_hyps[0], scan, model, sensor)
+        cm = self.cost_matrix(p, scan, model, sensor)
         lam = sensor.clutter_rate / sensor.region.volume
-        assert cm.matrix[0, 0] == pytest.approx(-math.log(lam))
-        # with zero clutter as well the column becomes infeasible
+        assert cm.forced == (0,)
+        assert cm.base == pytest.approx(math.log(lam))
+        # with zero clutter as well nothing can explain the measurement: it
+        # is left out of the association
         sensor0 = SensorModel(pd=0.8, clutter_rate=0.0, region=sensor.region, gate_prob=1.0)
-        cm0 = build_cost_matrix(p, p.global_hyps[0], scan, model, sensor0)
-        assert cm0.matrix[0, 0] == INF
+        tables0 = scan_weight_tables(p, scan, model, sensor0)
+        assert tables0.new_log[0] == -INF
+        assert tables0.unexplained == (0,)
+        cm0 = build_cost_matrix(p, p.global_hyps[0], tables0)
+        assert cm0.forced == () and cm0.cols == () and cm0.base == 0.0
+
+    def test_gated_measurement_is_never_unexplained(self):
+        # outside the region (no clutter) with no Poisson mass, but gated by
+        # the track: it stays in association, and only a detection explains it
+        p, model, sensor = self.build_fixture()
+        p = PmbmDensity(TrajectoryMixture((), "intensity"), p.tracks, p.global_hyps, p.window, "all")
+        scan = [np.array([12.0])]
+        tables = scan_weight_tables(p, scan, model, sensor)
+        assert tables.unexplained == ()
+        cm = build_cost_matrix(p, p.global_hyps[0], tables)
+        assert cm.cols == (0,) and cm.matrix[1, 0] == INF
+        assert [a.mapping for a in murty_kbest(cm.matrix, 5)] == [(0,)]
 
 
 class TestAssociationWeightsAgainstEnumeration:
@@ -241,8 +259,9 @@ class TestAssociationWeightsAgainstEnumeration:
             TimeWindow(0, 1), "all",
         )
         scan = [np.array([-3.6]), np.array([0.3]), np.array([4.4])]
-        cm = build_cost_matrix(p, p.global_hyps[0], scan, model, sensor)
-        out = murty_kbest(cm, 10**6)
+        tables = scan_weight_tables(p, scan, model, sensor)
+        cm = build_cost_matrix(p, p.global_hyps[0], tables)
+        out = murty_kbest(cm.matrix, 10**6)
         got = np.array(sorted(math.exp(cm.base - a.cost) for a in out))
         got /= got.sum()
 
@@ -255,7 +274,7 @@ class TestAssociationWeightsAgainstEnumeration:
                 child = bernoulli.detect_update(h, model, sensor.pd, z, (1, j))
                 det[(t.id, j)] = math.exp(child.log_weight - h.log_weight)
         for j, z in enumerate(scan):
-            _, exist = bernoulli.new_track_hypotheses(ppp, model, sensor, z, (1, j), 0.0)
+            _, exist = bernoulli.new_track_hypotheses(ppp, model, sensor, z, (1, j), tables.ppp_gated[j], 0.0)
             new_w[j] = math.exp(exist.log_weight)
         weights = []
         for assoc in itertools.product((-1, 0, 1, 2), repeat=3):

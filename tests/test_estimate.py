@@ -56,11 +56,11 @@ class TestExpectedSequence:
         sm = gs.MomentSeq(TimeWindow(0, 0), [0.0], [[1.0]])
         si = gs.make_seq("info", TimeWindow(0, 0), [0.0], [[1.0]])
         for z in ([0.7], None, [1.9]):
-            sm = gs.predict_moment(sm, scalar_model)
-            si = gs.predict_info(si, scalar_model)
+            sm = gs.predict_seq(sm, scalar_model)
+            si = gs.predict_seq(si, scalar_model)
             if z is not None:
-                sm, _ = gs.update_moment(sm, scalar_model, z)
-                si, _ = gs.update_info(si, scalar_model, z)
+                sm, _ = gs.update_seq(sm, scalar_model, z)
+                si, _ = gs.update_seq(si, scalar_model, z)
         mix_m = TrajectoryMixture((MixtureComponent(1.0, sm),))
         mix_i = TrajectoryMixture((MixtureComponent(1.0, si),))
         np.testing.assert_allclose(

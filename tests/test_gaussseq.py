@@ -7,7 +7,8 @@ from trajpmbm import gaussseq as gs
 from trajpmbm.trajectory import TimeWindow
 
 from conftest import run_pipeline
-from oracles import joint_predict, joint_update, point_predict, point_update
+from helpers import nonzero_counts
+from oracles import joint_predict, joint_update, point_predict, point_update, predictive_likelihood
 
 
 def random_events(rng, n_steps, nz, n_meas):
@@ -27,14 +28,14 @@ class TestModel:
 class TestMomentForm:
     def test_predict_hand_values(self, scalar_model):
         s = gs.MomentSeq(TimeWindow(0, 0), [0.0], [[1.0]])
-        out = gs.predict_moment(s, scalar_model)
+        out = gs.predict_seq(s, scalar_model)
         np.testing.assert_allclose(out.mean, [0.0, 0.0])
         np.testing.assert_allclose(out.cov, [[1.0, 1.0], [1.0, 2.0]])
 
     def test_predict_zero_transition_decouples(self):
         m = gs.ModelLG(F=[[0.0]], Q=[[1.0]], H=[[1.0]], R=[[1.0]])
         s = gs.MomentSeq(TimeWindow(0, 0), [3.0], [[2.0]])
-        out = gs.predict_moment(s, m)
+        out = gs.predict_seq(s, m)
         np.testing.assert_allclose(out.mean, [3.0, 0.0])
         np.testing.assert_allclose(out.cov, [[2.0, 0.0], [0.0, 1.0]])
 
@@ -43,14 +44,14 @@ class TestMomentForm:
         mean = rng.standard_normal(4)
         cov = np.eye(4)
         s = gs.MomentSeq(TimeWindow(0, 0), mean, cov)
-        out = gs.predict_moment(s, cv_model)
+        out = gs.predict_seq(s, cv_model)
         m2, c2 = point_predict(mean, cov, np.asarray(cv_model.F), np.asarray(cv_model.Q))
         np.testing.assert_allclose(out.mean[4:], m2, atol=1e-12)
         np.testing.assert_allclose(out.cov[4:, 4:], c2, atol=1e-12)
 
     def test_update_hand_values(self, scalar_model):
         s = gs.MomentSeq(TimeWindow(0, 1), [0.0, 0.0], [[1.0, 1.0], [1.0, 2.0]])
-        out, loglik = gs.update_moment(s, scalar_model, [2.0])
+        out, loglik = gs.update_seq(s, scalar_model, [2.0])
         np.testing.assert_allclose(out.mean, [2.0 / 3.0, 4.0 / 3.0])
         np.testing.assert_allclose(out.cov, [[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]])
         # innovation 2 under variance 3
@@ -58,14 +59,14 @@ class TestMomentForm:
 
     def test_update_zero_innovation_keeps_mean_shrinks_cov(self, scalar_model):
         s = gs.MomentSeq(TimeWindow(0, 1), [1.0, 2.0], [[1.0, 1.0], [1.0, 2.0]])
-        out, _ = gs.update_moment(s, scalar_model, [2.0])
+        out, _ = gs.update_seq(s, scalar_model, [2.0])
         np.testing.assert_allclose(out.mean, s.mean)
         assert np.all(np.linalg.eigvalsh(np.asarray(s.cov) - np.asarray(out.cov)) > -1e-12)
 
     def test_huge_noise_update_is_noop(self, cv_model):
         big_r = gs.ModelLG(cv_model.F, cv_model.Q, cv_model.H, 1e12 * np.asarray(cv_model.R))
-        s = gs.predict_moment(gs.MomentSeq(TimeWindow(0, 0), np.ones(4), np.eye(4)), big_r)
-        out, _ = gs.update_moment(s, big_r, [50.0, -20.0])
+        s = gs.predict_seq(gs.MomentSeq(TimeWindow(0, 0), np.ones(4), np.eye(4)), big_r)
+        out, _ = gs.update_seq(s, big_r, [50.0, -20.0])
         np.testing.assert_allclose(out.mean, s.mean, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(out.cov, s.cov, rtol=1e-5, atol=1e-8)
 
@@ -78,10 +79,10 @@ class TestMomentForm:
         F, Q = np.asarray(cv_model.F), np.asarray(cv_model.Q)
         H, R = np.asarray(cv_model.H), np.asarray(cv_model.R)
         for ev in random_events(rng, 8, 2, 5):
-            s = gs.predict_moment(s, cv_model)
+            s = gs.predict_seq(s, cv_model)
             om, oc = joint_predict(om, oc, F, Q)
             if ev is not None:
-                s, _ = gs.update_moment(s, cv_model, ev)
+                s, _ = gs.update_seq(s, cv_model, ev)
                 om, oc, _ = joint_update(om, oc, H, R, ev)
         np.testing.assert_allclose(s.mean, om, atol=1e-9)
         np.testing.assert_allclose(s.cov, oc, atol=1e-9)
@@ -97,7 +98,7 @@ class TestInformationForm:
 
     def test_predict_hand_values(self, scalar_model):
         si = gs.make_seq("info", TimeWindow(0, 0), [0.0], [[1.0]])
-        out = gs.predict_info(si, scalar_model)
+        out = gs.predict_seq(si, scalar_model)
         np.testing.assert_allclose(out.ivec, [0.0, 0.0])
         np.testing.assert_allclose(out.diag, [[[2.0]], [[1.0]]])
         np.testing.assert_allclose(out.off, [[[-1.0]]])
@@ -105,17 +106,17 @@ class TestInformationForm:
     def test_band_block_count(self, scalar_model):
         si = gs.make_seq("info", TimeWindow(0, 0), [0.0], [[1.0]])
         for step in range(1, 6):
-            si = gs.predict_info(si, scalar_model)
+            si = gs.predict_seq(si, scalar_model)
             nu = step + 1
-            _, cov_nnz = gs.nonzero_counts(si)
+            _, cov_nnz = nonzero_counts(si)
             assert cov_nnz == (3 * nu - 2) * si.nx**2
 
     def test_update_touches_only_trailing_block(self, cv_model):
         rng = np.random.default_rng(2)
         si = gs.make_seq("info", TimeWindow(0, 0), rng.standard_normal(4), np.eye(4))
         for _ in range(4):
-            si = gs.predict_info(si, cv_model)
-        out, _ = gs.update_info(si, cv_model, [1.0, -1.0])
+            si = gs.predict_seq(si, cv_model)
+        out, _ = gs.update_seq(si, cv_model, [1.0, -1.0])
         nx = si.nx
         assert np.array_equal(out.ivec[:-nx], np.asarray(si.ivec[:-nx]))
         assert np.array_equal(out.diag[:-1], np.asarray(si.diag[:-1]))
@@ -124,7 +125,7 @@ class TestInformationForm:
 
     def test_single_step_equals_information_filter(self, scalar_model):
         si = gs.make_seq("info", TimeWindow(0, 0), [0.5], [[2.0]])
-        out, _ = gs.update_info(si, scalar_model, [1.5])
+        out, _ = gs.update_seq(si, scalar_model, [1.5])
         # information filter: Y += H'R^{-1}H, y += H'R^{-1}z
         np.testing.assert_allclose(out.diag[0], [[0.5 + 1.0]])
         np.testing.assert_allclose(out.ivec, [0.25 + 1.5])
@@ -141,14 +142,14 @@ class TestInformationForm:
     def test_ivec_nonzeros_track_association_count(self, cv_model):
         rng = np.random.default_rng(4)
         si = gs.make_seq("info", TimeWindow(0, 0), np.zeros(4), np.eye(4))
-        si, _ = gs.update_info(si, cv_model, rng.standard_normal(2))
+        si, _ = gs.update_seq(si, cv_model, rng.standard_normal(2))
         n_assoc = 1
         for ev in random_events(rng, 6, 2, 3):
-            si = gs.predict_info(si, cv_model)
+            si = gs.predict_seq(si, cv_model)
             if ev is not None:
-                si, _ = gs.update_info(si, cv_model, ev)
+                si, _ = gs.update_seq(si, cv_model, ev)
                 n_assoc += 1
-        mean_nnz, _ = gs.nonzero_counts(si)
+        mean_nnz, _ = nonzero_counts(si)
         assert mean_nnz == cv_model.nz * n_assoc
 
 
@@ -208,10 +209,10 @@ class TestLScan:
 
     def test_single_scan_detaches_marginals(self, scalar_model):
         sl = gs.make_seq("lscan", TimeWindow(0, 0), [0.0], [[1.0]], L=1)
-        out = gs.predict_lscan(sl, scalar_model)
+        out = gs.predict_seq(sl, scalar_model)
         np.testing.assert_allclose(out.old_blocks, [[[1.0]]])
         np.testing.assert_allclose(out.tail_cov, [[2.0]])
-        out2, _ = gs.update_lscan(out, scalar_model, [2.0])
+        out2, _ = gs.update_seq(out, scalar_model, [2.0])
         # detached step is untouched by the update
         assert np.array_equal(out2.old_blocks, np.asarray(out.old_blocks))
         np.testing.assert_allclose(out2.mean[:1], out.mean[:1])
@@ -221,17 +222,17 @@ class TestLScan:
         for L in (1, 2, 5):
             sl = gs.make_seq("lscan", TimeWindow(0, 0), rng.standard_normal(4), np.eye(4), L=L)
             for _ in range(7):
-                sl = gs.predict_lscan(sl, cv_model)
+                sl = gs.predict_seq(sl, cv_model)
             nu = sl.window.length
-            _, cov_nnz = gs.nonzero_counts(sl)
+            _, cov_nnz = nonzero_counts(sl)
             assert cov_nnz == sl.nx**2 * (L * L + nu - L)
 
     def test_update_leaves_old_blocks_bit_identical(self, cv_model):
         rng = np.random.default_rng(9)
         sl = gs.make_seq("lscan", TimeWindow(0, 0), rng.standard_normal(4), np.eye(4), L=2)
         for _ in range(5):
-            sl = gs.predict_lscan(sl, cv_model)
-        out, _ = gs.update_lscan(sl, cv_model, [0.5, 0.5])
+            sl = gs.predict_seq(sl, cv_model)
+        out, _ = gs.update_seq(sl, cv_model, [0.5, 0.5])
         assert np.array_equal(out.old_blocks, np.asarray(sl.old_blocks))
 
     @pytest.mark.parametrize("L", [1, 2, 5])
@@ -263,7 +264,7 @@ class TestMarginalizeSteps:
         # dropping the appended step of a prediction recovers the input
         rng = np.random.default_rng(12)
         s = gs.MomentSeq(TimeWindow(0, 2), rng.standard_normal(12), np.kron(np.eye(3), np.eye(4) * 2.0))
-        pred = gs.predict_moment(s, cv_model)
+        pred = gs.predict_seq(s, cv_model)
         back = gs.marginalize_steps(pred, s.window)
         np.testing.assert_allclose(back.mean, s.mean, atol=1e-12)
         np.testing.assert_allclose(back.cov, s.cov, atol=1e-12)
@@ -308,16 +309,16 @@ class TestPredictiveLikelihood:
         m = gs.ModelLG(F=np.eye(2), Q=np.eye(2), H=np.eye(2), R=0.5 * np.eye(2))
         s = gs.MomentSeq(TimeWindow(0, 0), [1.0, -1.0], 0.5 * np.eye(2))
         # innovation covariance is the identity
-        val = gs.predictive_likelihood(s, m, [1.0, -1.0])
+        val = predictive_likelihood(s, m, [1.0, -1.0])
         assert val == pytest.approx(1.0 / (2 * math.pi))
 
     def test_agrees_with_update_loglik(self, cv_model):
         rng = np.random.default_rng(14)
         s = gs.MomentSeq(TimeWindow(0, 0), rng.standard_normal(4), np.eye(4))
-        s = gs.predict_moment(s, cv_model)
+        s = gs.predict_seq(s, cv_model)
         z = rng.standard_normal(2)
-        _, loglik = gs.update_moment(s, cv_model, z)
-        assert gs.predictive_likelihood(s, cv_model, z) == pytest.approx(math.exp(loglik))
+        _, loglik = gs.update_seq(s, cv_model, z)
+        assert predictive_likelihood(s, cv_model, z) == pytest.approx(math.exp(loglik))
 
     def test_same_for_all_backends(self, cv_model):
         rng = np.random.default_rng(15)
@@ -327,7 +328,7 @@ class TestPredictiveLikelihood:
         vals = []
         for backend in ("moment", "info", "lscan"):
             s, _ = run_pipeline(backend, cv_model, TimeWindow(0, 0), mean, cov, events, L=2)
-            vals.append(gs.predictive_likelihood(s, cv_model, z))
+            vals.append(predictive_likelihood(s, cv_model, z))
         np.testing.assert_allclose(vals, vals[0], rtol=1e-8)
 
 

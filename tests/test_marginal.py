@@ -7,16 +7,16 @@ from trajpmbm import gaussseq as gs
 from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Track
 from trajpmbm.marginal import (
     AliveQuery,
-    birth_pmf,
-    epsilon_pmf_closed,
     epsilon_pmf_miss_update,
     epsilon_pmf_predict,
-    epsilon_pmf_recursive,
     marginalize_bernoulli,
     marginalize_pmbm,
     marginalize_ppp,
 )
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
+
+from helpers import death_time_estimate, epsilon_pmf_recursive
+from oracles import birth_pmf, epsilon_pmf_closed
 
 
 def seq(b, e, mean=None):
@@ -75,6 +75,17 @@ class TestMarginalizeBernoulli:
         h = bern(1.0, [c])
         out = marginalize_bernoulli(h, AliveQuery(0, 3, 2, 3))
         assert out.r == pytest.approx(0.7)
+
+    def test_only_kept_death_times_are_marginalized(self, monkeypatch):
+        # alive at 5 only: of six death times one survives, and only its
+        # clamp to the kept step needs a marginal
+        c = MixtureComponent(1.0, seq(0, 5), tuple((e, 1.0 / 6.0) for e in range(6)))
+        calls = []
+        real = gs.marginalize_steps
+        monkeypatch.setattr(gs, "marginalize_steps", lambda s, keep: calls.append(keep) or real(s, keep))
+        out = marginalize_bernoulli(bern(0.9, [c]), AliveQuery(5, 5, 5, 5))
+        assert calls == [TimeWindow(5, 5)]
+        assert out.r == pytest.approx(0.15)
 
 
 class TestMarginalizePpp:
@@ -242,21 +253,15 @@ class TestDeathTimePmf:
 
 class TestDeathTimeEstimate:
     def test_map_with_tie_toward_earlier(self):
-        from trajpmbm.marginal import death_time_estimate
-
         assert death_time_estimate({3: 0.5, 4: 0.3, 5: 0.2}) == 3
         assert death_time_estimate({3: 0.4, 4: 0.4, 5: 0.2}) == 3
 
     def test_rounded_mean(self):
-        from trajpmbm.marginal import death_time_estimate
-
         pmf = epsilon_pmf_closed(10, 60, ps=0.95, pd=0.6)
         qdps = 0.4 * 0.95
         expected = round(10 + qdps / (1 - qdps))
         assert death_time_estimate(pmf, method="mean") == expected
 
     def test_unknown_method(self):
-        from trajpmbm.marginal import death_time_estimate
-
         with pytest.raises(ValueError):
             death_time_estimate({3: 1.0}, method="mode")

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from trajpmbm.density import (
     Track,
     validate,
 )
-from trajpmbm.marginal import AliveQuery, epsilon_pmf_closed, marginalize_pmbm
+from trajpmbm.marginal import AliveQuery, marginalize_pmbm
 from trajpmbm.models import BirthComponent, BirthModel, Rectangle, SensorModel, SurvivalModel
+from trajpmbm.scenario import ScenarioConfig
 from trajpmbm.tracker import PmbmTracker, TrackerConfig, TrackerState
 from trajpmbm.trajectory import (
     MixtureComponent,
@@ -23,8 +25,8 @@ from trajpmbm.trajectory import (
     materialize_mixture,
 )
 
-from helpers import SCALAR_REGION, assert_tables_match, scalar_setup, tracker_global_table
-from oracles import OracleTracker, PointPmbmOracle
+from helpers import SCALAR_REGION, assert_tables_match, epsilon_marginal, scalar_setup, tracker_global_table
+from oracles import OracleTracker, PointPmbmOracle, epsilon_pmf_closed, predictive_likelihood
 
 
 def single_track_state(tracker, r, k, mean, var, history=frozenset({(0, 0)})):
@@ -141,9 +143,9 @@ class TestUpdate:
         state = single_track_state(tracker, r=0.6, k=1, mean=[0.0, 0.0], var=[[1.0, 1.0], [1.0, 2.0]])
         z = 0.5
         out = tracker.update(state, [[z]])
-        lik = gs.predictive_likelihood(state.density.track_by_id(0).hypotheses[0].density.components[0].seq, tracker.model, [z])
+        lik = predictive_likelihood(state.density.track_by_id(0).hypotheses[0].density.components[0].seq, tracker.model, [z])
         ppp_comp = state.density.ppp.components[0]
-        ppp_lik = gs.predictive_likelihood(ppp_comp.seq, tracker.model, [z])
+        ppp_lik = predictive_likelihood(ppp_comp.seq, tracker.model, [z])
         lam = 0.5 / SCALAR_REGION.volume
         w_miss = 1.0 - 0.6 * 0.8
         w_det = 0.6 * 0.8 * lik
@@ -161,6 +163,19 @@ class TestUpdate:
         tracker = scalar_setup()
         with pytest.raises(ValueError):
             tracker.update(tracker.initial(), None)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_unexplained_measurement_is_retired(self, order):
+        # outside the +-1000 region nothing gates [1001, 0] and no track can
+        # start on it: the run goes on, the measurement is retired, and
+        # validate() (every step) still finds every measurement covered
+        cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "scenario3.json")
+        cfg_t = TrackerConfig(validate_every_step=True)
+        tracker = PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), config=cfg_t)
+        scans = [[[1001.0, 0.0]], [[0.0, 0.0]]][::order]
+        result = tracker.run(scans)
+        assert result.final_state.density.retired == {(scans.index([[1001.0, 0.0]]), 0)}
+        assert len(result.estimates) == 2
 
     def test_conjugate_structure_valid_after_each_step(self):
         tracker = scalar_setup(exact=False)
@@ -194,7 +209,7 @@ class TestEpsilonBookkeeping:
 
     def test_two_misses_match_closed_form(self):
         tracker, state, tid, hidx = self.run_with_misses(2)
-        pmf = tracker.epsilon_bookkeeping(state, tid, hidx).epsilon_marginal()
+        pmf = epsilon_marginal(tracker.epsilon_bookkeeping(state, tid, hidx))
         ref = epsilon_pmf_closed(0, 2, 0.9, 0.9)
         assert set(pmf) == set(ref)
         for e in ref:
@@ -202,7 +217,7 @@ class TestEpsilonBookkeeping:
 
     def test_certain_detection_keeps_mass_at_last_association(self):
         tracker, state, tid, hidx = self.run_with_misses(3, pd=1.0)
-        pmf = tracker.epsilon_bookkeeping(state, tid, hidx).epsilon_marginal()
+        pmf = epsilon_marginal(tracker.epsilon_bookkeeping(state, tid, hidx))
         assert pmf == pytest.approx({0: 1.0})
 
     def test_rejected_in_current_mode(self):

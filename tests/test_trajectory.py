@@ -7,7 +7,6 @@ from scipy.stats import multivariate_normal, norm
 from trajpmbm import gaussseq as gs
 from trajpmbm.trajectory import (
     BirthDeathPmf,
-    GridSurrogate,
     MixtureComponent,
     TimeWindow,
     Trajectory,
@@ -15,8 +14,9 @@ from trajpmbm.trajectory import (
     birth_death_pmf,
     materialize_mixture,
     prune_mixture,
-    trajectory_set_integral,
 )
+
+from oracles import GridSurrogate, trajectory_set_integral
 
 
 def comp(w, b, e, mean=None, eps_pmf=None):
