@@ -15,9 +15,8 @@ import math
 
 from . import gaussseq
 from .density import LocalHypothesis
-from .marginal import epsilon_pmf_miss_update, epsilon_pmf_predict
 from .models import SensorModel, clutter_density
-from .trajectory import MixtureComponent, TrajectoryMixture, prune_mixture
+from .trajectory import MixtureComponent, TrajectoryMixture, epsilon_pmf_miss_update, epsilon_pmf_predict, prune_mixture
 
 __all__ = [
     "predict_component",
@@ -50,13 +49,12 @@ def predict_component(
     alive = c.alive_mass(k - 1)
     if alive <= 0.0:
         return c
-    pmf = dict(c.eps_pmf) if c.eps_pmf is not None else {c.e: 1.0}
-    pmf = epsilon_pmf_predict(pmf, ps, k)
-    if pmf.get(k, 0.0) > 0.0:
+    pmf = epsilon_pmf_predict(((c.e, 1.0),) if c.eps_pmf is None else c.eps_pmf, ps, k)
+    if pmf[-1][0] == k:
         seq = gaussseq.predict_seq(c.seq, model)
     else:
         seq = c.seq  # nothing survives: no extension needed
-    return MixtureComponent(c.weight, seq, tuple(sorted(pmf.items())))
+    return MixtureComponent(c.weight, seq, pmf)
 
 
 def predict_mixture(
@@ -145,7 +143,7 @@ def _miss_components(mix: TrajectoryMixture, pd: float, k: int) -> tuple:
         if scale <= 0.0:
             continue
         if c.eps_pmf is not None and alive > 0.0:
-            pmf = tuple(sorted(epsilon_pmf_miss_update(dict(c.eps_pmf), pd, k).items()))
+            pmf = epsilon_pmf_miss_update(c.eps_pmf, pd, k)
         else:
             pmf = c.eps_pmf
         comps.append(MixtureComponent(c.weight * scale, c.seq, pmf))

@@ -4,7 +4,8 @@ The posterior over the set of trajectories is a Poisson intensity for
 never-detected trajectories plus a track table.  Each track holds local
 (single-trajectory) hypotheses; a global hypothesis picks one local
 hypothesis per track and carries a log weight.  Maintenance (normalization,
-pruning, capping) never changes which global is best.
+pruning, capping) never changes which global is best.  The constructors
+only store their fields; :func:`validate` checks the invariants.
 """
 
 from __future__ import annotations
@@ -50,27 +51,11 @@ class LocalHypothesis:
     density: Optional[TrajectoryMixture]
     meas_history: frozenset
 
-    def __post_init__(self):
-        if not -1e-9 <= self.r <= 1.0 + 1e-9:
-            raise ValueError(f"existence probability {self.r} outside [0, 1]")
-        object.__setattr__(self, "r", float(min(max(self.r, 0.0), 1.0)))
-        object.__setattr__(self, "meas_history", frozenset(self.meas_history))
-        if self.r > 0.0 and self.density is None:
-            raise ValueError("existing hypothesis must carry a density")
-        scans = [t for t, _ in self.meas_history]
-        if len(scans) != len(set(scans)):
-            raise ValueError("more than one association in a single scan")
-
 
 @dataclass(frozen=True)
 class Track:
     id: int
-    hypotheses: tuple
-
-    def __post_init__(self):
-        if not self.hypotheses:
-            raise ValueError("track without hypotheses")
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
+    hypotheses: tuple  # non-empty tuple of LocalHypothesis
 
 
 @dataclass(frozen=True)
@@ -83,9 +68,6 @@ class GlobalHypothesis:
     log_weight: float
     choice: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "choice", tuple(sorted((int(t), int(h)) for t, h in self.choice)))
-
 
 @dataclass(frozen=True)
 class PruneThresholds:
@@ -93,6 +75,10 @@ class PruneThresholds:
     bern_r: float = 1e-5
     global_w: float = 1e-4
     cap_M: int = 100
+
+    def __post_init__(self):
+        if self.cap_M < 1:
+            raise ValueError(f"global hypothesis cap {self.cap_M} below 1")
 
 
 @dataclass(frozen=True)
@@ -107,16 +93,6 @@ class PmbmDensity:
     # all-r=0 tracks, and those no association could explain (nothing gated
     # them and no track could start on them, e.g. outside the region)
     retired: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.ppp.kind != "intensity":
-            raise ValueError("undetected intensity must be an intensity mixture")
-        if self.mode not in ("all", "current"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "tracks", tuple(self.tracks))
-        object.__setattr__(self, "global_hyps", tuple(self.global_hyps))
-        object.__setattr__(self, "measurement_record", tuple(self.measurement_record))
-        object.__setattr__(self, "retired", frozenset(self.retired))
 
     @cached_property
     def _track_index(self) -> dict:
@@ -170,7 +146,7 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
         best = max(g.log_weight for g in p.global_hyps)
         keep = [g for g in p.global_hyps if g.log_weight - best >= np.log(thresholds.global_w)]
         keep.sort(key=lambda g: (-g.log_weight, g.choice))
-        keep = keep[: max(thresholds.cap_M, 1)]
+        keep = keep[: thresholds.cap_M]
         globals_ = tuple(keep)
     else:
         globals_ = ()
@@ -223,31 +199,57 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
     return normalize(out)
 
 
+def _require(ok: bool, msg: str, *args) -> None:
+    """A check of :func:`validate`; unlike ``assert`` it also runs under -O."""
+    if not ok:
+        raise AssertionError(msg.format(*args))
+
+
+def _validate_mixture(mix: TrajectoryMixture, kind: str) -> None:
+    _require(mix.kind == kind, "expected a {} mixture, got {!r}", kind, mix.kind)
+    if kind == "density":
+        total = mix.total_weight
+        _require(abs(total - 1.0) <= 1e-9, "hypothesis density weight {}", total)
+    for c in mix.components:
+        _require(c.weight >= 0.0, "negative mixture weight {}", c.weight)
+        if c.eps_pmf is not None:
+            total = sum(m for _, m in c.eps_pmf)
+            _require(abs(total - 1.0) <= 1e-9, "death-time pmf sums to {}", total)
+            _require(all(m > 0.0 for _, m in c.eps_pmf), "death-time pmf has a mass <= 0")
+            eps = [e for e, _ in c.eps_pmf]
+            ok = eps == sorted(set(eps)) and c.b <= eps[0] and eps[-1] <= c.e
+            _require(ok, "death times {} not sorted, unique and in the window {}..{}", eps, c.b, c.e)
+
+
 def validate(p: PmbmDensity) -> None:
-    """Assert the structural invariants; raises AssertionError on violation."""
+    """Check every invariant of the hypothesis forest, whose constructors do
+    not; raises AssertionError on violation."""
+    _require(p.mode in ("all", "current"), "unknown mode {!r}", p.mode)
+    _validate_mixture(p.ppp, "intensity")
     w = np.array([g.log_weight for g in p.global_hyps])
-    if len(w):
-        assert abs(np.exp(w).sum() - 1.0) < 1e-9, "global weights not normalized"
+    _require(not len(w) or abs(np.exp(w).sum() - 1.0) < 1e-9, "global weights not normalized")
     ids = [t.id for t in p.tracks]
-    assert len(ids) == len(set(ids)), "duplicate track ids"
+    _require(len(ids) == len(set(ids)), "duplicate track ids")
     for track in p.tracks:
+        _require(len(track.hypotheses) > 0, "track {} without hypotheses", track.id)
         for h in track.hypotheses:
-            if h.r > 0.0:
-                assert h.density is not None
-                total = h.density.total_weight
-                assert abs(total - 1.0) < 1e-6, f"hypothesis density weight {total}"
+            _require(0.0 <= h.r <= 1.0, "existence probability {} outside [0, 1]", h.r)
+            scans = [k for k, _ in h.meas_history]
+            _require(len(scans) == len(set(scans)), "more than one association in a single scan")
+            _require(h.r == 0.0 or h.density is not None, "existing hypothesis must carry a density")
+            if h.density is not None:
+                _validate_mixture(h.density, "density")
     expected = {(k, j) for k, m in p.measurement_record for j in range(m)}
     for g in p.global_hyps:
-        chosen = dict(g.choice)
-        assert set(chosen) == set(ids), "choice map does not cover the track table"
+        _require(list(g.choice) == sorted(g.choice), "choice map not sorted")
+        _require({tid for tid, _ in g.choice} == set(ids), "choice map does not cover the track table")
         seen: set = set()
         for tid, hidx in g.choice:
             hist = p.track_by_id(tid).hypotheses[hidx].meas_history
-            assert not (seen & hist), "measurement shared between chosen hypotheses"
+            _require(not (seen & hist), "measurement shared between chosen hypotheses")
             seen |= hist
-        if expected:
-            missing = expected - seen - p.retired
-            assert not missing, f"measurements not covered: {sorted(missing)[:5]}"
+        missing = expected - seen - p.retired
+        _require(not missing, "measurements not covered: {}", sorted(missing)[:5])
 
 
 def dump_density(p: PmbmDensity) -> dict:
@@ -296,7 +298,10 @@ def dump_density(p: PmbmDensity) -> dict:
 
 
 def load_density(d: dict) -> PmbmDensity:
-    """Inverse of :func:`dump_density` (moment-form sequence densities)."""
+    """Inverse of :func:`dump_density` (moment-form sequence densities).
+
+    Raises ValueError when the loaded density fails :func:`validate`.
+    """
 
     def comp(cd: dict) -> MixtureComponent:
         seq = gaussseq.MomentSeq(TimeWindow(cd["b"], cd["e"]), np.array(cd["mean"]), np.array(cd["cov"]))
@@ -309,7 +314,7 @@ def load_density(d: dict) -> PmbmDensity:
             tuple(
                 LocalHypothesis(
                     hd["log_weight"],
-                    hd["r"],
+                    float(hd["r"]),
                     None if hd["components"] is None else TrajectoryMixture(tuple(comp(c) for c in hd["components"])),
                     frozenset((int(k), int(j)) for k, j in hd["meas_history"]),
                 )
@@ -318,14 +323,20 @@ def load_density(d: dict) -> PmbmDensity:
         )
         for td in d["tracks"]
     )
-    return PmbmDensity(
+    p = PmbmDensity(
         ppp=TrajectoryMixture(tuple(comp(c) for c in d["ppp"]), "intensity"),
         tracks=tracks,
         global_hyps=tuple(
-            GlobalHypothesis(gd["log_weight"], tuple((t, h) for t, h in gd["choice"])) for gd in d["globals"]
+            GlobalHypothesis(gd["log_weight"], tuple(sorted((int(t), int(h)) for t, h in gd["choice"])))
+            for gd in d["globals"]
         ),
         window=TimeWindow(*d["window"]),
         mode=d["mode"],
         measurement_record=tuple((int(k), int(m)) for k, m in d["measurement_record"]),
         retired=frozenset((int(k), int(j)) for k, j in d["retired"]),
     )
+    try:
+        validate(p)
+    except AssertionError as exc:
+        raise ValueError(f"invalid density: {exc}") from exc
+    return p

@@ -30,16 +30,9 @@ def expected_sequence(d: TrajectoryMixture, beta: int, epsilon: int) -> np.ndarr
     acc = None
     total = 0.0
     for c in d.components:
-        if c.b != beta:
+        w = c.weight * c.alive_mass(epsilon)
+        if c.b != beta or w <= 0.0:
             continue
-        if c.eps_pmf is None:
-            if c.e != epsilon:
-                continue
-            w = c.weight
-        else:
-            w = c.weight * dict(c.eps_pmf).get(epsilon, 0.0)
-            if w <= 0.0:
-                continue
         nx = c.seq.nx
         mean = gaussseq.mean_sequence(c.seq)[: nu * nx]
         acc = w * mean if acc is None else acc + w * mean

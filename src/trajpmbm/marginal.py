@@ -4,9 +4,7 @@ Restricting a posterior over trajectories on steps 0..k to the states inside
 a window [alpha, gamma], keeping only trajectories alive somewhere in
 [eta, zeta], yields another PMBM density whose parameters follow in closed
 form: components that never touch the alive interval are discarded, (b, e)
-windows are clamped, and state sequences are marginalized.  This module also
-provides the death-time pmf steps (survival split, missed-detection
-conditioning) used to bookkeep runs of missed detections.
+windows are clamped, and state sequences are marginalized.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ __all__ = [
     "marginalize_bernoulli",
     "marginalize_ppp",
     "marginalize_pmbm",
-    "epsilon_pmf_predict",
-    "epsilon_pmf_miss_update",
 ]
 
 
@@ -74,7 +70,7 @@ def marginalize_bernoulli(h: LocalHypothesis, q: AliveQuery) -> LocalHypothesis:
         return LocalHypothesis(h.log_weight, 0.0, None, h.meas_history)
     alive = materialize_mixture(h.density, q.alive).components
     alive_mass = sum(c.weight for c in alive)
-    r = h.r * alive_mass
+    r = min(h.r * alive_mass, 1.0)  # the summed masses may round above one
     if alive_mass <= 0.0:
         return LocalHypothesis(h.log_weight, 0.0, None, h.meas_history)
     comps = tuple(
@@ -111,35 +107,3 @@ def marginalize_pmbm(p: PmbmDensity, q: AliveQuery) -> PmbmDensity:
         tracks=tracks,
         window=q.keep,
     )
-
-
-# ---------------------------------------------------------------------------
-# death-time pmf under consecutive missed detections
-# ---------------------------------------------------------------------------
-
-
-def epsilon_pmf_predict(prev: dict, ps: float, k: int) -> dict:
-    """One survival split: mass at the previous scan divides into ending
-    there (1 - ps) and continuing to scan k (ps)."""
-    out = dict(prev)
-    tail = out.pop(k - 1, 0.0)
-    if tail:
-        if ps < 1.0:
-            out[k - 1] = tail * (1.0 - ps)
-        if ps > 0.0:
-            out[k] = tail * ps
-    return dict(sorted(out.items()))
-
-
-def epsilon_pmf_miss_update(pred: dict, pd: float, k: int) -> dict:
-    """Condition a predicted pmf on a missed detection at scan k."""
-    tail = pred.get(k, 0.0)
-    norm = 1.0 - pd * tail
-    if norm <= 0.0:
-        raise ValueError("missed detection impossible under this pmf")
-    out = {}
-    for e, m in pred.items():
-        mm = (m * (1.0 - pd) if e == k else m) / norm
-        if mm > 0.0:
-            out[e] = mm
-    return dict(sorted(out.items()))

@@ -9,6 +9,7 @@ stays bit-reproducible.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +70,12 @@ def run_monte_carlo(
         raise ValueError("runs must be >= 1")
     children = np.random.SeedSequence(cfg.seed).spawn(runs)
     tasks = [(cfg, tracker_cfg, mode, child.entropy, metric, c, p, q, w) for child in children]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_single_run, tasks))
-    else:
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        done = map(_single_run, tasks) if pool is None else pool.map(_single_run, tasks)
         results = []
-        for i, task in enumerate(tasks):
+        for i in range(len(tasks)):
             try:
-                results.append(_single_run(task))
+                results.append(next(done))
             except Exception as exc:
                 raise RuntimeError(f"monte-carlo run {i} failed") from exc
     all_rows = [r for r, _ in results]

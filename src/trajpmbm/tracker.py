@@ -54,6 +54,10 @@ class TrackerConfig:
     r_estimate: Optional[float] = None  # default depends on the mode
     validate_every_step: bool = False
 
+    def __post_init__(self):
+        if self.murty_budget is not None and self.murty_budget < 1:
+            raise ValueError(f"Murty budget {self.murty_budget} below 1")
+
 
 @dataclass(frozen=True)
 class TrackerState:
@@ -218,7 +222,7 @@ class PmbmTracker:
             floor = best + math.log(self.config.thresholds.global_w)
             chosen_children = [c for c in chosen_children if c[0] >= floor]
             chosen_children.sort(key=lambda c: (-c[0], sorted(c[2].items()), c[3]))
-            chosen_children = chosen_children[: max(self.config.thresholds.cap_M, 1)]
+            chosen_children = chosen_children[: self.config.thresholds.cap_M]
 
         # materialize each distinct child hypothesis once
         needed = set()

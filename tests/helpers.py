@@ -12,14 +12,14 @@ from trajpmbm import gaussseq as gs
 from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Track, TrajectoryMixture
 from trajpmbm.models import BirthComponent, BirthModel, Rectangle, SensorModel, SurvivalModel
 from trajpmbm.tracker import PmbmTracker, TrackerConfig, TrackerState
-from trajpmbm.marginal import epsilon_pmf_miss_update, epsilon_pmf_predict
-from trajpmbm.trajectory import MixtureComponent, TimeWindow, birth_death_pmf
+from trajpmbm.trajectory import MixtureComponent, TimeWindow, birth_death_pmf, epsilon_pmf_miss_update, epsilon_pmf_predict
 
 SCALAR_REGION = Rectangle(-50.0, 50.0, -1.0, 1.0)
 
 
-def scalar_setup(ps=0.9, pd=0.9, clutter_rate=1.0, birth_w=0.3, mode="all", backend="moment", exact=True):
-    """1-d tracker; ``exact`` disables pruning and exhausts the enumeration."""
+def scalar_setup(ps=0.9, pd=0.9, clutter_rate=1.0, birth_w=0.3, mode="all", backend="moment", exact=True, **config):
+    """1-d tracker; ``exact`` disables pruning and exhausts the enumeration;
+    ``config`` holds further :class:`TrackerConfig` fields."""
     model = gs.ModelLG(F=[[1.0]], Q=[[1.0]], H=[[1.0]], R=[[1.0]])
     birth = BirthModel((BirthComponent(birth_w, [0.0], [[4.0]]),))
     sensor = SensorModel(pd=pd, clutter_rate=clutter_rate, region=SCALAR_REGION, gate_prob=1.0)
@@ -28,6 +28,7 @@ def scalar_setup(ps=0.9, pd=0.9, clutter_rate=1.0, birth_w=0.3, mode="all", back
         backend=backend,
         prune_enabled=not exact,
         new_component_threshold=0.0 if exact else 1e-3,
+        **config,
     )
     return PmbmTracker(model, birth, sensor, SurvivalModel(ps), mode=mode, config=cfg)
 
@@ -94,10 +95,11 @@ def nonzero_counts(s) -> tuple:
     return s.mean.size, int(s.old_blocks.shape[0] * s.nx**2 + s.tail_cov.size)
 
 
-def epsilon_pmf_recursive(prev: dict, ps: float, pd: float, k: int) -> dict:
-    """The tracker's death-time pmf step: survival split to scan k, then the
-    missed-detection conditioning."""
-    if abs(sum(prev.values()) - 1.0) > 1e-9:
+def epsilon_pmf_recursive(prev: tuple, ps: float, pd: float, k: int) -> tuple:
+    """The tracker's death-time pmf step on its stored form, sorted
+    (eps, mass) pairs: survival split to scan k, then the missed-detection
+    conditioning."""
+    if abs(sum(m for _, m in prev) - 1.0) > 1e-9:
         raise ValueError("input pmf not normalized")
     return epsilon_pmf_miss_update(epsilon_pmf_predict(prev, ps, k), pd, k)
 

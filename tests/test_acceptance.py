@@ -148,13 +148,13 @@ def test_criterion_3_epsilon_pmf():
     grid = np.linspace(0.1, 0.99, 10)
     for ps in grid:
         for pd in grid:
-            pmf = {0: 1.0}
+            pmf = ((0, 1.0),)
             for k in range(1, 51):
                 pmf = epsilon_pmf_recursive(pmf, ps, pd, k)
                 ref = epsilon_pmf_closed(0, k, ps, pd)
-                assert set(pmf) == set(ref)
-                for e, mass in ref.items():
-                    assert abs(pmf[e] - mass) < 1e-12
+                assert [e for e, _ in pmf] == sorted(ref)
+                for e, mass in pmf:
+                    assert abs(mass - ref[e]) < 1e-12
             qdps = (1.0 - pd) * ps
             limit = epsilon_pmf_closed(0, 200, ps, pd)
             tv = sum(abs(limit.get(i, 0.0) - qdps**i * (1.0 - qdps)) for i in range(201))

@@ -125,6 +125,14 @@ def test_full_pipeline(tmp_path, config_path, capsys):
                 assert all(c.e == 7 for c in h.density.components)
 
 
+def test_track_rejects_a_budget_below_one(tmp_path, config_path):
+    sim = tmp_path / "sim"
+    main(["simulate", "--config", str(config_path), "--out", str(sim)])
+    args = ["track", "--scenario", str(config_path), "--measurements", str(sim / "measurements.jsonl")]
+    with pytest.raises(ValueError, match="below 1"):
+        main(args + ["--M", "0", "--out", str(tmp_path / "trk")])
+
+
 def test_simulate_is_deterministic(tmp_path, config_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["simulate", "--config", str(config_path), "--out", str(a)])

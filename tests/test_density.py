@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajpmbm
 from trajpmbm import gaussseq as gs
 from trajpmbm.density import (
     GlobalHypothesis,
@@ -146,6 +151,10 @@ class TestPrune:
         out = prune(p, PruneThresholds(global_w=1e-4))
         assert len(out.global_hyps) == 1
 
+    def test_cap_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            PruneThresholds(cap_M=0)
+
     def test_idempotent_at_fixed_thresholds(self):
         rng = np.random.default_rng(2)
         hyps = {0: [hyp(float(rng.normal()), 0.9, {(0, 0)}), hyp(float(rng.normal()), 1e-7, {(0, 0)})]}
@@ -202,33 +211,57 @@ class TestValidate:
         with pytest.raises(AssertionError):
             validate(normalize(p))
 
+    def test_checks_run_under_optimize_flag(self):
+        # python -O strips assert statements; validate must still check
+        code = (
+            "from trajpmbm.density import GlobalHypothesis, PmbmDensity, validate\n"
+            "from trajpmbm.trajectory import TimeWindow, TrajectoryMixture\n"
+            "validate(PmbmDensity(TrajectoryMixture((), 'intensity'), (), (GlobalHypothesis(-5.0, ()),),"
+            " TimeWindow(0, 0), 'all'))\n"
+        )
+        src = str(Path(trajpmbm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode != 0
+        assert "AssertionError: global weights not normalized" in out.stderr
+
+
+def dump_fixture():
+    """A valid density with a deferred death-time pmf, a Poisson component and
+    a second, non-existent track."""
+    h = LocalHypothesis(
+        math.log(0.7),
+        0.8,
+        TrajectoryMixture(
+            (
+                MixtureComponent(
+                    1.0,
+                    gs.MomentSeq(TimeWindow(0, 2), [1.0, 2.0, 3.0], np.eye(3) * 2.0),
+                    ((1, 0.25), (2, 0.75)),
+                ),
+            )
+        ),
+        frozenset({(1, 0)}),
+    )
+    return PmbmDensity(
+        ppp=TrajectoryMixture(
+            (MixtureComponent(0.3, gs.MomentSeq(TimeWindow(2, 2), [0.0], [[4.0]])),), "intensity"
+        ),
+        tracks=(Track(3, (LocalHypothesis(0.0, 0.0, None, frozenset()),)), Track(7, (h,))),
+        global_hyps=(GlobalHypothesis(0.0, ((3, 0), (7, 0))),),
+        window=TimeWindow(0, 2),
+        mode="all",
+        measurement_record=((1, 1),),
+    )
+
+
+def hyp7(d):
+    return d["tracks"][1]["hypotheses"][0]
+
 
 class TestDumpRoundTrip:
     def test_round_trip_preserves_structure(self):
-        h = LocalHypothesis(
-            math.log(0.7),
-            0.8,
-            TrajectoryMixture(
-                (
-                    MixtureComponent(
-                        1.0,
-                        gs.MomentSeq(TimeWindow(0, 2), [1.0, 2.0, 3.0], np.eye(3) * 2.0),
-                        ((1, 0.25), (2, 0.75)),
-                    ),
-                )
-            ),
-            frozenset({(1, 0)}),
-        )
-        p = PmbmDensity(
-            ppp=TrajectoryMixture(
-                (MixtureComponent(0.3, gs.MomentSeq(TimeWindow(2, 2), [0.0], [[4.0]])),), "intensity"
-            ),
-            tracks=(Track(7, (h,)),),
-            global_hyps=(GlobalHypothesis(0.0, ((7, 0),)),),
-            window=TimeWindow(0, 2),
-            mode="all",
-            measurement_record=((1, 1),),
-        )
+        p = dump_fixture()
         q = load_density(dump_density(p))
         assert q.mode == p.mode and q.window == p.window
         assert q.measurement_record == p.measurement_record
@@ -238,3 +271,27 @@ class TestDumpRoundTrip:
         assert comp.eps_pmf == ((1, 0.25), (2, 0.75))
         np.testing.assert_allclose(np.asarray(comp.seq.mean), [1.0, 2.0, 3.0])
         assert q.ppp.components[0].weight == pytest.approx(0.3)
+
+    def test_unsorted_choice_is_sorted_at_load(self):
+        d = dump_density(dump_fixture())
+        d["globals"][0]["choice"] = [[7, 0], [3, 0]]
+        assert load_density(d).global_hyps[0].choice == ((3, 0), (7, 0))
+
+    @pytest.mark.parametrize(
+        "break_dump",
+        [
+            lambda d: hyp7(d)["components"][0].update(eps_pmf=[[1, 0.25], [2, 0.5]]),
+            lambda d: hyp7(d)["components"][0].update(eps_pmf=[[1, 0.25], [3, 0.75]]),
+            lambda d: hyp7(d)["components"][0].update(weight=0.5),
+            lambda d: hyp7(d).update(r=1.5),
+            lambda d: hyp7(d).update(meas_history=[[1, 0], [1, 1]]),
+            lambda d: d["tracks"][1].update(hypotheses=[]),
+            lambda d: d.update(mode="some"),
+        ],
+        ids=["pmf-sum", "eps-outside-window", "density-weights", "r-above-one", "two-per-scan", "empty-track", "mode"],
+    )
+    def test_malformed_dump_rejected(self, break_dump):
+        d = dump_density(dump_fixture())
+        break_dump(d)
+        with pytest.raises(ValueError):
+            load_density(d)

@@ -5,15 +5,14 @@ import pytest
 
 from trajpmbm import gaussseq as gs
 from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Track
-from trajpmbm.marginal import (
-    AliveQuery,
+from trajpmbm.marginal import AliveQuery, marginalize_bernoulli, marginalize_pmbm, marginalize_ppp
+from trajpmbm.trajectory import (
+    MixtureComponent,
+    TimeWindow,
+    TrajectoryMixture,
     epsilon_pmf_miss_update,
     epsilon_pmf_predict,
-    marginalize_bernoulli,
-    marginalize_pmbm,
-    marginalize_ppp,
 )
-from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
 from helpers import death_time_estimate, epsilon_pmf_recursive
 from oracles import birth_pmf, epsilon_pmf_closed
@@ -207,22 +206,22 @@ class TestDeathTimePmf:
 
     def test_recursion_reproduces_closed_form(self):
         for ps, pd in [(0.9, 0.9), (0.5, 0.7), (0.99, 0.1)]:
-            pmf = {3: 1.0}
+            pmf = ((3, 1.0),)
             for k in range(4, 20):
                 pmf = epsilon_pmf_recursive(pmf, ps, pd, k)
                 ref = epsilon_pmf_closed(3, k, ps, pd)
-                assert set(pmf) == set(ref)
-                for e in ref:
-                    assert pmf[e] == pytest.approx(ref[e], abs=1e-12)
+                assert [e for e, _ in pmf] == sorted(ref)
+                for e, m in pmf:
+                    assert m == pytest.approx(ref[e], abs=1e-12)
 
     def test_zero_survival_freezes(self):
-        pmf = epsilon_pmf_recursive({3: 1.0}, ps=0.0, pd=0.5, k=4)
-        assert pmf == pytest.approx({3: 1.0})
+        pmf = epsilon_pmf_recursive(((3, 1.0),), ps=0.0, pd=0.5, k=4)
+        assert pmf == ((3, pytest.approx(1.0)),)
 
     def test_zero_detection_is_pure_survival_split(self):
-        pred = epsilon_pmf_predict({3: 1.0}, ps=0.8, k=4)
+        pred = epsilon_pmf_predict(((3, 1.0),), ps=0.8, k=4)
         out = epsilon_pmf_miss_update(pred, pd=0.0, k=4)
-        assert out == pytest.approx(pred)
+        assert out == tuple((e, pytest.approx(m)) for e, m in pred)
 
     def test_geometric_tail_limit(self):
         ps, pd = 0.9, 0.9

@@ -49,11 +49,12 @@ class TestMonteCarlo:
         parallel = run_monte_carlo(cfg, TrackerConfig(murty_budget=20), runs=2, c=20.0, jobs=2)
         assert list(serial.rows) == list(parallel.rows)
 
-    def test_run_failures_carry_the_run_index(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_failures_carry_the_run_index(self, jobs):
         cfg = tiny_cfg()
         bad = TrackerConfig(murty_budget=20, backend="nonsense")
         with pytest.raises(RuntimeError, match="run 0"):
-            run_monte_carlo(cfg, bad, runs=1)
+            run_monte_carlo(cfg, bad, runs=1, jobs=jobs)
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):

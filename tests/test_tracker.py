@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajpmbm import gaussseq as gs
 from trajpmbm.density import (
@@ -164,6 +166,10 @@ class TestUpdate:
         with pytest.raises(ValueError):
             tracker.update(tracker.initial(), None)
 
+    def test_murty_budget_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            TrackerConfig(murty_budget=0)
+
     @pytest.mark.parametrize("order", [1, -1])
     def test_unexplained_measurement_is_retired(self, order):
         # outside the +-1000 region nothing gates [1001, 0] and no track can
@@ -244,6 +250,36 @@ class TestOracleEquivalence:
         )
         state = tracker.initial()
         for k, scan in enumerate(SCANS_SMALL):
+            if k:
+                state = tracker.predict(state)
+                oracle.predict()
+            state = tracker.update(state, scan)
+            oracle.update(scan)
+            assert_tables_match(tracker_global_table(state), oracle.global_table())
+
+    @pytest.mark.parametrize("backend,L", [("moment", 1), ("info", 1), ("lscan", 1), ("lscan", 2)])
+    @pytest.mark.parametrize("mode", ["all", "current"])
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(
+        ps=st.floats(0.05, 0.99),
+        pd=st.floats(0.05, 0.99),
+        clutter_rate=st.floats(0.05, 3.0),
+        birth_w=st.floats(0.05, 1.0),
+        # at most 6 measurements: 4 scans of 2 enumerate 1,657 globals, over
+        # ten times the cost of the largest 6-measurement case
+        scans=st.lists(st.lists(st.floats(-8.0, 8.0).map(lambda z: [z]), max_size=2), min_size=1, max_size=4).filter(
+            lambda scans: sum(map(len, scans)) <= 6
+        ),
+    )
+    def test_random_scenarios(self, mode, backend, L, ps, pd, clutter_rate, birth_w, scans):
+        """Exact mode matches the reference enumeration on random scalar
+        scenarios, and every scan's posterior passes validate()."""
+        tracker = scalar_setup(ps, pd, clutter_rate, birth_w, mode, backend, L=L, validate_every_step=True)
+        oracle = OracleTracker(
+            tracker.model, [(birth_w, [0.0], [[4.0]])], ps, pd, clutter_rate / SCALAR_REGION.volume, mode
+        )
+        state = tracker.initial()
+        for k, scan in enumerate(scans):
             if k:
                 state = tracker.predict(state)
                 oracle.predict()

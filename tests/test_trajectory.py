@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 from trajpmbm import gaussseq as gs
+from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Track, dump_density, load_density, validate
 from trajpmbm.trajectory import (
     BirthDeathPmf,
     MixtureComponent,
@@ -119,8 +120,15 @@ class TestBirthDeathPmfFromMixture:
 
 class TestMixture:
     def test_density_weights_must_normalize(self):
+        # the constructor only stores; validate() and load_density check
+        h = LocalHypothesis(0.0, 0.5, TrajectoryMixture((comp(0.5, 0, 0),)), frozenset())
+        p = PmbmDensity(
+            TrajectoryMixture((), "intensity"), (Track(0, (h,)),), (GlobalHypothesis(0.0, ((0, 0),)),), TimeWindow(0, 0), "all"
+        )
+        with pytest.raises(AssertionError, match="hypothesis density weight"):
+            validate(p)
         with pytest.raises(ValueError):
-            TrajectoryMixture((comp(0.5, 0, 0),))
+            load_density(dump_density(p))
 
     def test_materialize_expands_deferred_components(self):
         mix = TrajectoryMixture(
