@@ -6,6 +6,9 @@ measurements some chosen hypothesis gates, rows are the tracks that gate any
 of them plus one pseudo-row per column for the track it may start.  Entries
 are negative log weight ratios against the all-miss baseline, so the k
 cheapest assignments are the k heaviest posterior global hypotheses.
+
+:func:`scan_weight_tables` computes every association weight (as a log; a
+zero factor maps to -inf) and measurement likelihood of a scan, once.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ __all__ = [
 ]
 
 INF = float("inf")
+NEG_INF = -INF
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else NEG_INF
 
 
 @dataclass(frozen=True)
@@ -47,13 +55,15 @@ class Assignment:
 class ScanTables:
     """Per-scan association factors shared by every prior global hypothesis.
 
-    ``ppp_gated[j]`` lists (component index, likelihood) for the undetected
-    components that gate with measurement j, reused when the new track for j
-    is materialized.
+    ``det_liks[(track, hyp, j)]`` lists (component index, likelihood of j)
+    for every alive component of a hypothesis that gates j, and
+    ``ppp_gated[j]`` the same for the undetected components that gate with
+    j; the detection child and the new track for j condition on them.
     """
 
     miss_log: dict  # (track, hyp) -> log miss factor
     det_log: dict  # (track, hyp, j) -> log detection factor (gated only)
+    det_liks: dict  # (track, hyp, j) -> tuple of (component index, likelihood)
     new_log: dict  # j -> log new-track weight
     ppp_gated: dict  # j -> tuple of (ppp component index, likelihood)
 
@@ -71,7 +81,7 @@ class ScanTables:
         track (zero clutter and Poisson intensity, e.g. outside the region):
         no association explains them, so they are left out of it."""
         gated = {j for _, _, j in self.det_log}
-        return tuple(j for j, w in self.new_log.items() if w == -INF and j not in gated)
+        return tuple(j for j, w in self.new_log.items() if w == NEG_INF and j not in gated)
 
 
 @dataclass(frozen=True)
@@ -138,8 +148,9 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
     """Log factors of every missed/detected/new-track association of a scan.
 
     Detection factors exist only for (hypothesis, measurement) pairs where at
-    least one alive component passes the gate; the new-track weight for a
-    measurement sums the gated undetected components only.
+    least one alive component passes the gate, and then sum every alive
+    component; the new-track weight for a measurement sums the gated
+    undetected components only.
     """
     k = p.window.gamma
     pd = sensor.pd
@@ -147,25 +158,30 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
     Z = np.asarray(scan, dtype=float).reshape(m, -1) if m else np.zeros((0, model.nz))
     miss_log: dict = {}
     det_log: dict = {}
+    det_liks: dict = {}
     for t in p.tracks:
         for hidx, h in enumerate(t.hypotheses):
             if h.r == 0.0 or h.density is None:
                 miss_log[(t.id, hidx)] = 0.0
                 continue
-            miss_log[(t.id, hidx)] = bernoulli._log(1.0 - h.r * bernoulli._mixture_detection_prob(h.density, pd, k))
+            miss_log[(t.id, hidx)] = _log(1.0 - h.r * bernoulli._mixture_detection_prob(h.density, pd, k))
             if m == 0:
                 continue
             gated_any = np.zeros(m, dtype=bool)
             evid = np.zeros(m)
-            for c in h.density.components:
+            comp_liks = []
+            for idx, c in enumerate(h.density.components):
                 a = c.alive_mass(k)
                 if a <= 0.0:
                     continue
                 mask, liks = gaussseq.gate_likelihoods(c.seq, model, Z, sensor.gate_prob)
                 gated_any |= mask
                 evid += c.weight * a * liks
+                comp_liks.append((idx, liks))
             for j in np.flatnonzero(gated_any):
-                det_log[(t.id, hidx, int(j))] = bernoulli._log(h.r * pd * evid[j])
+                key = (t.id, hidx, int(j))
+                det_log[key] = _log(h.r * pd * evid[j])
+                det_liks[key] = tuple((idx, float(liks[j])) for idx, liks in comp_liks)
     new_log: dict = {}
     ppp_gated: dict = {j: [] for j in range(m)}
     evid = np.zeros(m)
@@ -178,8 +194,8 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
             evid[j] += c.weight * a * liks[j]
             ppp_gated[j].append((idx, float(liks[j])))
     for j, z in enumerate(scan):
-        new_log[j] = bernoulli._log(clutter_density(sensor, z) + pd * evid[j])
-    return ScanTables(miss_log, det_log, new_log, {j: tuple(v) for j, v in ppp_gated.items()})
+        new_log[j] = _log(clutter_density(sensor, z) + pd * evid[j])
+    return ScanTables(miss_log, det_log, det_liks, new_log, {j: tuple(v) for j, v in ppp_gated.items()})
 
 
 # ---------------------------------------------------------------------------

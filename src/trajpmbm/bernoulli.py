@@ -6,12 +6,11 @@ all-trajectories mode), missed-detection and detection updates of a
 Bernoulli, thinning of the undetected Poisson intensity, and creation of the
 two-hypothesis Bernoulli for a track started on a measurement.
 
-Weights are handled in the log domain; a factor of zero maps to -inf.
+The children's association weights, and the measurement likelihoods the
+updates condition on, come from :func:`association.scan_weight_tables`.
 """
 
 from __future__ import annotations
-
-import math
 
 from . import gaussseq
 from .density import LocalHypothesis
@@ -26,13 +25,6 @@ __all__ = [
     "thin_ppp",
     "new_track_hypotheses",
 ]
-
-NEG_INF = float("-inf")
-
-
-def _log(x: float) -> float:
-    return math.log(x) if x > 0.0 else NEG_INF
-
 
 def predict_component(
     c: MixtureComponent, model: gaussseq.ModelLG, ps: float, k: int, mode: str
@@ -72,9 +64,9 @@ def _mixture_detection_prob(mix: TrajectoryMixture, pd: float, k: int) -> float:
 def miss_update(h: LocalHypothesis, pd: float, k: int) -> LocalHypothesis:
     """Missed-detection child of a local hypothesis.
 
-    The weight gains the factor (1 - r <f, pd>); existence and the density
-    are reconditioned on the miss.  Hypotheses with r == 0 pass through with
-    weight factor one.
+    Existence and the density are reconditioned on the miss; the child's
+    weight factor (1 - r <f, pd>) is the scan tables' miss factor.
+    Hypotheses with r == 0 pass through unchanged.
     """
     if h.r == 0.0 or h.density is None:
         return h
@@ -85,51 +77,51 @@ def miss_update(h: LocalHypothesis, pd: float, k: int) -> LocalHypothesis:
     comps = _miss_components(mix, pd, k)
     total = sum(c.weight for c in comps)
     if total <= 0.0 or r <= 0.0:
-        return LocalHypothesis(h.log_weight + _log(w_factor), 0.0, None, h.meas_history)
+        return LocalHypothesis(0.0, None, h.meas_history)
     density = TrajectoryMixture(
         tuple(MixtureComponent(c.weight / total, c.seq, c.eps_pmf) for c in comps)
     )
-    return LocalHypothesis(h.log_weight + _log(w_factor), r, density, h.meas_history)
+    return LocalHypothesis(r, density, h.meas_history)
+
+
+def _condition(mix: TrajectoryMixture, model: gaussseq.ModelLG, z, k: int, gated: tuple, component_threshold: float):
+    """The ``gated`` (component index, likelihood of z) components of ``mix``
+    weighted by weight * alive mass * likelihood, updated with z, normalized
+    and pruned.  Returns (density or None when no weight remains, total
+    weight)."""
+    comps = []
+    for idx, lik in gated:
+        c = mix.components[idx]
+        w = c.weight * c.alive_mass(k) * lik
+        if w > 0.0:
+            comps.append(MixtureComponent(w, gaussseq.update_seq(c.seq, model, z)))
+    if not comps:
+        return None, 0.0
+    total = sum(c.weight for c in comps)
+    density = TrajectoryMixture(tuple(MixtureComponent(c.weight / total, c.seq) for c in comps))
+    if component_threshold > 0.0:
+        density = prune_mixture(density, component_threshold)
+    return density, total
 
 
 def detect_update(
     h: LocalHypothesis,
     model: gaussseq.ModelLG,
-    pd: float,
     z,
     scan: tuple,
+    gated: tuple,
     component_threshold: float = 0.0,
 ) -> LocalHypothesis:
     """Detection child: hypothesis h updated with measurement z at scan k.
 
-    The weight gains log(r <f, lik * pd>), existence becomes one, and the
-    death-time pmf collapses onto the current scan.  Returns a zero-weight
-    placeholder when the measurement is impossible under the hypothesis.
+    Existence becomes one and the death-time pmf collapses onto the current
+    scan.  ``gated`` lists (component index, likelihood) for every component
+    of h alive at scan k, as :class:`association.ScanTables` records them
+    under ``det_liks``.  Returns a non-existence placeholder when the
+    measurement is impossible under the hypothesis.
     """
-    k, j = scan
-    if h.r == 0.0 or h.density is None:
-        return LocalHypothesis(NEG_INF, 0.0, None, h.meas_history | {scan})
-    comps = []
-    evid = 0.0
-    for c in h.density.components:
-        alive = c.alive_mass(k)
-        if alive <= 0.0:
-            continue
-        seq, loglik = gaussseq.update_seq(c.seq, model, z)
-        lik = math.exp(loglik)
-        w = c.weight * alive * lik
-        evid += w
-        if w > 0.0:
-            comps.append(MixtureComponent(w, seq))
-    log_factor = _log(h.r * pd * evid)
-    if not comps or not math.isfinite(log_factor):
-        return LocalHypothesis(NEG_INF, 0.0, None, h.meas_history | {scan})
-    total = sum(c.weight for c in comps)
-    comps = [MixtureComponent(c.weight / total, c.seq) for c in comps]
-    density = TrajectoryMixture(tuple(comps))
-    if component_threshold > 0.0:
-        density = prune_mixture(density, component_threshold)
-    return LocalHypothesis(h.log_weight + log_factor, 1.0, density, h.meas_history | {scan})
+    density = _condition(h.density, model, z, scan[0], gated, component_threshold)[0] if h.r > 0.0 else None
+    return LocalHypothesis(0.0 if density is None else 1.0, density, h.meas_history | {scan})
 
 
 def _miss_components(mix: TrajectoryMixture, pd: float, k: int) -> tuple:
@@ -176,29 +168,9 @@ def new_track_hypotheses(
     (component index, likelihood) for the Poisson components that pass the
     gate with z, as :func:`association.scan_weight_tables` records them.
     """
-    k = scan[0]
-    comps = []
-    evid = 0.0
-    for idx, lik in gated:
-        c = ppp.components[idx]
-        alive = c.alive_mass(k)
-        if alive <= 0.0:
-            continue
-        seq, _ = gaussseq.update_seq(c.seq, model, z)
-        w = c.weight * alive * lik
-        evid += w
-        if w > 0.0:
-            comps.append(MixtureComponent(w, seq))
+    density, evid = _condition(ppp, model, z, scan[0], gated, component_threshold)
     signal = sensor.pd * evid
     w_exist = clutter_density(sensor, z) + signal
     r = signal / w_exist if w_exist > 0.0 else 0.0
-    no_exist = LocalHypothesis(0.0, 0.0, None, frozenset())
-    if not comps or r == 0.0:
-        exist = LocalHypothesis(_log(w_exist), 0.0, None, frozenset({scan}))
-        return no_exist, exist
-    total = sum(c.weight for c in comps)
-    density = TrajectoryMixture(tuple(MixtureComponent(c.weight / total, c.seq) for c in comps))
-    if component_threshold > 0.0:
-        density = prune_mixture(density, component_threshold)
-    exist = LocalHypothesis(_log(w_exist), r, density, frozenset({scan}))
-    return no_exist, exist
+    exist = LocalHypothesis(r, density if r > 0.0 else None, frozenset({scan}))
+    return LocalHypothesis(0.0, None, frozenset()), exist

@@ -27,7 +27,6 @@ __all__ = [
     "PruneThresholds",
     "normalize",
     "prune",
-    "global_weight",
     "validate",
     "dump_density",
     "load_density",
@@ -38,15 +37,14 @@ __all__ = [
 class LocalHypothesis:
     """One single-trajectory hypothesis of one track.
 
-    ``log_weight`` accumulates the association likelihood factors since the
-    track started; ``r`` is the probability of existence; ``density`` is a
+    Its association weight lives in the global hypotheses that choose it;
+    ``r`` is the probability of existence; ``density`` is a
     normalized trajectory mixture (may be None when r == 0, e.g. the
     non-existence hypothesis of a new track or a pruned placeholder);
     ``meas_history`` records the (scan, measurement index) pairs this
     hypothesis has associated, at most one per scan.
     """
 
-    log_weight: float
     r: float
     density: Optional[TrajectoryMixture]
     meas_history: frozenset
@@ -105,18 +103,6 @@ class PmbmDensity:
             raise KeyError(f"no track with id {track_id}") from None
 
 
-def global_weight(p: PmbmDensity, g: GlobalHypothesis) -> float:
-    """Unnormalized log weight: sum of the chosen local hypotheses' stored
-    log weights (empty track table gives 0)."""
-    chosen = dict(g.choice)
-    total = 0.0
-    for track in p.tracks:
-        if track.id not in chosen:
-            raise ValueError(f"global hypothesis does not cover track {track.id}")
-        total += track.hypotheses[chosen[track.id]].log_weight
-    return total
-
-
 def normalize(p: PmbmDensity) -> PmbmDensity:
     """Log-sum-exp normalization of the global weights, order preserved."""
     if not p.global_hyps:
@@ -135,8 +121,8 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
 
     Drops Poisson components below ``ppp_w`` (absolute weight); replaces
     local hypotheses with r below ``bern_r`` by non-existence placeholders
-    (r = 0, density dropped, weight and history kept so referencing globals
-    stay valid); drops globals below ``global_w`` relative to the best and
+    (r = 0, density dropped, history kept so referencing globals stay
+    valid); drops globals below ``global_w`` relative to the best and
     beyond the cap; removes local hypotheses no longer referenced and tracks
     that are non-existent under every surviving global.  The result is
     renormalized.
@@ -157,7 +143,7 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
         hyps = tuple(
             h
             if h.r >= thresholds.bern_r or h.r == 0.0
-            else LocalHypothesis(h.log_weight, 0.0, None, h.meas_history)
+            else LocalHypothesis(0.0, None, h.meas_history)
             for h in track.hypotheses
         )
         new_tracks.append(Track(track.id, hyps))
@@ -245,7 +231,9 @@ def validate(p: PmbmDensity) -> None:
         _require({tid for tid, _ in g.choice} == set(ids), "choice map does not cover the track table")
         seen: set = set()
         for tid, hidx in g.choice:
-            hist = p.track_by_id(tid).hypotheses[hidx].meas_history
+            hyps = p.track_by_id(tid).hypotheses
+            _require(0 <= hidx < len(hyps), "choice names hypothesis {} of track {} with {}", hidx, tid, len(hyps))
+            hist = hyps[hidx].meas_history
             _require(not (seen & hist), "measurement shared between chosen hypotheses")
             seen |= hist
         missing = expected - seen - p.retired
@@ -280,7 +268,6 @@ def dump_density(p: PmbmDensity) -> dict:
                 "id": t.id,
                 "hypotheses": [
                     {
-                        "log_weight": h.log_weight,
                         "r": h.r,
                         "meas_history": sorted(list(x) for x in h.meas_history),
                         "components": None if h.density is None else [comp_dict(c) for c in h.density.components],
@@ -313,7 +300,6 @@ def load_density(d: dict) -> PmbmDensity:
             td["id"],
             tuple(
                 LocalHypothesis(
-                    hd["log_weight"],
                     float(hd["r"]),
                     None if hd["components"] is None else TrajectoryMixture(tuple(comp(c) for c in hd["components"])),
                     frozenset((int(k), int(j)) for k, j in hd["meas_history"]),

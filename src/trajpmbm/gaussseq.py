@@ -12,12 +12,13 @@ spanning the steps of its window.  Three representations are provided:
                      independent.
 
 Each backend carries its own operations as methods: ``predict`` (append one
-step), ``update`` (condition on the last state), ``last_moments``,
-``full_mean``, ``marginalize`` and ``to_moment``.  The module functions
-``predict_seq``, ``update_seq``, ``last_state_moments``, ``mean_sequence``,
-``marginalize_steps`` and ``to_moment`` delegate to them; ``gate_likelihoods``
-scores a batch of measurements against any backend's last state.  Values are
-immutable; every operation returns a new value.
+step), ``update`` (condition on a measurement of the last state; it returns
+the new sequence only), ``last_moments``, ``full_mean``, ``marginalize`` and
+``to_moment``.  The module functions ``predict_seq``, ``update_seq``,
+``last_state_moments``, ``mean_sequence``, ``marginalize_steps`` and
+``to_moment`` delegate to them; ``gate_likelihoods`` scores a batch of
+measurements against any backend's last state and is the only measurement
+likelihood.  Values are immutable; every operation returns a new value.
 """
 
 from __future__ import annotations
@@ -53,13 +54,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
-
-
-def _gauss_loglik(v: np.ndarray, S: np.ndarray) -> float:
-    """log N(v; 0, S) via Cholesky; raises if S is not positive definite."""
-    L = cholesky(S, lower=True)
-    w = solve_triangular(L, v, lower=True)
-    return float(-0.5 * (len(v) * LOG_2PI + w @ w) - np.log(np.diag(L)).sum())
 
 
 @dataclass(frozen=True)
@@ -127,20 +121,16 @@ def _append_step(mean: np.ndarray, cov: np.ndarray, m: ModelLG):
 
 
 def _measurement_update(mean: np.ndarray, cov: np.ndarray, m: ModelLG, z: np.ndarray):
-    """Update the joint (mean, cov) with a measurement of the last state.
-
-    Returns the posterior pair and the log evidence of the innovation.
-    """
+    """Update the joint (mean, cov) with a measurement of the last state."""
     nx, H, R = m.nx, np.asarray(m.H), np.asarray(m.R)
     z = np.asarray(z, dtype=float).reshape(-1)
     P_tail = cov[:, -nx:]
     S = _symmetrize(H @ P_tail[-nx:, :] @ H.T + R)
     v = z - H @ mean[-nx:]
-    loglik = _gauss_loglik(v, S)
     K = np.linalg.solve(S, H @ P_tail.T).T
     new_mean = mean + K @ v
     new_cov = _symmetrize(cov - K @ H @ P_tail.T)
-    return new_mean, new_cov, loglik
+    return new_mean, new_cov
 
 
 class _Seq:
@@ -200,10 +190,10 @@ class MomentSeq(_Seq):
         mean, cov = _append_step(np.asarray(self.mean), np.asarray(self.cov), m)
         return MomentSeq(window, mean, cov)
 
-    def update(self, m: ModelLG, z) -> tuple:
+    def update(self, m: ModelLG, z) -> "MomentSeq":
         """Condition the whole sequence on a measurement of the last state."""
-        mean, cov, loglik = _measurement_update(np.asarray(self.mean), np.asarray(self.cov), m, z)
-        return MomentSeq(self.window, mean, cov), loglik
+        mean, cov = _measurement_update(np.asarray(self.mean), np.asarray(self.cov), m, z)
+        return MomentSeq(self.window, mean, cov)
 
     def last_moments(self) -> tuple:
         nx = self.nx
@@ -272,7 +262,7 @@ class InfoSeq(_Seq):
         last_cov = _symmetrize(F @ self.last_cov @ F.T + np.asarray(m.Q))
         return InfoSeq(window, ivec, diag, off, last_mean, last_cov)
 
-    def update(self, m: ModelLG, z) -> tuple:
+    def update(self, m: ModelLG, z) -> "InfoSeq":
         """Add H'R^{-1}z / H'R^{-1}H to the trailing entries; nothing else moves."""
         H, R, Rinv = np.asarray(m.H), np.asarray(m.R), m.Rinv
         z = np.asarray(z, dtype=float).reshape(-1)
@@ -282,11 +272,10 @@ class InfoSeq(_Seq):
         diag[-1] = diag[-1] + H.T @ Rinv @ H
         S = _symmetrize(H @ self.last_cov @ H.T + R)
         v = z - H @ self.last_mean
-        loglik = _gauss_loglik(v, S)
         K = self.last_cov @ H.T @ np.linalg.inv(S)
         last_mean = self.last_mean + K @ v
         last_cov = _symmetrize(self.last_cov - K @ H @ self.last_cov)
-        return InfoSeq(self.window, ivec, diag, self.off, last_mean, last_cov), loglik
+        return InfoSeq(self.window, ivec, diag, self.off, last_mean, last_cov)
 
     def last_moments(self) -> tuple:
         return np.asarray(self.last_mean), np.asarray(self.last_cov)
@@ -427,15 +416,13 @@ class LScanSeq(_Seq):
             tail = tail[nx:, nx:]
         return LScanSeq(window, self.L, mean, old, tail)
 
-    def update(self, m: ModelLG, z) -> tuple:
+    def update(self, m: ModelLG, z) -> "LScanSeq":
         """Measurement update confined to the tail; old blocks are untouched."""
         nx = self.nx
         n_old = self.old_blocks.shape[0]
-        tail_mean, tail_cov, loglik = _measurement_update(
-            np.asarray(self.mean[n_old * nx :]), np.asarray(self.tail_cov), m, z
-        )
+        tail_mean, tail_cov = _measurement_update(np.asarray(self.mean[n_old * nx :]), np.asarray(self.tail_cov), m, z)
         mean = np.concatenate([np.asarray(self.mean[: n_old * nx]), tail_mean])
-        return LScanSeq(self.window, self.L, mean, self.old_blocks, tail_cov), loglik
+        return LScanSeq(self.window, self.L, mean, self.old_blocks, tail_cov)
 
     def last_moments(self) -> tuple:
         nx = self.nx

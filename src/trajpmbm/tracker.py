@@ -57,6 +57,10 @@ class TrackerConfig:
     def __post_init__(self):
         if self.murty_budget is not None and self.murty_budget < 1:
             raise ValueError(f"Murty budget {self.murty_budget} below 1")
+        if self.backend not in ("moment", "info", "lscan"):
+            raise ValueError(f"unknown backend {self.backend!r}")
+        if self.L < 1:
+            raise ValueError(f"L-scan depth {self.L} below 1")
 
 
 @dataclass(frozen=True)
@@ -239,9 +243,9 @@ class PmbmTracker:
                 child = bernoulli.detect_update(
                     h,
                     self.model,
-                    self.sensor.pd,
                     scan[assoc],
                     (k, assoc),
+                    tables.det_liks[(tid, parent, assoc)],
                     self.config.new_component_threshold,
                 )
             child_cache[(tid, parent, assoc)] = child

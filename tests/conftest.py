@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,13 +39,15 @@ def run_pipeline(backend, model, window0, mean0, cov0, events, L=1):
     """Drive one sequence density through predict/update events.
 
     ``events`` is a list of None (predict only) or a measurement (predict
-    then update).  Returns (final sequence, log-likelihood list).
+    then update).  Returns (final sequence, list of the log-likelihood of
+    each measurement under the predicted sequence).
     """
     s = gs.make_seq(backend, window0, mean0, cov0, L=L)
     logliks = []
     for ev in events:
         s = gs.predict_seq(s, model)
         if ev is not None:
-            s, ll = gs.update_seq(s, model, ev)
-            logliks.append(ll)
+            _, lik = gs.gate_likelihoods(s, model, [ev])
+            logliks.append(math.log(lik[0]))
+            s = gs.update_seq(s, model, ev)
     return s, logliks

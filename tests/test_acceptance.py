@@ -239,7 +239,7 @@ def _scalar_chain(seed, n_steps, meas):
     for i in range(n_steps):
         s = gs.predict_seq(s, model)
         if i in meas:
-            s, _ = gs.update_seq(s, model, [meas[i]])
+            s = gs.update_seq(s, model, [meas[i]])
     return s
 
 
@@ -280,7 +280,6 @@ def test_criterion_6_marginalization_surrogate():
     late = _scalar_chain(2, 2, {1: -0.5})
     late = gs.MomentSeq(TimeWindow(4, 6), late.mean, late.cov)
     hyp = LocalHypothesis(
-        0.0,
         0.8,
         TrajectoryMixture((MixtureComponent(0.5, early), MixtureComponent(0.5, late))),
         frozenset({(0, 0)}),
@@ -292,7 +291,7 @@ def test_criterion_6_marginalization_surrogate():
     # Bernoulli restriction against grid integration
     comp_a = MixtureComponent(0.6, _scalar_chain(1, 3, {0: 0.5, 2: -1.0}))  # window (0, 3)
     comp_b = MixtureComponent(0.4, gs.MomentSeq(TimeWindow(1, 1), [2.0], [[1.5]]))
-    bern = LocalHypothesis(0.0, 0.8, TrajectoryMixture((comp_a, comp_b)), frozenset({(0, 0)}))
+    bern = LocalHypothesis(0.8, TrajectoryMixture((comp_a, comp_b)), frozenset({(0, 0)}))
     q = AliveQuery(0, 2, 2, 2)
     restricted = marginalize_bernoulli(bern, q)
     assert restricted.r == pytest.approx(0.8 * 0.6, abs=1e-15)
@@ -320,13 +319,13 @@ def test_criterion_6_marginalization_surrogate():
     t1 = Track(
         0,
         (
-            LocalHypothesis(math.log(0.7), 0.9, TrajectoryMixture((MixtureComponent(1.0, comp_a.seq),)), frozenset({(0, 0)})),
-            LocalHypothesis(math.log(0.3), 0.6, TrajectoryMixture((MixtureComponent(1.0, _scalar_chain(3, 3, {1: 1.0})),)), frozenset({(1, 0)})),
+            LocalHypothesis(0.9, TrajectoryMixture((MixtureComponent(1.0, comp_a.seq),)), frozenset({(0, 0)})),
+            LocalHypothesis(0.6, TrajectoryMixture((MixtureComponent(1.0, _scalar_chain(3, 3, {1: 1.0})),)), frozenset({(1, 0)})),
         ),
     )
     t2 = Track(
         1,
-        (LocalHypothesis(0.0, 0.5, TrajectoryMixture((MixtureComponent(0.5, _scalar_chain(4, 3, {0: -0.7})), MixtureComponent(0.5, comp_b.seq))), frozenset({(2, 0)})),),
+        (LocalHypothesis(0.5, TrajectoryMixture((MixtureComponent(0.5, _scalar_chain(4, 3, {0: -0.7})), MixtureComponent(0.5, comp_b.seq))), frozenset({(2, 0)})),),
     )
     p = PmbmDensity(
         ppp=TrajectoryMixture((), "intensity"),

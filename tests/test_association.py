@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from trajpmbm import bernoulli
 from trajpmbm import gaussseq as gs
 from trajpmbm.association import Assignment, build_cost_matrix, murty_kbest, scan_weight_tables
 from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Track
@@ -150,7 +151,7 @@ class TestCostMatrix:
         model = gs.ModelLG(F=[[1.0]], Q=[[1.0]], H=[[1.0]], R=[[1.0]])
         sensor = SensorModel(pd=0.8, clutter_rate=clutter, region=Rectangle(-10, 10, -1, 1), gate_prob=1.0)
         seq = gs.MomentSeq(TimeWindow(0, 1), [0.0, 0.0], [[1.0, 1.0], [1.0, 2.0]])
-        hyp = LocalHypothesis(0.0, r, TrajectoryMixture((MixtureComponent(1.0, seq),)), frozenset({(0, 0)}))
+        hyp = LocalHypothesis(r, TrajectoryMixture((MixtureComponent(1.0, seq),)), frozenset({(0, 0)}))
         ppp = TrajectoryMixture(
             (MixtureComponent(0.4, gs.MomentSeq(TimeWindow(1, 1), [0.0], [[4.0]])),), "intensity"
         )
@@ -235,17 +236,16 @@ class TestCostMatrix:
 class TestAssociationWeightsAgainstEnumeration:
     def test_three_track_three_measurement_weights(self):
         """Exponentiated negated costs reproduce the product-form posterior
-        weights computed hypothesis by hypothesis."""
-        from trajpmbm import bernoulli
-
+        weights built from closed-form association factors."""
         model = gs.ModelLG(F=[[1.0]], Q=[[1.0]], H=[[1.0]], R=[[1.0]])
         sensor = SensorModel(pd=0.85, clutter_rate=0.7, region=Rectangle(-20, 20, -1, 1), gate_prob=1.0)
         rng = np.random.default_rng(17)
         tracks = []
         for tid, pos in enumerate((-4.0, 0.0, 4.0)):
             seq = gs.MomentSeq(TimeWindow(0, 1), [pos, pos], [[1.0, 0.8], [0.8, 1.6]])
+            rng.normal()  # a discarded draw: it fixes which of the seed's draws become r
             hyp = LocalHypothesis(
-                float(rng.normal()), float(rng.uniform(0.3, 0.95)),
+                float(rng.uniform(0.3, 0.95)),
                 TrajectoryMixture((MixtureComponent(1.0, seq),)),
                 frozenset({(0, tid)}),
             )
@@ -265,17 +265,18 @@ class TestAssociationWeightsAgainstEnumeration:
         got = np.array(sorted(math.exp(cm.base - a.cost) for a in out))
         got /= got.sum()
 
-        # association factors recomputed through the hypothesis-update path
+        # closed-form factors: miss 1 - r pd, detection r pd N(z), new track
+        # clutter + pd sum w N(z); every component is alive at scan 1
+        lam = sensor.clutter_rate / sensor.region.volume
         miss, det, new_w = {}, {}, {}
         for t in tracks:
             h = t.hypotheses[0]
-            miss[t.id] = math.exp(bernoulli.miss_update(h, sensor.pd, 1).log_weight - h.log_weight)
+            miss[t.id] = 1.0 - h.r * sensor.pd
             for j, z in enumerate(scan):
-                child = bernoulli.detect_update(h, model, sensor.pd, z, (1, j))
-                det[(t.id, j)] = math.exp(child.log_weight - h.log_weight)
+                lik = predictive_likelihood(h.density.components[0].seq, model, z)
+                det[(t.id, j)] = h.r * sensor.pd * lik
         for j, z in enumerate(scan):
-            _, exist = bernoulli.new_track_hypotheses(ppp, model, sensor, z, (1, j), tables.ppp_gated[j], 0.0)
-            new_w[j] = math.exp(exist.log_weight)
+            new_w[j] = lam + sensor.pd * sum(c.weight * predictive_likelihood(c.seq, model, z) for c in ppp.components)
         weights = []
         for assoc in itertools.product((-1, 0, 1, 2), repeat=3):
             used = [a for a in assoc if a >= 0]
@@ -292,3 +293,32 @@ class TestAssociationWeightsAgainstEnumeration:
         expected /= expected.sum()
         assert len(got) == len(expected)
         np.testing.assert_allclose(got, expected, atol=1e-10)
+
+
+class TestDetectionChild:
+    def test_component_weights_follow_the_predictive_likelihood(self):
+        model = gs.ModelLG(F=[[1.0]], Q=[[1.0]], H=[[1.0]], R=[[1.0]])
+        sensor = SensorModel(pd=0.9, clutter_rate=0.5, region=Rectangle(-20, 20, -1, 1), gate_prob=1.0)
+        comps = (
+            MixtureComponent(0.3, gs.MomentSeq(TimeWindow(0, 1), [-1.0, -1.0], [[1.0, 0.8], [0.8, 1.6]])),
+            MixtureComponent(0.7, gs.MomentSeq(TimeWindow(0, 1), [1.5, 2.0], [[2.0, 0.5], [0.5, 3.0]])),
+        )
+        h = LocalHypothesis(0.6, TrajectoryMixture(comps), frozenset({(0, 0)}))
+        p = PmbmDensity(
+            TrajectoryMixture((), "intensity"),
+            (Track(0, (h,)),),
+            (GlobalHypothesis(0.0, ((0, 0),)),),
+            TimeWindow(0, 1),
+            "all",
+        )
+        z = np.array([0.7])
+        tables = scan_weight_tables(p, [z], model, sensor)
+        child = bernoulli.detect_update(h, model, z, (1, 0), tables.det_liks[(0, 0, 0)])
+        # w N(z; H m, H P H' + R) per component, normalized
+        expected = np.array([c.weight * predictive_likelihood(c.seq, model, z) for c in comps])
+        assert child.r == 1.0
+        np.testing.assert_allclose(
+            [c.weight for c in child.density.components], expected / expected.sum(), rtol=1e-12
+        )
+        for c, out in zip(comps, child.density.components):
+            np.testing.assert_allclose(out.seq.mean, gs.update_seq(c.seq, model, z).mean, rtol=1e-12)

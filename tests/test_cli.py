@@ -129,8 +129,9 @@ def test_track_rejects_a_budget_below_one(tmp_path, config_path):
     sim = tmp_path / "sim"
     main(["simulate", "--config", str(config_path), "--out", str(sim)])
     args = ["track", "--scenario", str(config_path), "--measurements", str(sim / "measurements.jsonl")]
-    with pytest.raises(ValueError, match="below 1"):
-        main(args + ["--M", "0", "--out", str(tmp_path / "trk")])
+    for bad in (["--M", "0"], ["--L", "0"]):
+        with pytest.raises(ValueError, match="below 1"):
+            main(args + bad + ["--out", str(tmp_path / "trk")])
 
 
 def test_simulate_is_deterministic(tmp_path, config_path):

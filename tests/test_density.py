@@ -16,7 +16,6 @@ from trajpmbm.density import (
     PruneThresholds,
     Track,
     dump_density,
-    global_weight,
     load_density,
     normalize,
     prune,
@@ -32,9 +31,9 @@ def unit_density(b=0, e=0, mean=None):
     return TrajectoryMixture((MixtureComponent(1.0, seq),))
 
 
-def hyp(logw, r, history=(), b=0, e=0):
+def hyp(r, history=(), b=0, e=0):
     dens = unit_density(b, e) if r > 0 else None
-    return LocalHypothesis(logw, r, dens, frozenset(history))
+    return LocalHypothesis(r, dens, frozenset(history))
 
 
 def fixture_density(hyps_by_track, globals_, k=0, record=()):
@@ -79,36 +78,10 @@ class TestNormalize:
             assert np.argmax([g.log_weight for g in out.global_hyps]) == np.argmax(ws)
 
 
-class TestGlobalWeight:
-    def test_product_of_chosen(self):
-        p = fixture_density(
-            {0: [hyp(math.log(0.2), 0.5, {(0, 0)})], 1: [hyp(math.log(0.5), 0.5, {(0, 1)})]},
-            [GlobalHypothesis(0.0, ((0, 0), (1, 0)))],
-        )
-        assert global_weight(p, p.global_hyps[0]) == pytest.approx(math.log(0.1))
-
-    def test_empty_table(self):
-        p = fixture_density({}, [GlobalHypothesis(0.0, ())])
-        assert global_weight(p, p.global_hyps[0]) == 0.0
-
-    def test_matches_brute_force_product(self):
-        rng = np.random.default_rng(1)
-        hyps = {tid: [hyp(float(rng.normal()), 0.9, {(0, tid)}), hyp(float(rng.normal()), 0.8, {(1, tid)})] for tid in range(3)}
-        choice = tuple((tid, int(rng.integers(0, 2))) for tid in range(3))
-        p = fixture_density(hyps, [GlobalHypothesis(0.0, choice)])
-        expected = sum(hyps[tid][h].log_weight for tid, h in choice)
-        assert global_weight(p, p.global_hyps[0]) == pytest.approx(expected)
-
-    def test_uncovered_track_rejected(self):
-        p = fixture_density({0: [hyp(0.0, 0.5, {(0, 0)})]}, [GlobalHypothesis(0.0, ())])
-        with pytest.raises(ValueError):
-            global_weight(p, p.global_hyps[0])
-
-
 class TestPrune:
     def test_low_existence_becomes_placeholder(self):
-        h_low = hyp(math.log(0.4), 1e-6, {(0, 0)})
-        h_ok = hyp(math.log(0.6), 0.9, {(0, 0)})
+        h_low = hyp(1e-6, {(0, 0)})
+        h_ok = hyp(0.9, {(0, 0)})
         p = fixture_density(
             {0: [h_low, h_ok]},
             [GlobalHypothesis(math.log(0.4), ((0, 0),)), GlobalHypothesis(math.log(0.6), ((0, 1),))],
@@ -133,16 +106,14 @@ class TestPrune:
 
     def test_cap_keeps_argmax_only(self):
         p = fixture_density(
-            {0: [hyp(0.0, 0.9, {(0, 0)}), hyp(math.log(2.0), 0.9, {(0, 0)})]},
+            {0: [hyp(0.9, {(0, 0)}), hyp(0.6, {(0, 0)})]},
             [GlobalHypothesis(math.log(0.2), ((0, 0),)), GlobalHypothesis(math.log(0.8), ((0, 1),))],
         )
         out = prune(p, PruneThresholds(cap_M=1))
         assert len(out.global_hyps) == 1
         assert out.global_hyps[0].log_weight == pytest.approx(0.0)
         # the surviving global must point at the re-indexed argmax hypothesis
-        assert out.track_by_id(0).hypotheses[out.global_hyps[0].choice[0][1]].log_weight == pytest.approx(
-            math.log(2.0)
-        )
+        assert out.track_by_id(0).hypotheses[out.global_hyps[0].choice[0][1]].r == 0.6
 
     def test_relative_threshold_drops_weak_globals(self):
         p = fixture_density(
@@ -156,8 +127,7 @@ class TestPrune:
             PruneThresholds(cap_M=0)
 
     def test_idempotent_at_fixed_thresholds(self):
-        rng = np.random.default_rng(2)
-        hyps = {0: [hyp(float(rng.normal()), 0.9, {(0, 0)}), hyp(float(rng.normal()), 1e-7, {(0, 0)})]}
+        hyps = {0: [hyp(0.9, {(0, 0)}), hyp(1e-7, {(0, 0)})]}
         p = fixture_density(
             hyps, [GlobalHypothesis(math.log(0.5), ((0, 0),)), GlobalHypothesis(math.log(0.5), ((0, 1),))]
         )
@@ -171,7 +141,7 @@ class TestPrune:
 
     def test_unreferenced_track_removed(self):
         p = fixture_density(
-            {0: [hyp(0.0, 0.9, {(0, 0)})], 1: [hyp(0.0, 0.9, {(0, 1)}), hyp(-9.0, 0.9, {(0, 1)})]},
+            {0: [hyp(0.9, {(0, 0)})], 1: [hyp(0.9, {(0, 1)}), hyp(0.9, {(0, 1)})]},
             [
                 GlobalHypothesis(0.0, ((0, 0), (1, 0))),
                 GlobalHypothesis(math.log(1e-9), ((0, 0), (1, 1))),
@@ -183,7 +153,7 @@ class TestPrune:
 
     def test_all_nonexistent_track_retires_measurements(self):
         p = fixture_density(
-            {0: [hyp(0.0, 1e-7, {(0, 0)})], 1: [hyp(0.0, 0.9, {(0, 1)})]},
+            {0: [hyp(1e-7, {(0, 0)})], 1: [hyp(0.9, {(0, 1)})]},
             [GlobalHypothesis(0.0, ((0, 0), (1, 0)))],
             record=((0, 2),),
         )
@@ -196,7 +166,7 @@ class TestPrune:
 class TestValidate:
     def test_detects_shared_measurement(self):
         p = fixture_density(
-            {0: [hyp(0.0, 0.9, {(0, 0)})], 1: [hyp(0.0, 0.9, {(0, 0)})]},
+            {0: [hyp(0.9, {(0, 0)})], 1: [hyp(0.9, {(0, 0)})]},
             [GlobalHypothesis(0.0, ((0, 0), (1, 0)))],
         )
         with pytest.raises(AssertionError):
@@ -204,7 +174,7 @@ class TestValidate:
 
     def test_detects_missing_coverage(self):
         p = fixture_density(
-            {0: [hyp(0.0, 0.9, {(0, 0)})]},
+            {0: [hyp(0.9, {(0, 0)})]},
             [GlobalHypothesis(0.0, ((0, 0),))],
             record=((0, 2),),
         )
@@ -230,7 +200,6 @@ def dump_fixture():
     """A valid density with a deferred death-time pmf, a Poisson component and
     a second, non-existent track."""
     h = LocalHypothesis(
-        math.log(0.7),
         0.8,
         TrajectoryMixture(
             (
@@ -247,7 +216,7 @@ def dump_fixture():
         ppp=TrajectoryMixture(
             (MixtureComponent(0.3, gs.MomentSeq(TimeWindow(2, 2), [0.0], [[4.0]])),), "intensity"
         ),
-        tracks=(Track(3, (LocalHypothesis(0.0, 0.0, None, frozenset()),)), Track(7, (h,))),
+        tracks=(Track(3, (LocalHypothesis(0.0, None, frozenset()),)), Track(7, (h,))),
         global_hyps=(GlobalHypothesis(0.0, ((3, 0), (7, 0))),),
         window=TimeWindow(0, 2),
         mode="all",
@@ -272,6 +241,15 @@ class TestDumpRoundTrip:
         np.testing.assert_allclose(np.asarray(comp.seq.mean), [1.0, 2.0, 3.0])
         assert q.ppp.components[0].weight == pytest.approx(0.3)
 
+    def test_hypothesis_log_weight_key_is_ignored(self):
+        # dumps of earlier versions carry a log weight on every local
+        # hypothesis; association weights now live in the globals only
+        d = dump_density(dump_fixture())
+        for td in d["tracks"]:
+            for hd in td["hypotheses"]:
+                hd["log_weight"] = -1.5
+        assert dump_density(load_density(d)) == dump_density(dump_fixture())
+
     def test_unsorted_choice_is_sorted_at_load(self):
         d = dump_density(dump_fixture())
         d["globals"][0]["choice"] = [[7, 0], [3, 0]]
@@ -287,8 +265,20 @@ class TestDumpRoundTrip:
             lambda d: hyp7(d).update(meas_history=[[1, 0], [1, 1]]),
             lambda d: d["tracks"][1].update(hypotheses=[]),
             lambda d: d.update(mode="some"),
+            lambda d: d["globals"][0].update(choice=[[3, 0], [7, -1]]),
+            lambda d: d["globals"][0].update(choice=[[3, 0], [7, 5]]),
         ],
-        ids=["pmf-sum", "eps-outside-window", "density-weights", "r-above-one", "two-per-scan", "empty-track", "mode"],
+        ids=[
+            "pmf-sum",
+            "eps-outside-window",
+            "density-weights",
+            "r-above-one",
+            "two-per-scan",
+            "empty-track",
+            "mode",
+            "choice-negative",
+            "choice-past-end",
+        ],
     )
     def test_malformed_dump_rejected(self, break_dump):
         d = dump_density(dump_fixture())

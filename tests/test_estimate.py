@@ -59,8 +59,8 @@ class TestExpectedSequence:
             sm = gs.predict_seq(sm, scalar_model)
             si = gs.predict_seq(si, scalar_model)
             if z is not None:
-                sm, _ = gs.update_seq(sm, scalar_model, z)
-                si, _ = gs.update_seq(si, scalar_model, z)
+                sm = gs.update_seq(sm, scalar_model, z)
+                si = gs.update_seq(si, scalar_model, z)
         mix_m = TrajectoryMixture((MixtureComponent(1.0, sm),))
         mix_i = TrajectoryMixture((MixtureComponent(1.0, si),))
         np.testing.assert_allclose(
@@ -79,12 +79,12 @@ class TestExpectedSequence:
 
 class TestExtractSet:
     def two_track_fixture(self, r0=1.0, r1=1.0, w=(0.7, 0.3)):
-        t0 = Track(0, (LocalHypothesis(0.0, r0, TrajectoryMixture((comp(1.0, 0, 1, [1.0, 2.0]),)), frozenset({(0, 0)})),))
+        t0 = Track(0, (LocalHypothesis(r0, TrajectoryMixture((comp(1.0, 0, 1, [1.0, 2.0]),)), frozenset({(0, 0)})),))
         t1 = Track(
             1,
             (
-                LocalHypothesis(0.0, r1, TrajectoryMixture((comp(1.0, 1, 1, [5.0]),)), frozenset({(1, 0)})),
-                LocalHypothesis(0.0, 0.4, TrajectoryMixture((comp(1.0, 1, 1, [9.0]),)), frozenset({(1, 1)})),
+                LocalHypothesis(r1, TrajectoryMixture((comp(1.0, 1, 1, [5.0]),)), frozenset({(1, 0)})),
+                LocalHypothesis(0.4, TrajectoryMixture((comp(1.0, 1, 1, [9.0]),)), frozenset({(1, 1)})),
             ),
         )
         globals_ = (

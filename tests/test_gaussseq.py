@@ -51,22 +51,23 @@ class TestMomentForm:
 
     def test_update_hand_values(self, scalar_model):
         s = gs.MomentSeq(TimeWindow(0, 1), [0.0, 0.0], [[1.0, 1.0], [1.0, 2.0]])
-        out, loglik = gs.update_seq(s, scalar_model, [2.0])
+        out = gs.update_seq(s, scalar_model, [2.0])
         np.testing.assert_allclose(out.mean, [2.0 / 3.0, 4.0 / 3.0])
         np.testing.assert_allclose(out.cov, [[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]])
         # innovation 2 under variance 3
-        assert loglik == pytest.approx(-0.5 * (math.log(2 * math.pi * 3) + 4.0 / 3.0))
+        _, lik = gs.gate_likelihoods(s, scalar_model, [[2.0]])
+        assert math.log(lik[0]) == pytest.approx(-0.5 * (math.log(2 * math.pi * 3) + 4.0 / 3.0))
 
     def test_update_zero_innovation_keeps_mean_shrinks_cov(self, scalar_model):
         s = gs.MomentSeq(TimeWindow(0, 1), [1.0, 2.0], [[1.0, 1.0], [1.0, 2.0]])
-        out, _ = gs.update_seq(s, scalar_model, [2.0])
+        out = gs.update_seq(s, scalar_model, [2.0])
         np.testing.assert_allclose(out.mean, s.mean)
         assert np.all(np.linalg.eigvalsh(np.asarray(s.cov) - np.asarray(out.cov)) > -1e-12)
 
     def test_huge_noise_update_is_noop(self, cv_model):
         big_r = gs.ModelLG(cv_model.F, cv_model.Q, cv_model.H, 1e12 * np.asarray(cv_model.R))
         s = gs.predict_seq(gs.MomentSeq(TimeWindow(0, 0), np.ones(4), np.eye(4)), big_r)
-        out, _ = gs.update_seq(s, big_r, [50.0, -20.0])
+        out = gs.update_seq(s, big_r, [50.0, -20.0])
         np.testing.assert_allclose(out.mean, s.mean, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(out.cov, s.cov, rtol=1e-5, atol=1e-8)
 
@@ -82,7 +83,7 @@ class TestMomentForm:
             s = gs.predict_seq(s, cv_model)
             om, oc = joint_predict(om, oc, F, Q)
             if ev is not None:
-                s, _ = gs.update_seq(s, cv_model, ev)
+                s = gs.update_seq(s, cv_model, ev)
                 om, oc, _ = joint_update(om, oc, H, R, ev)
         np.testing.assert_allclose(s.mean, om, atol=1e-9)
         np.testing.assert_allclose(s.cov, oc, atol=1e-9)
@@ -116,7 +117,7 @@ class TestInformationForm:
         si = gs.make_seq("info", TimeWindow(0, 0), rng.standard_normal(4), np.eye(4))
         for _ in range(4):
             si = gs.predict_seq(si, cv_model)
-        out, _ = gs.update_seq(si, cv_model, [1.0, -1.0])
+        out = gs.update_seq(si, cv_model, [1.0, -1.0])
         nx = si.nx
         assert np.array_equal(out.ivec[:-nx], np.asarray(si.ivec[:-nx]))
         assert np.array_equal(out.diag[:-1], np.asarray(si.diag[:-1]))
@@ -125,7 +126,7 @@ class TestInformationForm:
 
     def test_single_step_equals_information_filter(self, scalar_model):
         si = gs.make_seq("info", TimeWindow(0, 0), [0.5], [[2.0]])
-        out, _ = gs.update_seq(si, scalar_model, [1.5])
+        out = gs.update_seq(si, scalar_model, [1.5])
         # information filter: Y += H'R^{-1}H, y += H'R^{-1}z
         np.testing.assert_allclose(out.diag[0], [[0.5 + 1.0]])
         np.testing.assert_allclose(out.ivec, [0.25 + 1.5])
@@ -142,12 +143,12 @@ class TestInformationForm:
     def test_ivec_nonzeros_track_association_count(self, cv_model):
         rng = np.random.default_rng(4)
         si = gs.make_seq("info", TimeWindow(0, 0), np.zeros(4), np.eye(4))
-        si, _ = gs.update_seq(si, cv_model, rng.standard_normal(2))
+        si = gs.update_seq(si, cv_model, rng.standard_normal(2))
         n_assoc = 1
         for ev in random_events(rng, 6, 2, 3):
             si = gs.predict_seq(si, cv_model)
             if ev is not None:
-                si, _ = gs.update_seq(si, cv_model, ev)
+                si = gs.update_seq(si, cv_model, ev)
                 n_assoc += 1
         mean_nnz, _ = nonzero_counts(si)
         assert mean_nnz == cv_model.nz * n_assoc
@@ -212,7 +213,7 @@ class TestLScan:
         out = gs.predict_seq(sl, scalar_model)
         np.testing.assert_allclose(out.old_blocks, [[[1.0]]])
         np.testing.assert_allclose(out.tail_cov, [[2.0]])
-        out2, _ = gs.update_seq(out, scalar_model, [2.0])
+        out2 = gs.update_seq(out, scalar_model, [2.0])
         # detached step is untouched by the update
         assert np.array_equal(out2.old_blocks, np.asarray(out.old_blocks))
         np.testing.assert_allclose(out2.mean[:1], out.mean[:1])
@@ -232,7 +233,7 @@ class TestLScan:
         sl = gs.make_seq("lscan", TimeWindow(0, 0), rng.standard_normal(4), np.eye(4), L=2)
         for _ in range(5):
             sl = gs.predict_seq(sl, cv_model)
-        out, _ = gs.update_seq(sl, cv_model, [0.5, 0.5])
+        out = gs.update_seq(sl, cv_model, [0.5, 0.5])
         assert np.array_equal(out.old_blocks, np.asarray(sl.old_blocks))
 
     @pytest.mark.parametrize("L", [1, 2, 5])
@@ -313,12 +314,14 @@ class TestPredictiveLikelihood:
         assert val == pytest.approx(1.0 / (2 * math.pi))
 
     def test_agrees_with_update_loglik(self, cv_model):
+        """The likelihood the detection update conditions on, from
+        gate_likelihoods, matches the oracle."""
         rng = np.random.default_rng(14)
         s = gs.MomentSeq(TimeWindow(0, 0), rng.standard_normal(4), np.eye(4))
         s = gs.predict_seq(s, cv_model)
         z = rng.standard_normal(2)
-        _, loglik = gs.update_seq(s, cv_model, z)
-        assert predictive_likelihood(s, cv_model, z) == pytest.approx(math.exp(loglik))
+        _, lik = gs.gate_likelihoods(s, cv_model, [z])
+        assert predictive_likelihood(s, cv_model, z) == pytest.approx(lik[0])
 
     def test_same_for_all_backends(self, cv_model):
         rng = np.random.default_rng(15)

@@ -25,7 +25,7 @@ def seq(b, e, mean=None):
 
 
 def bern(r, comps, history=frozenset()):
-    return LocalHypothesis(0.0, r, TrajectoryMixture(tuple(comps)), history)
+    return LocalHypothesis(r, TrajectoryMixture(tuple(comps)), history)
 
 
 class TestAliveQuery:

@@ -52,7 +52,8 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_run_failures_carry_the_run_index(self, jobs):
         cfg = tiny_cfg()
-        bad = TrackerConfig(murty_budget=20, backend="nonsense")
+        bad = TrackerConfig(murty_budget=20)
+        object.__setattr__(bad, "backend", "nonsense")  # past the config check: the run itself fails
         with pytest.raises(RuntimeError, match="run 0"):
             run_monte_carlo(cfg, bad, runs=1, jobs=jobs)
 

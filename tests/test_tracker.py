@@ -36,7 +36,7 @@ def single_track_state(tracker, r, k, mean, var, history=frozenset({(0, 0)})):
     from trajpmbm.models import birth_intensity_at
 
     seq = gs.make_seq(tracker.config.backend, TimeWindow(0, k), mean, var)
-    hyp = LocalHypothesis(0.0, r, TrajectoryMixture((MixtureComponent(1.0, seq),)), history)
+    hyp = LocalHypothesis(r, TrajectoryMixture((MixtureComponent(1.0, seq),)), history)
     density = PmbmDensity(
         ppp=birth_intensity_at(tracker.birth, k, tracker.config.backend),
         tracks=(Track(0, (hyp,)),),
@@ -69,7 +69,7 @@ class TestPredictAll:
         tracker = scalar_setup(mode="all")
         seq = gs.make_seq("moment", TimeWindow(0, 1), [0.0, 0.0], np.eye(2))
         comp = MixtureComponent(1.0, seq, ((0, 0.6), (1, 0.4)))
-        hyp = LocalHypothesis(0.0, 0.7, TrajectoryMixture((comp,)), frozenset({(0, 0)}))
+        hyp = LocalHypothesis(0.7, TrajectoryMixture((comp,)), frozenset({(0, 0)}))
         density = PmbmDensity(
             ppp=TrajectoryMixture((), "intensity"),
             tracks=(Track(0, (hyp,)),),
@@ -169,6 +169,14 @@ class TestUpdate:
     def test_murty_budget_below_one_rejected(self):
         with pytest.raises(ValueError):
             TrackerConfig(murty_budget=0)
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            TrackerConfig(backend="nonsense")
+
+    def test_lscan_depth_below_one_rejected(self):
+        with pytest.raises(ValueError, match="below 1"):
+            TrackerConfig(L=0)
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_unexplained_measurement_is_retired(self, order):

@@ -121,7 +121,7 @@ class TestBirthDeathPmfFromMixture:
 class TestMixture:
     def test_density_weights_must_normalize(self):
         # the constructor only stores; validate() and load_density check
-        h = LocalHypothesis(0.0, 0.5, TrajectoryMixture((comp(0.5, 0, 0),)), frozenset())
+        h = LocalHypothesis(0.5, TrajectoryMixture((comp(0.5, 0, 0),)), frozenset())
         p = PmbmDensity(
             TrajectoryMixture((), "intensity"), (Track(0, (h,)),), (GlobalHypothesis(0.0, ((0, 0),)),), TimeWindow(0, 0), "all"
         )
