@@ -10,6 +10,7 @@ only store their fields; :func:`validate` checks the invariants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -75,6 +76,13 @@ class PruneThresholds:
     cap_M: int = 100
 
     def __post_init__(self):
+        # comparisons written so that NaN fails them
+        if not 0.0 <= self.ppp_w < math.inf:
+            raise ValueError(f"Poisson weight threshold {self.ppp_w} is not a finite weight >= 0")
+        if not 0.0 <= self.bern_r <= 1.0:
+            raise ValueError(f"existence threshold {self.bern_r} outside [0, 1]")
+        if not 0.0 < self.global_w <= 1.0:
+            raise ValueError(f"relative global weight threshold {self.global_w} outside (0, 1]")
         if self.cap_M < 1:
             raise ValueError(f"global hypothesis cap {self.cap_M} below 1")
 
@@ -243,18 +251,19 @@ def validate(p: PmbmDensity) -> None:
 def dump_density(p: PmbmDensity) -> dict:
     """JSON-serializable dump of the hypothesis forest.
 
-    Sequence densities are emitted in moment form regardless of backend.
+    Each sequence density writes its own form: an information-form sequence
+    its band (``ivec``, ``diag``, ``off``) and cached last-state moments
+    (``last_mean``, ``last_cov``), O(length) in size; moment and L-scan
+    sequences their dense ``mean`` and ``cov``.
     """
 
     def comp_dict(c: MixtureComponent) -> dict:
-        s = gaussseq.to_moment(c.seq)
         return {
             "weight": c.weight,
             "b": c.b,
             "e": c.e,
             "eps_pmf": None if c.eps_pmf is None else [[e, m] for e, m in c.eps_pmf],
-            "mean": np.asarray(s.mean).tolist(),
-            "cov": np.asarray(s.cov).tolist(),
+            **c.seq.dump(),
         }
 
     return {
@@ -285,13 +294,17 @@ def dump_density(p: PmbmDensity) -> dict:
 
 
 def load_density(d: dict) -> PmbmDensity:
-    """Inverse of :func:`dump_density` (moment-form sequence densities).
+    """Inverse of :func:`dump_density`.
 
-    Raises ValueError when the loaded density fails :func:`validate`.
+    A band is rebuilt as an information-form sequence and dense moments as a
+    moment-form one, so dumps of earlier versions, which wrote every
+    sequence densely, still load.  An L-scan sequence loads in moment form.
+    Raises ValueError when a sequence does not fit its window or the loaded
+    density fails :func:`validate`.
     """
 
     def comp(cd: dict) -> MixtureComponent:
-        seq = gaussseq.MomentSeq(TimeWindow(cd["b"], cd["e"]), np.array(cd["mean"]), np.array(cd["cov"]))
+        seq = gaussseq.load_seq(TimeWindow(cd["b"], cd["e"]), cd)
         eps = None if cd["eps_pmf"] is None else tuple((int(e), float(m)) for e, m in cd["eps_pmf"])
         return MixtureComponent(cd["weight"], seq, eps)
 

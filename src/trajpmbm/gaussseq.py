@@ -13,12 +13,17 @@ spanning the steps of its window.  Three representations are provided:
 
 Each backend carries its own operations as methods: ``predict`` (append one
 step), ``update`` (condition on a measurement of the last state; it returns
-the new sequence only), ``last_moments``, ``full_mean``, ``marginalize`` and
-``to_moment``.  The module functions ``predict_seq``, ``update_seq``,
-``last_state_moments``, ``mean_sequence``, ``marginalize_steps`` and
-``to_moment`` delegate to them; ``gate_likelihoods`` scores a batch of
-measurements against any backend's last state and is the only measurement
-likelihood.  Values are immutable; every operation returns a new value.
+the new sequence only), ``last_moments``, ``full_mean``, ``marginalize``,
+``to_moment`` and ``dump`` (its JSON form, which ``load_seq`` reads back).
+The module functions ``predict_seq``, ``update_seq``, ``last_state_moments``,
+``mean_sequence``, ``marginalize_steps`` and ``to_moment`` delegate to them;
+``gate_likelihoods`` scores a batch of measurements against any backend's
+last state and is the only measurement likelihood.  Values are immutable;
+every operation returns a new value.
+
+The information form answers a marginal over its last step alone from the
+last-state moments its filter recursion caches, in O(1); every other window
+is recovered by a band solve.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "InfoSeq",
     "LScanSeq",
     "make_seq",
+    "load_seq",
     "predict_seq",
     "update_seq",
     "recover_moments",
@@ -136,7 +142,7 @@ def _measurement_update(mean: np.ndarray, cov: np.ndarray, m: ModelLG, z: np.nda
 class _Seq:
     """Operations every backend shares; a backend supplies ``window``,
     ``nx``, ``_predict``, ``update``, ``last_moments``, ``_select`` and
-    ``to_moment``."""
+    ``to_moment``, and ``dump`` unless its moment view is its JSON form."""
 
     def predict(self, m: ModelLG):
         """Append the one-step-ahead state."""
@@ -157,6 +163,11 @@ class _Seq:
         i0 = (keep.alpha - self.window.alpha) * self.nx
         i1 = (keep.gamma - self.window.alpha + 1) * self.nx
         return self._select(keep, i0, i1)
+
+    def dump(self) -> dict:
+        """JSON-serializable form: the dense moments of the sequence."""
+        s = self.to_moment()
+        return {"mean": np.asarray(s.mean).tolist(), "cov": np.asarray(s.cov).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +230,12 @@ class InfoSeq(_Seq):
     and ``off`` the superdiagonal blocks (subdiagonal blocks follow by
     symmetry); everything outside the band is exactly zero.  The mean and
     covariance of the *last* state are carried alongside so that likelihoods
-    and gating never require a solve.  Marginals and the moment view are
-    recovered by sparse solves and returned in moment form.
+    and gating never require a solve.  They are also the marginal over the
+    last step: the filter recursion computes them directly, where the band
+    solve accumulates rounding over the window.  Marginals over other
+    windows and the moment view are recovered by sparse solves and returned
+    in moment form.  ``dump`` writes the band and the cached moments,
+    O(length * nx^2).
     """
 
     window: TimeWindow
@@ -284,10 +299,18 @@ class InfoSeq(_Seq):
         return _BandCholesky(np.asarray(self.diag), np.asarray(self.off)).solve(np.asarray(self.ivec))
 
     def _select(self, keep: TimeWindow, i0: int, i1: int) -> MomentSeq:
+        if keep.alpha == self.window.gamma:
+            return MomentSeq(keep, self.last_mean, self.last_cov)
         return MomentSeq(keep, *recover_moments(self, keep))
 
     def to_moment(self) -> MomentSeq:
         return MomentSeq(self.window, *recover_moments(self, self.window))
+
+    def dump(self) -> dict:
+        return {name: np.asarray(getattr(self, name)).tolist() for name in _BAND}
+
+
+_BAND = ("ivec", "diag", "off", "last_mean", "last_cov")  # the dumped fields of an InfoSeq
 
 
 class _BandCholesky:
@@ -483,6 +506,28 @@ def make_seq(backend: str, window: TimeWindow, mean, cov, L: int = 1):
             old = np.zeros((0, nx, nx))
         return LScanSeq(window, L, mean, old, cov[n_old * nx :, n_old * nx :])
     raise ValueError(f"unknown backend {backend!r}")
+
+
+def load_seq(window: TimeWindow, d: dict):
+    """Inverse of the backends' ``dump``: an ``InfoSeq`` from a band, a
+    ``MomentSeq`` from dense moments.  Raises ValueError on a shape that does
+    not fit the window."""
+    if "ivec" not in d:
+        return MomentSeq(window, d["mean"], d["cov"])
+    nu = window.length
+    band = {name: np.array(d[name], dtype=float) for name in _BAND}
+    nx = band["diag"].shape[-1] if band["diag"].ndim == 3 else 0
+    want = {
+        "ivec": (nu * nx,),
+        "diag": (nu, nx, nx),
+        "off": (nu - 1, nx, nx) if nu > 1 else (0,),  # an empty list dumps no block shape
+        "last_mean": (nx,),
+        "last_cov": (nx, nx),
+    }
+    for name, shape in want.items():
+        if band[name].shape != shape:
+            raise ValueError(f"band {name} has shape {band[name].shape}, window {window} needs {shape}")
+    return InfoSeq(window, **band)
 
 
 def predict_seq(s, m: ModelLG):

@@ -2,18 +2,20 @@
 
 Everything here is deliberately written from scratch against the defining
 formulas, not by calling the library: dense joint Kalman operations with a
-stacked measurement matrix, predictive likelihoods and the birth-step pmf,
-the closed-form death-time pmf, an optimal assignment with a lexicographic
-tie-break, a set integral on a grid surrogate, a tracker that materializes
-every death split explicitly and enumerates every association map per scan,
-and a point-target PMBM filter over plain state vectors.  Only the last-state
-moments of a sequence density are read through the library.
+stacked measurement matrix, an exact rational solve of an information band,
+predictive likelihoods and the birth-step pmf, the closed-form death-time
+pmf, an optimal assignment with a lexicographic tie-break, a set integral on
+a grid surrogate, a tracker that materializes every death split explicitly
+and enumerates every association map per scan, and a point-target PMBM
+filter over plain state vectors.  Only the last-state moments of a sequence
+density are read through the library.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,6 +56,44 @@ def joint_update(mean, cov, H, R, z):
     mean2 = mean + K @ (np.asarray(z) - Hbig @ mean)
     cov2 = (np.eye(n) - K @ Hbig) @ cov
     return mean2, 0.5 * (cov2 + cov2.T), lik
+
+
+def exact_band_moments(diag, off, ivec, first: int, last: int):
+    """Mean and covariance of the steps ``first``..``last`` (0-based block
+    indices) of the Gaussian with block-tridiagonal information matrix
+    (``diag``, ``off``, superdiagonal blocks) and information vector
+    ``ivec``, solved exactly: every float entry becomes its exact
+    ``Fraction``, the dense system is solved by Gauss-Jordan elimination in
+    rational arithmetic, and only the answer is rounded to float."""
+    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    nu, nx = diag.shape[0], diag.shape[1]
+    n = nu * nx
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(nu):
+        for r in range(nx):
+            for c in range(nx):
+                A[i * nx + r][i * nx + c] = Fraction(float(diag[i, r, c]))
+                if i + 1 < nu:
+                    A[i * nx + r][(i + 1) * nx + c] = Fraction(float(off[i, r, c]))
+                    A[(i + 1) * nx + c][i * nx + r] = Fraction(float(off[i, r, c]))
+    i0, i1 = first * nx, (last + 1) * nx
+    # right-hand sides: the information vector, then the kept identity columns
+    rows = [
+        A[r] + [Fraction(float(ivec[r]))] + [Fraction(int(r == c)) for c in range(i0, i1)]
+        for r in range(n)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        rows[col] = [x / p for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f != 0:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    mean = np.array([float(rows[r][n]) for r in range(i0, i1)])
+    cov = np.array([[float(x) for x in rows[r][n + 1 :]] for r in range(i0, i1)])
+    return mean, cov
 
 
 def point_predict(mean, cov, F, Q):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from trajpmbm.cli import main
-from trajpmbm.density import load_density, validate
+from trajpmbm.density import dump_density, load_density, validate
+from trajpmbm.gaussseq import InfoSeq
+from trajpmbm.marginal import AliveQuery, marginalize_pmbm
 from trajpmbm.metrics import read_metric_csv
 from trajpmbm.scenario import read_measurement_log, read_trajectory_sets
 
@@ -123,6 +125,25 @@ def test_full_pipeline(tmp_path, config_path, capsys):
         for h in t.hypotheses:
             if h.r > 0:
                 assert all(c.e == 7 for c in h.density.components)
+
+
+def test_info_posterior_dump_round_trips_through_marginalize(tmp_path, config_path):
+    sim, dump = tmp_path / "sim", tmp_path / "post.json"
+    main(["simulate", "--config", str(config_path), "--out", str(sim)])
+    track = ["track", "--scenario", str(config_path), "--measurements", str(sim / "measurements.jsonl")]
+    assert main(track + ["--seq-backend", "info", "--out", str(tmp_path / "trk"), "--dump-posterior", str(dump)]) == 0
+    text = dump.read_text()
+    density = load_density(json.loads(text))
+    assert json.dumps(dump_density(density)) == text
+    seqs = [c.seq for t in density.tracks for h in t.hypotheses if h.density is not None for c in h.density.components]
+    assert seqs and all(isinstance(s, InfoSeq) for s in seqs)
+    for alpha in (7, 0):  # the current set, then the full history of the trajectories alive at 7
+        marg = tmp_path / f"marg{alpha}.json"
+        window = ["--alpha", str(alpha), "--gamma", "7", "--eta", "7", "--zeta", "7"]
+        assert main(["marginalize", "--dump", str(dump), *window, "--out", str(marg)]) == 0
+        want = marginalize_pmbm(density, AliveQuery(alpha, 7, 7, 7))
+        assert marg.read_text() == json.dumps(dump_density(want))
+        assert json.dumps(dump_density(load_density(json.loads(marg.read_text())))) == marg.read_text()
 
 
 def test_track_rejects_a_budget_below_one(tmp_path, config_path):

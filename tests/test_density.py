@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -22,6 +23,8 @@ from trajpmbm.density import (
     validate,
 )
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
+
+from helpers import scalar_setup
 
 
 def unit_density(b=0, e=0, mean=None):
@@ -125,6 +128,36 @@ class TestPrune:
     def test_cap_below_one_rejected(self):
         with pytest.raises(ValueError):
             PruneThresholds(cap_M=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("global_w", 0.0),
+            ("global_w", -1e-4),
+            ("global_w", 1.5),
+            ("global_w", math.nan),
+            ("bern_r", math.nan),
+            ("bern_r", -1e-5),
+            ("ppp_w", math.nan),
+            ("ppp_w", -1e-3),
+        ],
+        ids=[
+            "global-zero",
+            "global-negative",
+            "global-above-one",
+            "global-nan",
+            "bern-nan",
+            "bern-negative",
+            "ppp-nan",
+            "ppp-negative",
+        ],
+    )
+    def test_threshold_outside_its_range_rejected(self, field, value):
+        # each was accepted, then broke a run: a math domain error in the
+        # first update, every global pruned, every hypothesis a placeholder,
+        # or the whole Poisson intensity dropped
+        with pytest.raises(ValueError):
+            PruneThresholds(**{field: value})
 
     def test_idempotent_at_fixed_thresholds(self):
         hyps = {0: [hyp(0.9, {(0, 0)}), hyp(1e-7, {(0, 0)})]}
@@ -283,5 +316,74 @@ class TestDumpRoundTrip:
     def test_malformed_dump_rejected(self, break_dump):
         d = dump_density(dump_fixture())
         break_dump(d)
+        with pytest.raises(ValueError):
+            load_density(d)
+
+
+def info_posterior():
+    """Posterior of a short information-form track run: several tracks,
+    deferred death-time pmfs and windows of one to six steps."""
+    tracker = scalar_setup(backend="info", exact=False)
+    scans = [[[0.5]], [[1.0], [8.0]], [[1.4], [-20.0]], [], [[2.1], [9.5]], [[2.4]]]
+    return tracker.run(scans).final_state.density
+
+
+def components(p):
+    yield from p.ppp.components
+    for t in p.tracks:
+        for h in t.hypotheses:
+            if h.density is not None:
+                yield from h.density.components
+
+
+def component_dicts(d):
+    yield from d["ppp"]
+    for td in d["tracks"]:
+        for hd in td["hypotheses"]:
+            yield from hd["components"] or ()
+
+
+class TestBandDump:
+    def test_info_posterior_round_trips_byte_identically(self):
+        p = info_posterior()
+        text = json.dumps(dump_density(p))
+        q = load_density(json.loads(text))
+        assert json.dumps(dump_density(q)) == text
+        seqs = [c.seq for c in components(q)]
+        assert seqs and all(isinstance(s, gs.InfoSeq) for s in seqs)
+        assert any(s.window.length > 1 for s in seqs)
+        for a, b in zip(components(p), components(q)):
+            for name in ("ivec", "diag", "off", "last_mean", "last_cov"):
+                assert np.array_equal(getattr(a.seq, name), getattr(b.seq, name))
+
+    def test_earlier_dense_format_loads_with_the_same_moments(self):
+        p = info_posterior()
+        d = dump_density(p)
+        for c, cd in zip(components(p), component_dicts(d)):
+            for name in ("ivec", "diag", "off", "last_mean", "last_cov"):
+                del cd[name]
+            m = gs.to_moment(c.seq)
+            cd["mean"], cd["cov"] = np.asarray(m.mean).tolist(), np.asarray(m.cov).tolist()
+        q = load_density(json.loads(json.dumps(d)))
+        for c, cq in zip(components(p), components(q)):
+            assert isinstance(cq.seq, gs.MomentSeq)
+            m = gs.to_moment(c.seq)
+            assert np.array_equal(cq.seq.mean, m.mean) and np.array_equal(cq.seq.cov, m.cov)
+
+    @pytest.mark.parametrize(
+        "break_band",
+        [
+            lambda cd: cd.update(diag=cd["diag"][:-1]),
+            lambda cd: cd.update(off=cd["off"][:-1]),
+            lambda cd: cd.update(ivec=cd["ivec"][:-1]),
+            lambda cd: cd.update(last_cov=[[1.0, 0.0], [0.0, 1.0]]),
+            lambda cd: cd.update(last_cov=cd["last_cov"][0]),
+        ],
+        ids=["diag-blocks", "off-blocks", "ivec-length", "last-cov-2x2", "last-cov-flat"],
+    )
+    def test_band_that_does_not_fit_its_window_rejected(self, break_band):
+        d = dump_density(info_posterior())
+        cd = next(cd for cd in component_dicts(d) if len(cd["diag"]) > 1)
+        break_band(cd)
         with pytest.raises(ValueError):
             load_density(d)

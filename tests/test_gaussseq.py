@@ -8,7 +8,7 @@ from trajpmbm.trajectory import TimeWindow
 
 from conftest import run_pipeline
 from helpers import nonzero_counts
-from oracles import joint_predict, joint_update, point_predict, point_update, predictive_likelihood
+from oracles import exact_band_moments, joint_predict, joint_update, point_predict, point_update, predictive_likelihood
 
 
 def random_events(rng, n_steps, nz, n_meas):
@@ -195,6 +195,52 @@ class TestRecoverMoments:
         si = gs.InfoSeq(TimeWindow(0, 1), [0.0, 0.0], diag, off, [0.0], [[1e30]])
         with pytest.raises(np.linalg.LinAlgError):
             gs.recover_moments(si, TimeWindow(0, 1))
+
+
+def rel_err(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
+
+
+class TestCurrentSetMarginal:
+    """The information form's marginal over its last step is the filter's
+    cached last-state moments, the exact answer to within rounding."""
+
+    @pytest.fixture
+    def band(self, cv_model):
+        rng = np.random.default_rng(21)
+        events = [rng.standard_normal(2) * 2.0 if i % 3 != 1 else None for i in range(9)]
+        si, _ = run_pipeline("info", cv_model, TimeWindow(2, 2), rng.standard_normal(4), np.eye(4), events)
+        return si
+
+    def test_last_step_is_the_cached_moments(self, band):
+        e = band.window.gamma
+        out = gs.marginalize_steps(band, TimeWindow(e, e))
+        assert isinstance(out, gs.MomentSeq) and out.window == TimeWindow(e, e)
+        mean, cov = gs.last_state_moments(band)
+        assert np.array_equal(out.mean, mean)
+        assert np.array_equal(out.cov, cov)
+
+    def test_last_step_matches_exact_solve(self, band):
+        nu = band.window.length
+        mean, cov = exact_band_moments(band.diag, band.off, band.ivec, nu - 1, nu - 1)
+        e = band.window.gamma
+        out = gs.marginalize_steps(band, TimeWindow(e, e))
+        cached = gs.last_state_moments(band)
+        for got_mean, got_cov in ((out.mean, out.cov), cached):
+            assert rel_err(got_mean, mean) <= 1e-12
+            assert rel_err(got_cov, cov) <= 1e-12
+
+    @pytest.mark.parametrize("keep", [(2, 4), (3, 3), (5, 10), (10, 11), (2, 11)])
+    def test_other_windows_match_moment_view(self, band, keep):
+        out = gs.marginalize_steps(band, TimeWindow(*keep))
+        ref = gs.marginalize_steps(gs.to_moment(band), TimeWindow(*keep))
+        out = gs.to_moment(out)
+        assert rel_err(out.mean, ref.mean) <= 1e-12
+        assert rel_err(out.cov, ref.cov) <= 1e-12
+        lo, hi = keep[0] - 2, keep[1] - 2
+        mean, cov = exact_band_moments(band.diag, band.off, band.ivec, lo, hi)
+        assert rel_err(out.mean, mean) <= 1e-12
+        assert rel_err(out.cov, cov) <= 1e-12
 
 
 class TestLScan:
