@@ -10,7 +10,7 @@ from .trajectory import (
     materialize_mixture,
     prune_mixture,
 )
-from .gaussseq import InfoSeq, LScanSeq, ModelLG, MomentSeq, make_seq
+from .gaussseq import InfoSeq, ModelLG, MomentSeq, make_seq
 from .models import (
     BirthComponent,
     BirthModel,

@@ -253,8 +253,9 @@ def dump_density(p: PmbmDensity) -> dict:
 
     Each sequence density writes its own form: an information-form sequence
     its band (``ivec``, ``diag``, ``off``) and cached last-state moments
-    (``last_mean``, ``last_cov``), O(length) in size; moment and L-scan
-    sequences their dense ``mean`` and ``cov``.
+    (``last_mean``, ``last_cov``), O(length) in size; a moment-form sequence
+    its ``mean`` and dense ``cov``, plus ``L`` and ``old_blocks`` under an
+    L-scan depth.
     """
 
     def comp_dict(c: MixtureComponent) -> dict:
@@ -296,11 +297,11 @@ def dump_density(p: PmbmDensity) -> dict:
 def load_density(d: dict) -> PmbmDensity:
     """Inverse of :func:`dump_density`.
 
-    A band is rebuilt as an information-form sequence and dense moments as a
-    moment-form one, so dumps of earlier versions, which wrote every
-    sequence densely, still load.  An L-scan sequence loads in moment form.
-    Raises ValueError when a sequence does not fit its window or the loaded
-    density fails :func:`validate`.
+    Every sequence is rebuilt in the form it was dumped in
+    (:func:`gaussseq.load_seq`); dumps of earlier versions, which wrote every
+    sequence densely, load in moment form.  Raises ValueError when a
+    sequence does not fit its window or the loaded density fails
+    :func:`validate`.
     """
 
     def comp(cd: dict) -> MixtureComponent:

@@ -1,25 +1,29 @@
-"""Gaussian state-sequence densities in three interchangeable forms.
+"""Gaussian state-sequence densities in two forms behind three backends.
 
 A sequence density is the joint Gaussian over the states of one trajectory,
-spanning the steps of its window.  Three representations are provided:
+spanning the steps of its window.  Two representations are provided:
 
-* ``MomentSeq``   -- full mean and dense joint covariance,
+* ``MomentSeq``   -- mean plus the dense joint covariance of the trailing
+                     steps.  With no depth limit (``L`` None, backend
+                     ``moment``) that is every step; with a depth L (backend
+                     ``lscan``, the L-scan approximation) at most the last L,
+                     and each older step keeps only its marginal covariance
+                     and is treated as independent of every other step,
 * ``InfoSeq``     -- information vector and block-tridiagonal information
                      matrix (sparse without approximation, a consequence of
-                     the Markov dynamics), with cached last-state moments,
-* ``LScanSeq``    -- mean plus a covariance that keeps a dense block over the
-                     most recent L steps and treats older steps as mutually
-                     independent.
+                     the Markov dynamics), with cached last-state moments
+                     (backend ``info``).
 
-Each backend carries its own operations as methods: ``predict`` (append one
+Each form carries its own operations as methods: ``predict`` (append one
 step), ``update`` (condition on a measurement of the last state; it returns
 the new sequence only), ``last_moments``, ``full_mean``, ``marginalize``,
-``to_moment`` and ``dump`` (its JSON form, which ``load_seq`` reads back).
-The module functions ``predict_seq``, ``update_seq``, ``last_state_moments``,
-``mean_sequence``, ``marginalize_steps`` and ``to_moment`` delegate to them;
-``gate_likelihoods`` scores a batch of measurements against any backend's
-last state and is the only measurement likelihood.  Values are immutable;
-every operation returns a new value.
+``to_moment`` and ``dump`` (its JSON form, which ``load_seq`` reads back as
+the same form).  The module functions ``predict_seq``, ``update_seq``,
+``last_state_moments``, ``mean_sequence``, ``marginalize_steps`` and
+``to_moment`` delegate to them; ``gate_likelihoods`` scores a batch of
+measurements against any form's last state and is the only measurement
+likelihood.  Values are immutable; every operation returns a new value.
+Constructors only convert and store: ``load_seq`` checks outside input.
 
 The information form answers a marginal over its last step alone from the
 last-state moments its filter recursion caches, in O(1); every other window
@@ -31,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
@@ -43,7 +48,6 @@ __all__ = [
     "gate_likelihoods",
     "MomentSeq",
     "InfoSeq",
-    "LScanSeq",
     "make_seq",
     "load_seq",
     "predict_seq",
@@ -103,51 +107,13 @@ class ModelLG:
         return _symmetrize(cho_solve(cho_factor(np.asarray(self.R), lower=True), np.eye(self.nz)))
 
 
-# ---------------------------------------------------------------------------
-# shared single-block arithmetic (moment and L-scan use the same code path so
-# that L >= length reproduces the moment form exactly)
-# ---------------------------------------------------------------------------
-
-
-def _append_step(mean: np.ndarray, cov: np.ndarray, m: ModelLG):
-    """Joint (mean, cov) extended with the one-step-ahead state."""
-    nx = m.nx
-    F, Q = np.asarray(m.F), np.asarray(m.Q)
-    last = mean[-nx:]
-    cross = cov[:, -nx:] @ F.T
-    corner = _symmetrize(F @ cov[-nx:, -nx:] @ F.T + Q)
-    n = len(mean)
-    new_mean = np.concatenate([mean, F @ last])
-    new_cov = np.empty((n + nx, n + nx))
-    new_cov[:n, :n] = cov
-    new_cov[:n, n:] = cross
-    new_cov[n:, :n] = cross.T
-    new_cov[n:, n:] = corner
-    return new_mean, new_cov
-
-
-def _measurement_update(mean: np.ndarray, cov: np.ndarray, m: ModelLG, z: np.ndarray):
-    """Update the joint (mean, cov) with a measurement of the last state."""
-    nx, H, R = m.nx, np.asarray(m.H), np.asarray(m.R)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    P_tail = cov[:, -nx:]
-    S = _symmetrize(H @ P_tail[-nx:, :] @ H.T + R)
-    v = z - H @ mean[-nx:]
-    K = np.linalg.solve(S, H @ P_tail.T).T
-    new_mean = mean + K @ v
-    new_cov = _symmetrize(cov - K @ H @ P_tail.T)
-    return new_mean, new_cov
-
-
 class _Seq:
-    """Operations every backend shares; a backend supplies ``window``,
-    ``nx``, ``_predict``, ``update``, ``last_moments``, ``_select`` and
-    ``to_moment``, and ``dump`` unless its moment view is its JSON form."""
+    """Operations every form shares; a form supplies ``window``,
+    ``nx``, ``_predict``, ``update``, ``last_moments``, ``_select``,
+    ``to_moment`` and ``dump``."""
 
     def predict(self, m: ModelLG):
         """Append the one-step-ahead state."""
-        if self.nx != m.nx:
-            raise ValueError("state dimension mismatch")
         return self._predict(m, TimeWindow(self.window.alpha, self.window.gamma + 1))
 
     def full_mean(self) -> np.ndarray:
@@ -164,57 +130,115 @@ class _Seq:
         i1 = (keep.gamma - self.window.alpha + 1) * self.nx
         return self._select(keep, i0, i1)
 
-    def dump(self) -> dict:
-        """JSON-serializable form: the dense moments of the sequence."""
-        s = self.to_moment()
-        return {"mean": np.asarray(s.mean).tolist(), "cov": np.asarray(s.cov).tolist()}
-
 
 # ---------------------------------------------------------------------------
-# moment form
+# moment form, exact (no depth limit) or L-scan
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MomentSeq(_Seq):
-    """Joint Gaussian over the window's states as (mean, covariance)."""
+    """Joint Gaussian over the window's states as a mean and the dense joint
+    covariance of its trailing steps.
+
+    With ``L`` None, ``cov`` covers every step: the exact moment form.  With
+    ``L`` set, it covers at most the trailing L steps; each older step keeps
+    only its marginal covariance in ``old_blocks`` and is treated as
+    independent of every other step, and prediction detaches the oldest
+    dense step once the dense part would exceed L steps.  The exact form is
+    the L -> infinity limit, computed by the same arithmetic.
+    """
 
     window: TimeWindow
     mean: np.ndarray
     cov: np.ndarray
+    L: Optional[int] = None
+    old_blocks: np.ndarray = ()  # (n_old, nx, nx), empty unless L is set
 
     def __post_init__(self):
-        mean = _frozen_array(np.asarray(self.mean, dtype=float).reshape(-1))
-        cov = _frozen_array(np.atleast_2d(np.asarray(self.cov, dtype=float)))
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError("covariance shape does not match mean length")
-        if mean.size % self.window.length:
-            raise ValueError("mean length not a multiple of the window length")
+        mean = np.array(self.mean, dtype=float).reshape(-1)
+        cov = np.array(self.cov, dtype=float, ndmin=2)
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        if self.L is not None:
+            nx = self.nx
+            object.__setattr__(self, "old_blocks", _frozen_array(np.reshape(self.old_blocks, (-1, nx, nx))))
 
     @property
     def nx(self) -> int:
         return self.mean.size // self.window.length
 
     def _predict(self, m: ModelLG, window: TimeWindow) -> "MomentSeq":
-        mean, cov = _append_step(np.asarray(self.mean), np.asarray(self.cov), m)
-        return MomentSeq(window, mean, cov)
+        nx = m.nx
+        F, Q = np.asarray(m.F), np.asarray(m.Q)
+        cov = self.cov
+        n = cov.shape[0]
+        cross = cov[:, -nx:] @ F.T
+        corner = _symmetrize(F @ cov[-nx:, -nx:] @ F.T + Q)
+        mean = np.concatenate([self.mean, F @ self.mean[-nx:]])
+        new_cov = np.empty((n + nx, n + nx))
+        new_cov[:n, :n] = cov
+        new_cov[:n, n:] = cross
+        new_cov[n:, :n] = cross.T
+        new_cov[n:, n:] = corner
+        old = self.old_blocks
+        if self.L is not None and n == self.L * nx:
+            old = np.concatenate([old, new_cov[:nx, :nx][None]])
+            new_cov = new_cov[nx:, nx:]
+        return MomentSeq(window, mean, new_cov, self.L, old)
 
     def update(self, m: ModelLG, z) -> "MomentSeq":
-        """Condition the whole sequence on a measurement of the last state."""
-        mean, cov = _measurement_update(np.asarray(self.mean), np.asarray(self.cov), m, z)
-        return MomentSeq(self.window, mean, cov)
+        """Condition the dense steps on a measurement of the last state;
+        detached steps are untouched."""
+        nx, H, R = m.nx, np.asarray(m.H), np.asarray(m.R)
+        z = np.asarray(z, dtype=float).reshape(-1)
+        P_tail = self.cov[:, -nx:]
+        S = _symmetrize(H @ P_tail[-nx:, :] @ H.T + R)
+        v = z - H @ self.mean[-nx:]
+        K = np.linalg.solve(S, H @ P_tail.T).T
+        mean = np.array(self.mean)
+        mean[-len(self.cov) :] += K @ v
+        cov = _symmetrize(self.cov - K @ H @ P_tail.T)
+        return MomentSeq(self.window, mean, cov, self.L, self.old_blocks)
 
     def last_moments(self) -> tuple:
         nx = self.nx
         return np.asarray(self.mean[-nx:]), np.asarray(self.cov[-nx:, -nx:])
 
     def _select(self, keep: TimeWindow, i0: int, i1: int) -> "MomentSeq":
-        return MomentSeq(keep, self.mean[i0:i1], self.cov[i0:i1, i0:i1])
+        n_old = len(self.old_blocks)
+        first_dense = self.window.alpha + n_old
+        a, g = keep.alpha - self.window.alpha, keep.gamma - self.window.alpha
+        if keep.gamma >= first_dense:
+            t0 = max(i0 - n_old * self.nx, 0)
+            t1 = i1 - n_old * self.nx
+            old, cov = self.old_blocks[a:n_old], self.cov[t0:t1, t0:t1]
+        else:
+            # kept window lies entirely in the independent prefix: the last
+            # kept block becomes a one-step dense part
+            old, cov = self.old_blocks[a:g], self.old_blocks[g]
+        return MomentSeq(keep, self.mean[i0:i1], cov, self.L, old)
 
     def to_moment(self) -> "MomentSeq":
-        return self
+        """Exact moment-form view: the implied joint covariance, dense."""
+        if self.L is None:
+            return self
+        nx, n_old = self.nx, len(self.old_blocks)
+        cov = np.zeros((self.mean.size, self.mean.size))
+        for i in range(n_old):
+            cov[i * nx : (i + 1) * nx, i * nx : (i + 1) * nx] = self.old_blocks[i]
+        cov[n_old * nx :, n_old * nx :] = self.cov
+        return MomentSeq(self.window, self.mean, cov)
+
+    def dump(self) -> dict:
+        """JSON form: ``mean`` and ``cov``, and ``L`` and ``old_blocks`` when
+        the depth is limited."""
+        out = {"mean": self.mean.tolist(), "cov": self.cov.tolist()}
+        if self.L is not None:
+            out.update(L=self.L, old_blocks=self.old_blocks.tolist())
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +273,6 @@ class InfoSeq(_Seq):
         ivec = _frozen_array(np.asarray(self.ivec, dtype=float).reshape(-1))
         diag = _frozen_array(self.diag)
         off = _frozen_array(np.asarray(self.off, dtype=float).reshape((-1,) + diag.shape[1:]))
-        if diag.shape[0] != self.window.length or off.shape[0] != self.window.length - 1:
-            raise ValueError("band block count does not match the window")
         object.__setattr__(self, "ivec", ivec)
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "off", off)
@@ -382,139 +404,52 @@ def recover_moments(s: InfoSeq, steps: TimeWindow) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# L-scan approximation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LScanSeq(_Seq):
-    """Mean plus covariance that is dense only over the most recent steps.
-
-    ``old_blocks`` holds one marginal covariance per step older than the tail;
-    those states are treated as independent of each other and of the tail.
-    The tail covers the trailing ``tail_len`` steps (at most L, fewer while
-    the sequence is still short or after marginalization).
-    """
-
-    window: TimeWindow
-    L: int
-    mean: np.ndarray
-    old_blocks: np.ndarray  # (n_old, nx, nx)
-    tail_cov: np.ndarray
-
-    def __post_init__(self):
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
-        mean = _frozen_array(np.asarray(self.mean, dtype=float).reshape(-1))
-        nx = mean.size // self.window.length
-        old = _frozen_array(np.asarray(self.old_blocks, dtype=float).reshape(-1, nx, nx))
-        tail = _frozen_array(np.atleast_2d(np.asarray(self.tail_cov, dtype=float)))
-        t = tail.shape[0] // nx
-        if old.shape[0] + t != self.window.length:
-            raise ValueError("old blocks plus tail do not cover the window")
-        if t > self.L or t < 1:
-            raise ValueError("tail must cover between 1 and L steps")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "old_blocks", old)
-        object.__setattr__(self, "tail_cov", tail)
-
-    @property
-    def nx(self) -> int:
-        return self.mean.size // self.window.length
-
-    @property
-    def tail_len(self) -> int:
-        return self.tail_cov.shape[0] // self.nx
-
-    def _predict(self, m: ModelLG, window: TimeWindow) -> "LScanSeq":
-        """Append the new state to the tail, detaching the oldest tail step
-        into ``old_blocks`` once the tail would exceed L steps."""
-        nx = self.nx
-        n_old = self.old_blocks.shape[0]
-        tail_mean, tail = _append_step(np.asarray(self.mean[n_old * nx :]), np.asarray(self.tail_cov), m)
-        mean = np.concatenate([np.asarray(self.mean[: n_old * nx]), tail_mean])
-        old = np.asarray(self.old_blocks)
-        if self.tail_len == self.L:
-            old = np.concatenate([old, tail[:nx, :nx][None]])
-            tail = tail[nx:, nx:]
-        return LScanSeq(window, self.L, mean, old, tail)
-
-    def update(self, m: ModelLG, z) -> "LScanSeq":
-        """Measurement update confined to the tail; old blocks are untouched."""
-        nx = self.nx
-        n_old = self.old_blocks.shape[0]
-        tail_mean, tail_cov = _measurement_update(np.asarray(self.mean[n_old * nx :]), np.asarray(self.tail_cov), m, z)
-        mean = np.concatenate([np.asarray(self.mean[: n_old * nx]), tail_mean])
-        return LScanSeq(self.window, self.L, mean, self.old_blocks, tail_cov)
-
-    def last_moments(self) -> tuple:
-        nx = self.nx
-        return np.asarray(self.mean[-nx:]), np.asarray(self.tail_cov[-nx:, -nx:])
-
-    def _select(self, keep: TimeWindow, i0: int, i1: int) -> "LScanSeq":
-        nx = self.nx
-        n_old = self.old_blocks.shape[0]
-        first_tail = self.window.alpha + n_old
-        if keep.gamma >= first_tail:
-            old = np.asarray(self.old_blocks[keep.alpha - self.window.alpha : n_old])
-            t0 = (max(keep.alpha, first_tail) - first_tail) * nx
-            t1 = (keep.gamma - first_tail + 1) * nx
-            tail = np.asarray(self.tail_cov[t0:t1, t0:t1])
-        else:
-            # kept window lies entirely in the independent prefix: the last
-            # kept block becomes a one-step tail
-            old = np.asarray(self.old_blocks[keep.alpha - self.window.alpha : keep.gamma - self.window.alpha])
-            tail = np.asarray(self.old_blocks[keep.gamma - self.window.alpha])
-        return LScanSeq(keep, self.L, self.mean[i0:i1], old, tail)
-
-    def to_moment(self) -> MomentSeq:
-        """Dense moment-form view of the implied joint covariance."""
-        nx, nu = self.nx, self.window.length
-        cov = np.zeros((nu * nx, nu * nx))
-        n_old = self.old_blocks.shape[0]
-        for i in range(n_old):
-            cov[i * nx : (i + 1) * nx, i * nx : (i + 1) * nx] = self.old_blocks[i]
-        cov[n_old * nx :, n_old * nx :] = self.tail_cov
-        return MomentSeq(self.window, self.mean, cov)
-
-
-# ---------------------------------------------------------------------------
 # backend-generic operations
 # ---------------------------------------------------------------------------
 
 
 def make_seq(backend: str, window: TimeWindow, mean, cov, L: int = 1):
-    """Single-window sequence density of the requested backend from moments."""
+    """Sequence density of the requested backend from the joint moments of
+    the window's states (at most L steps for ``lscan``)."""
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if backend == "moment":
-        return MomentSeq(window, mean, cov)
-    nx, nu = mean.size // window.length, window.length
     if backend == "info":
+        nx, nu = mean.size // window.length, window.length
         Y = np.linalg.inv(cov)
         diag = np.stack([Y[i * nx : (i + 1) * nx, i * nx : (i + 1) * nx] for i in range(nu)])
         off = np.stack([Y[i * nx : (i + 1) * nx, (i + 1) * nx : (i + 2) * nx] for i in range(nu - 1)]) if nu > 1 else np.zeros((0, nx, nx))
         return InfoSeq(window, Y @ mean, diag, off, mean[-nx:], _symmetrize(cov[-nx:, -nx:]))
+    if backend == "moment":
+        return MomentSeq(window, mean, cov)
     if backend == "lscan":
-        t = min(L, nu)
-        n_old = nu - t
-        if n_old:
-            # only single-step construction needs no decorrelation; longer
-            # windows are accepted when the prefix is already independent
-            old = np.stack([cov[i * nx : (i + 1) * nx, i * nx : (i + 1) * nx] for i in range(n_old)])
-        else:
-            old = np.zeros((0, nx, nx))
-        return LScanSeq(window, L, mean, old, cov[n_old * nx :, n_old * nx :])
+        if window.length > L:
+            raise ValueError(f"window of {window.length} steps is longer than the L-scan depth {L}")
+        return MomentSeq(window, mean, cov, L)
     raise ValueError(f"unknown backend {backend!r}")
 
 
 def load_seq(window: TimeWindow, d: dict):
     """Inverse of the backends' ``dump``: an ``InfoSeq`` from a band, a
-    ``MomentSeq`` from dense moments.  Raises ValueError on a shape that does
-    not fit the window."""
-    if "ivec" not in d:
-        return MomentSeq(window, d["mean"], d["cov"])
+    ``MomentSeq`` from a mean and dense covariance, with its depth ``L`` and
+    detached ``old_blocks`` when the dump has them.  Raises ValueError on a
+    shape that does not fit the window."""
     nu = window.length
+    if "ivec" not in d:
+        mean = np.array(d["mean"], dtype=float)
+        cov = np.array(d["cov"], dtype=float)
+        old = np.array(d.get("old_blocks", []), dtype=float)
+        L = d.get("L")
+        nx = mean.size // nu
+        t = nu - len(old)  # steps in the dense part
+        if nx < 1 or mean.shape != (nu * nx,):
+            raise ValueError(f"mean of shape {mean.shape} does not fit window {window}")
+        if L is not None and (int(L) != L or L < 1):
+            raise ValueError(f"L-scan depth {L} is not an integer >= 1")
+        if len(old) and (L is None or old.shape[1:] != (nx, nx)):
+            raise ValueError(f"detached blocks of shape {old.shape} need L and ({nx}, {nx}) blocks")
+        if not 1 <= t <= (nu if L is None else L) or cov.shape != (t * nx, t * nx):
+            raise ValueError(f"{len(old)} detached blocks and a covariance of shape {cov.shape} do not cover window {window} with L={L}")
+        return MomentSeq(window, mean, cov) if L is None else MomentSeq(window, mean, cov, int(L), old)
     band = {name: np.array(d[name], dtype=float) for name in _BAND}
     nx = band["diag"].shape[-1] if band["diag"].ndim == 3 else 0
     want = {

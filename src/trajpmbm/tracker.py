@@ -36,22 +36,24 @@ from .density import (
     validate,
 )
 from .models import BirthModel, SensorModel, SurvivalModel, birth_intensity_at
-from .trajectory import BirthDeathPmf, TimeWindow, TrajectoryMixture, birth_death_pmf
+from .trajectory import TimeWindow, TrajectoryMixture
 
 __all__ = ["TrackerConfig", "TrackerState", "PmbmTracker", "RunResult"]
+
+# relative weight below which an updated mixture component is dropped,
+# except in exact mode
+NEW_COMPONENT_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
 class TrackerConfig:
     # total child hypotheses per scan, split across prior globals by weight;
-    # None enumerates every association of every prior global (exact mode)
+    # None enumerates every association of every prior global and prunes
+    # nothing (exact mode)
     murty_budget: Optional[int] = 100
     thresholds: PruneThresholds = field(default_factory=PruneThresholds)
     backend: str = "info"  # moment | info | lscan
     L: int = 1
-    prune_enabled: bool = True
-    new_component_threshold: float = 1e-3
-    r_estimate: Optional[float] = None  # default depends on the mode
     validate_every_step: bool = False
 
     def __post_init__(self):
@@ -91,6 +93,9 @@ class PmbmTracker:
     ):
         if mode not in ("all", "current"):
             raise ValueError(f"unknown mode {mode!r}")
+        for c in birth.components:
+            if c.mean.shape != (model.nx,) or c.cov.shape != (model.nx, model.nx):
+                raise ValueError(f"birth component of dimension {c.mean.size} for a {model.nx}-dimensional state")
         self.model = model
         self.birth = birth
         self.sensor = sensor
@@ -111,28 +116,15 @@ class PmbmTracker:
         )
         return TrackerState(density, 0)
 
-    @property
-    def r_estimate(self) -> float:
-        if self.config.r_estimate is not None:
-            return self.config.r_estimate
-        return 1.0 if self.mode == "all" else 0.5
-
     # -- prediction --------------------------------------------------------
 
     def predict(self, s: TrackerState) -> TrackerState:
-        return self.predict_all(s) if self.mode == "all" else self.predict_current(s)
-
-    def predict_all(self, s: TrackerState) -> TrackerState:
-        """Extend every component alive at the previous scan; its death-time
-        pmf splits between ending there and surviving.  Track counts, weights
-        and existence probabilities are unchanged."""
-        return self._predict(s, "all")
-
-    def predict_current(self, s: TrackerState) -> TrackerState:
-        """Scale existence and Poisson weights by survival, extend densities."""
-        return self._predict(s, "current")
-
-    def _predict(self, s: TrackerState, mode: str) -> TrackerState:
+        """Extend every component alive at the previous scan.  In
+        all-trajectories mode its death-time pmf splits between ending there
+        and surviving, and track counts, weights and existence probabilities
+        are unchanged; in current-trajectories mode existence and Poisson
+        weights scale by survival instead."""
+        mode = self.mode
         if s.density.mode != mode:
             raise ValueError(f"density is not in {mode}-trajectories mode")
         k = s.k + 1
@@ -186,13 +178,12 @@ class PmbmTracker:
         weights = weights / weights.sum() if len(weights) else weights
         # children further than the prune floor below their global's best
         # would be dropped right away, so stop enumerating there
-        gap = -math.log(self.config.thresholds.global_w) if self.config.prune_enabled else None
+        exact = self.config.murty_budget is None
+        new_threshold = 0.0 if exact else NEW_COMPONENT_THRESHOLD
+        gap = None if exact else -math.log(self.config.thresholds.global_w)
         chosen_children = []  # (child log weight, prior choice dict, {tid: j}, new js)
         for g, w in zip(p.global_hyps, weights):
-            if self.config.murty_budget is None:
-                budget = sys.maxsize
-            else:
-                budget = max(1, math.ceil(w * self.config.murty_budget))
+            budget = sys.maxsize if exact else max(1, math.ceil(w * self.config.murty_budget))
             cm = build_cost_matrix(p, g, tables)
             if not math.isfinite(cm.base):
                 continue  # some measurement is impossible under this global
@@ -221,7 +212,7 @@ class PmbmTracker:
 
         # trim by the same relative threshold and cap that pruning would
         # apply, before materializing hypotheses
-        if self.config.prune_enabled:
+        if not exact:
             best = max(c[0] for c in chosen_children)
             floor = best + math.log(self.config.thresholds.global_w)
             chosen_children = [c for c in chosen_children if c[0] >= floor]
@@ -246,7 +237,7 @@ class PmbmTracker:
                     scan[assoc],
                     (k, assoc),
                     tables.det_liks[(tid, parent, assoc)],
-                    self.config.new_component_threshold,
+                    new_threshold,
                 )
             child_cache[(tid, parent, assoc)] = child
 
@@ -267,7 +258,7 @@ class PmbmTracker:
         for j in realized_new:
             gated = tables.ppp_gated[j]
             pair = bernoulli.new_track_hypotheses(
-                p.ppp, self.model, self.sensor, scan[j], (k, j), gated, self.config.new_component_threshold
+                p.ppp, self.model, self.sensor, scan[j], (k, j), gated, new_threshold
             )
             tracks.append(Track(new_track_ids[j], pair))
 
@@ -289,7 +280,7 @@ class PmbmTracker:
             retired=p.retired | {(k, j) for j in tables.unexplained},
         )
         density = normalize(density)
-        if self.config.prune_enabled:
+        if not exact:
             density = prune(density, self.config.thresholds)
         if self.config.validate_every_step:
             validate(density)
@@ -305,7 +296,11 @@ class PmbmTracker:
         return s
 
     def estimate(self, s: TrackerState, r_e: Optional[float] = None):
-        return estimate.extract_set(s.density, self.r_estimate if r_e is None else r_e)
+        """Trajectory set estimate; ``r_e`` defaults to 1 in all-trajectories
+        mode and 0.5 in current-trajectories mode."""
+        if r_e is None:
+            r_e = 1.0 if self.mode == "all" else 0.5
+        return estimate.extract_set(s.density, r_e)
 
     def run(self, scans) -> RunResult:
         """Process scans for steps 0..len(scans)-1 and extract per-step
@@ -322,18 +317,3 @@ class PmbmTracker:
             estimates.append(self.estimate(state))
             times.append(time.perf_counter() - t0)
         return RunResult(tuple(estimates), state, tuple(times))
-
-    # -- inspection ---------------------------------------------------------
-
-    def epsilon_bookkeeping(self, s: TrackerState, track_id: int, hyp_index: int) -> BirthDeathPmf:
-        """Compact death-time bookkeeping of one hypothesis as a (b, e) pmf.
-
-        Only meaningful in all-trajectories mode, where runs of missed
-        detections are carried as a pmf instead of materialized components.
-        """
-        if self.mode != "all":
-            raise ValueError("death-time bookkeeping exists only in all-trajectories mode")
-        h = s.density.track_by_id(track_id).hypotheses[hyp_index]
-        if h.density is None:
-            raise ValueError("hypothesis carries no density")
-        return birth_death_pmf(h.density)

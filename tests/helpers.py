@@ -18,18 +18,13 @@ SCALAR_REGION = Rectangle(-50.0, 50.0, -1.0, 1.0)
 
 
 def scalar_setup(ps=0.9, pd=0.9, clutter_rate=1.0, birth_w=0.3, mode="all", backend="moment", exact=True, **config):
-    """1-d tracker; ``exact`` disables pruning and exhausts the enumeration;
-    ``config`` holds further :class:`TrackerConfig` fields."""
+    """1-d tracker; ``exact`` drops the Murty budget, which exhausts the
+    enumeration and disables pruning; ``config`` holds further
+    :class:`TrackerConfig` fields."""
     model = gs.ModelLG(F=[[1.0]], Q=[[1.0]], H=[[1.0]], R=[[1.0]])
     birth = BirthModel((BirthComponent(birth_w, [0.0], [[4.0]]),))
     sensor = SensorModel(pd=pd, clutter_rate=clutter_rate, region=SCALAR_REGION, gate_prob=1.0)
-    cfg = TrackerConfig(
-        murty_budget=None if exact else 100,
-        backend=backend,
-        prune_enabled=not exact,
-        new_component_threshold=0.0 if exact else 1e-3,
-        **config,
-    )
+    cfg = TrackerConfig(murty_budget=None if exact else 100, backend=backend, **config)
     return PmbmTracker(model, birth, sensor, SurvivalModel(ps), mode=mode, config=cfg)
 
 
@@ -88,11 +83,23 @@ def gate(seq, m, z, gate_prob: float) -> bool:
 
 def nonzero_counts(s) -> tuple:
     """(mean, covariance) nonzero-entry counts of the stored representation."""
-    if isinstance(s, gs.MomentSeq):
-        return s.mean.size, s.cov.size
     if isinstance(s, gs.InfoSeq):
         return int(np.count_nonzero(s.ivec)), int(s.diag.shape[0] + 2 * s.off.shape[0]) * s.nx**2
-    return s.mean.size, int(s.old_blocks.shape[0] * s.nx**2 + s.tail_cov.size)
+    return s.mean.size, int(len(s.old_blocks) * s.nx**2 + s.cov.size)
+
+
+def epsilon_bookkeeping(state: TrackerState, track_id: int, hyp_index: int):
+    """Compact death-time bookkeeping of one hypothesis as a (b, e) pmf.
+
+    Only meaningful in all-trajectories mode, where runs of missed
+    detections are carried as a pmf instead of materialized components.
+    """
+    if state.density.mode != "all":
+        raise ValueError("death-time bookkeeping exists only in all-trajectories mode")
+    h = state.density.track_by_id(track_id).hypotheses[hyp_index]
+    if h.density is None:
+        raise ValueError("hypothesis carries no density")
+    return birth_death_pmf(h.density)
 
 
 def epsilon_pmf_recursive(prev: tuple, ps: float, pd: float, k: int) -> tuple:

@@ -132,7 +132,7 @@ def test_criterion_2_backend_equivalence():
         # full-window L reproduces the moment form through shared arithmetic
         sl, _ = run_pipeline("lscan", cv, TimeWindow(0, 0), mean, cov, events, L=51)
         assert np.max(np.abs(np.asarray(sl.mean) - np.asarray(sm.mean))) <= 1e-12
-        assert np.max(np.abs(np.asarray(sl.tail_cov) - np.asarray(sm.cov))) <= 1e-12
+        assert np.max(np.abs(np.asarray(sl.cov) - np.asarray(sm.cov))) <= 1e-12
         for L in (1, 2, 5):
             sL, _ = run_pipeline("lscan", cv, TimeWindow(0, 0), mean, cov, events, L=L)
             m_l, c_l = gs.last_state_moments(sL)

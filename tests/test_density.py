@@ -22,6 +22,8 @@ from trajpmbm.density import (
     prune,
     validate,
 )
+from trajpmbm.scenario import ScenarioConfig, generate_scenario
+from trajpmbm.tracker import PmbmTracker, TrackerConfig, TrackerState
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
 from helpers import scalar_setup
@@ -385,5 +387,65 @@ class TestBandDump:
         d = dump_density(info_posterior())
         cd = next(cd for cd in component_dicts(d) if len(cd["diag"]) > 1)
         break_band(cd)
+        with pytest.raises(ValueError):
+            load_density(d)
+
+
+def lscan_posterior():
+    """Posterior of a short L-scan (L=2) track run: windows up to six steps,
+    so most components carry detached blocks."""
+    tracker = scalar_setup(backend="lscan", exact=False, L=2)
+    scans = [[[0.5]], [[1.0], [8.0]], [[1.4], [-20.0]], [], [[2.1], [9.5]], [[2.4]]]
+    return tracker.run(scans).final_state.density
+
+
+def _dense_longer_than_L(cd):
+    # the last detached block moves back into the dense covariance, which
+    # then spans L + 1 steps and still fits the window
+    block, n = cd["old_blocks"].pop(), len(cd["cov"])
+    cd["cov"] = [block[0] + [0.0] * n] + [[0.0] + row for row in cd["cov"]]
+
+
+class TestLScanDump:
+    def test_resumed_run_matches_the_uninterrupted_one(self):
+        cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "scenario1.json")
+        scans = generate_scenario(cfg)[1].scans
+        tracker = PmbmTracker(
+            cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode="all", config=TrackerConfig(backend="lscan", L=3)
+        )
+        state = tracker.run(scans[:20]).final_state
+        reloaded = load_density(json.loads(json.dumps(dump_density(state.density))))
+        assert all(c.seq.L == 3 for c in components(reloaded))
+        runs = []
+        for start in (state, TrackerState(reloaded, state.k, state.next_track_id)):
+            s, estimates = start, []
+            for k in range(20, 30):
+                s = tracker.step(s, scans[k])
+                estimates.append(tracker.estimate(s))
+            runs.append((repr(estimates), json.dumps(dump_density(s.density))))
+        assert runs[0] == runs[1]
+
+    def test_lscan_posterior_round_trips_byte_identically(self):
+        text = json.dumps(dump_density(lscan_posterior()))
+        q = load_density(json.loads(text))
+        assert json.dumps(dump_density(q)) == text
+        assert all(c.seq.L == 2 for c in components(q))
+        assert any(len(c.seq.old_blocks) for c in components(q))
+
+    @pytest.mark.parametrize(
+        "break_dense",
+        [
+            lambda cd: cd.update(cov=[row + [0.0] for row in cd["cov"]] + [[0.0] * (len(cd["cov"]) + 1)]),
+            lambda cd: cd.update(old_blocks=cd["old_blocks"][1:]),
+            _dense_longer_than_L,
+            lambda cd: cd.update(L=0),
+            lambda cd: cd.pop("L"),
+        ],
+        ids=["mean-cov-size", "blocks-do-not-cover", "dense-longer-than-L", "L-below-one", "blocks-without-L"],
+    )
+    def test_dense_dump_that_does_not_fit_its_window_rejected(self, break_dense):
+        d = dump_density(lscan_posterior())
+        cd = next(cd for cd in component_dicts(d) if cd["old_blocks"])
+        break_dense(cd)
         with pytest.raises(ValueError):
             load_density(d)

@@ -251,14 +251,14 @@ class TestLScan:
         sm, _ = run_pipeline("moment", cv_model, TimeWindow(0, 0), mean, cov, events)
         sl, _ = run_pipeline("lscan", cv_model, TimeWindow(0, 0), mean, cov, events, L=10)
         assert np.array_equal(np.asarray(sl.mean), np.asarray(sm.mean))
-        assert np.array_equal(np.asarray(sl.tail_cov), np.asarray(sm.cov))
+        assert np.array_equal(np.asarray(sl.cov), np.asarray(sm.cov))
         assert sl.old_blocks.shape[0] == 0
 
     def test_single_scan_detaches_marginals(self, scalar_model):
         sl = gs.make_seq("lscan", TimeWindow(0, 0), [0.0], [[1.0]], L=1)
         out = gs.predict_seq(sl, scalar_model)
         np.testing.assert_allclose(out.old_blocks, [[[1.0]]])
-        np.testing.assert_allclose(out.tail_cov, [[2.0]])
+        np.testing.assert_allclose(out.cov, [[2.0]])
         out2 = gs.update_seq(out, scalar_model, [2.0])
         # detached step is untouched by the update
         assert np.array_equal(out2.old_blocks, np.asarray(out.old_blocks))
@@ -273,6 +273,12 @@ class TestLScan:
             nu = sl.window.length
             _, cov_nnz = nonzero_counts(sl)
             assert cov_nnz == sl.nx**2 * (L * L + nu - L)
+
+    def test_window_longer_than_L_rejected(self):
+        # a dense part longer than L would never detach and could not be
+        # loaded back from its dump
+        with pytest.raises(ValueError, match="longer than the L-scan depth"):
+            gs.make_seq("lscan", TimeWindow(0, 2), np.zeros(3), np.eye(3), L=2)
 
     def test_update_leaves_old_blocks_bit_identical(self, cv_model):
         rng = np.random.default_rng(9)

@@ -16,7 +16,7 @@ from trajpmbm.density import (
     validate,
 )
 from trajpmbm.marginal import AliveQuery, marginalize_pmbm
-from trajpmbm.models import BirthComponent, BirthModel, Rectangle, SensorModel, SurvivalModel
+from trajpmbm.models import BirthComponent, BirthModel, Rectangle, SensorModel, SurvivalModel, constant_velocity_model
 from trajpmbm.scenario import ScenarioConfig
 from trajpmbm.tracker import PmbmTracker, TrackerConfig, TrackerState
 from trajpmbm.trajectory import (
@@ -27,7 +27,14 @@ from trajpmbm.trajectory import (
     materialize_mixture,
 )
 
-from helpers import SCALAR_REGION, assert_tables_match, epsilon_marginal, scalar_setup, tracker_global_table
+from helpers import (
+    SCALAR_REGION,
+    assert_tables_match,
+    epsilon_bookkeeping,
+    epsilon_marginal,
+    scalar_setup,
+    tracker_global_table,
+)
 from oracles import OracleTracker, PointPmbmOracle, epsilon_pmf_closed, predictive_likelihood
 
 
@@ -51,7 +58,7 @@ class TestPredictAll:
     def test_survival_split_weights(self):
         tracker = scalar_setup(ps=0.9, mode="all")
         state = single_track_state(tracker, r=0.8, k=2, mean=[1.0, 1.0, 1.0], var=np.eye(3))
-        out = tracker.predict_all(state)
+        out = tracker.predict(state)
         h = out.density.track_by_id(0).hypotheses[0]
         assert h.r == pytest.approx(0.8)
         mat = materialize_mixture(h.density)
@@ -61,7 +68,7 @@ class TestPredictAll:
     def test_certain_survival_keeps_single_component(self):
         tracker = scalar_setup(ps=1.0, mode="all")
         state = single_track_state(tracker, r=0.8, k=1, mean=[0.0, 0.0], var=np.eye(2))
-        out = tracker.predict_all(state)
+        out = tracker.predict(state)
         mat = materialize_mixture(out.density.track_by_id(0).hypotheses[0].density)
         assert [(c.b, c.e) for c in mat.components] == [(0, 2)]
 
@@ -77,13 +84,13 @@ class TestPredictAll:
             window=TimeWindow(0, 4),
             mode="all",
         )
-        out = tracker.predict_all(TrackerState(density, 4, 1))
+        out = tracker.predict(TrackerState(density, 4, 1))
         assert out.density.track_by_id(0).hypotheses[0].density.components[0] is comp
 
     def test_ppp_grows_birth_components(self):
         tracker = scalar_setup(mode="all")
         s0 = tracker.initial()
-        s1 = tracker.predict_all(s0)
+        s1 = tracker.predict(s0)
         assert len(s1.density.ppp.components) == 2
         assert {c.b for c in s1.density.ppp.components} == {0, 1}
 
@@ -92,7 +99,7 @@ class TestPredictCurrent:
     def test_existence_scales_by_survival(self):
         tracker = scalar_setup(ps=0.9, mode="current")
         state = single_track_state(tracker, r=0.8, k=1, mean=[0.0, 0.0], var=np.eye(2))
-        out = tracker.predict_current(state)
+        out = tracker.predict(state)
         h = out.density.track_by_id(0).hypotheses[0]
         assert h.r == pytest.approx(0.72)
         assert len(h.density.components) == 1
@@ -101,11 +108,11 @@ class TestPredictCurrent:
     def test_certain_survival_keeps_r(self):
         tracker = scalar_setup(ps=1.0, mode="current")
         state = single_track_state(tracker, r=0.8, k=1, mean=[0.0, 0.0], var=np.eye(2))
-        assert tracker.predict_current(state).density.track_by_id(0).hypotheses[0].r == pytest.approx(0.8)
+        assert tracker.predict(state).density.track_by_id(0).hypotheses[0].r == pytest.approx(0.8)
 
     def test_ppp_survival_extension_plus_birth(self):
         tracker = scalar_setup(ps=0.9, birth_w=0.3, mode="current")
-        s1 = tracker.predict_current(tracker.initial())
+        s1 = tracker.predict(tracker.initial())
         comps = s1.density.ppp.components
         assert len(comps) == 2
         extended = next(c for c in comps if c.b == 0)
@@ -117,7 +124,7 @@ class TestPredictCurrent:
         tracker = scalar_setup(ps=0.95, mode="current")
         state = single_track_state(tracker, r=0.6, k=0, mean=[0.0], var=[[1.0]])
         for _ in range(4):
-            nxt = tracker.predict_current(state)
+            nxt = tracker.predict(state)
             assert nxt.density.track_by_id(0).hypotheses[0].r <= state.density.track_by_id(0).hypotheses[0].r
             state = nxt
 
@@ -178,6 +185,15 @@ class TestUpdate:
         with pytest.raises(ValueError, match="below 1"):
             TrackerConfig(L=0)
 
+    @pytest.mark.parametrize("nx_mean,nx_cov", [(2, 2), (4, 2), (2, 4)])
+    def test_birth_of_the_wrong_dimension_rejected(self, nx_mean, nx_cov):
+        # a birth that does not fit the 4-d state fails at construction, not
+        # inside the first scan's gating
+        birth = BirthModel((BirthComponent(0.1, np.zeros(nx_mean), np.eye(nx_cov)),))
+        sensor = SensorModel(pd=0.9, clutter_rate=1.0, region=Rectangle(-10.0, 10.0, -10.0, 10.0))
+        with pytest.raises(ValueError, match="dimension"):
+            PmbmTracker(constant_velocity_model(1.0, 1.0), birth, sensor, SurvivalModel(0.9))
+
     @pytest.mark.parametrize("order", [1, -1])
     def test_unexplained_measurement_is_retired(self, order):
         # outside the +-1000 region nothing gates [1001, 0] and no track can
@@ -218,12 +234,12 @@ class TestEpsilonBookkeeping:
 
     def test_point_mass_right_after_detection(self):
         tracker, state, tid, hidx = self.run_with_misses(0)
-        pmf = tracker.epsilon_bookkeeping(state, tid, hidx)
+        pmf = epsilon_bookkeeping(state, tid, hidx)
         assert pmf.as_dict() == pytest.approx({(0, 0): 1.0})
 
     def test_two_misses_match_closed_form(self):
         tracker, state, tid, hidx = self.run_with_misses(2)
-        pmf = epsilon_marginal(tracker.epsilon_bookkeeping(state, tid, hidx))
+        pmf = epsilon_marginal(epsilon_bookkeeping(state, tid, hidx))
         ref = epsilon_pmf_closed(0, 2, 0.9, 0.9)
         assert set(pmf) == set(ref)
         for e in ref:
@@ -231,14 +247,14 @@ class TestEpsilonBookkeeping:
 
     def test_certain_detection_keeps_mass_at_last_association(self):
         tracker, state, tid, hidx = self.run_with_misses(3, pd=1.0)
-        pmf = epsilon_marginal(tracker.epsilon_bookkeeping(state, tid, hidx))
+        pmf = epsilon_marginal(epsilon_bookkeeping(state, tid, hidx))
         assert pmf == pytest.approx({0: 1.0})
 
     def test_rejected_in_current_mode(self):
         tracker = scalar_setup(mode="current")
         state = tracker.update(tracker.initial(), [[0.0]])
         with pytest.raises(ValueError):
-            tracker.epsilon_bookkeeping(state, state.density.tracks[0].id, 0)
+            epsilon_bookkeeping(state, state.density.tracks[0].id, 0)
 
 
 SCANS_SMALL = [[[0.4]], [[0.9], [6.0]], [], [[2.1]], [[2.9], [-4.0]]]
