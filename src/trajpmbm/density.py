@@ -6,12 +6,22 @@ never-detected trajectories plus a track table.  Each track holds local
 hypothesis per track and carries a log weight.  Maintenance (normalization,
 pruning, capping) never changes which global is best.  The constructors
 only store their fields; :func:`validate` checks the invariants.
+
+In all-trajectories mode the tracks with no trajectory alive leave the live
+track table for an append-only archive (:func:`archive_ended`), one packed
+:class:`ArchiveBatch` per scan, and each global keeps its choices for them
+in ``archived``.  Normalization and pruning see only the live table;
+:func:`validate` and the dump read the archive too, and the dump writes
+archived tracks into its track table, so the format is unchanged.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+import pickle
+import zlib
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -34,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalHypothesis:
     """One single-trajectory hypothesis of one track.
 
@@ -51,21 +61,58 @@ class LocalHypothesis:
     meas_history: frozenset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Track:
     id: int
     hypotheses: tuple  # non-empty tuple of LocalHypothesis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
+class ArchiveBatch:
+    """The tracks archived at one scan, packed.
+
+    No hypothesis of these tracks has a trajectory alive at that scan, so
+    no later scan changes them.  Their hypotheses are kept as one
+    zlib-compressed pickle, a few hundred bytes per track instead of the
+    few kilobytes their objects take, and :attr:`tracks` unpacks them.
+    ``rs`` holds each track's existence probabilities, per hypothesis, and
+    ``estimates`` caches the trajectory estimate of a (track position,
+    hypothesis index) once ``estimate.extract_set`` has computed it.
+    """
+
+    ids: tuple
+    rs: tuple
+    packed: bytes
+    estimates: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @classmethod
+    def of(cls, tracks) -> "ArchiveBatch":
+        hyps = tuple(t.hypotheses for t in tracks)
+        return cls(
+            tuple(t.id for t in tracks),
+            tuple(tuple(h.r for h in hs) for hs in hyps),
+            zlib.compress(pickle.dumps(hyps, protocol=pickle.HIGHEST_PROTOCOL), 1),
+        )
+
+    @property
+    def tracks(self) -> tuple:
+        hyps = pickle.loads(zlib.decompress(self.packed))
+        return tuple(Track(tid, hs) for tid, hs in zip(self.ids, hyps))
+
+
+@dataclass(frozen=True, slots=True)
 class GlobalHypothesis:
     """One consistent choice of local hypothesis per track.
 
-    ``choice`` is a sorted tuple of (track id, hypothesis index) pairs.
+    ``choice`` is a sorted tuple of (track id, hypothesis index) pairs over
+    the live track table.  ``archived`` has an entry per batch of the
+    density's archive: the hypothesis index chosen for each of its tracks.
+    Globals that agree on a batch share its entry.
     """
 
     log_weight: float
     choice: tuple
+    archived: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -90,7 +137,7 @@ class PruneThresholds:
 @dataclass(frozen=True)
 class PmbmDensity:
     ppp: TrajectoryMixture
-    tracks: tuple
+    tracks: tuple  # the live track table, sorted by id
     global_hyps: tuple
     window: TimeWindow
     mode: str  # "all" or "current"
@@ -99,16 +146,79 @@ class PmbmDensity:
     # all-r=0 tracks, and those no association could explain (nothing gated
     # them and no track could start on them, e.g. outside the region)
     retired: frozenset = frozenset()
+    # append-only tuple of ArchiveBatch: all-mode tracks with no alive
+    # trajectory, which the recursion no longer visits (see archive_ended)
+    archive: tuple = ()
 
     @cached_property
     def _track_index(self) -> dict:
         return {t.id: t for t in self.tracks}
 
     def track_by_id(self, track_id: int) -> Track:
-        try:
-            return self._track_index[track_id]
-        except KeyError:
-            raise KeyError(f"no track with id {track_id}") from None
+        """The live or archived track of that id."""
+        t = self._track_index.get(track_id)
+        if t is not None:
+            return t
+        for b in self.archive:
+            if track_id in b.ids:
+                return b.tracks[b.ids.index(track_id)]
+        raise KeyError(f"no track with id {track_id}")
+
+    def archived_tracks(self) -> tuple:
+        """Every archived track, unpacked, in archive order."""
+        return tuple(t for b in self.archive for t in b.tracks)
+
+    def full_choice(self, g: GlobalHypothesis) -> tuple:
+        """The sorted (track id, hypothesis index) pairs of ``g`` over live
+        and archived tracks."""
+        if not g.archived:
+            return g.choice
+        archived = ((tid, h) for b, picks in zip(self.archive, g.archived) for tid, h in zip(b.ids, picks))
+        return tuple(sorted(g.choice + tuple(archived)))
+
+    def ranked(self, globals_=None) -> list:
+        """Globals by decreasing weight; exact ties go to the
+        lexicographically smallest full choice map."""
+        by_weight = sorted(self.global_hyps if globals_ is None else globals_, key=lambda g: -g.log_weight)
+        out = []
+        for _, tied in itertools.groupby(by_weight, key=lambda g: g.log_weight):
+            tied = list(tied)
+            out += sorted(tied, key=self.full_choice) if len(tied) > 1 else tied
+        return out
+
+
+def archive_ended(p: PmbmDensity, ended) -> PmbmDensity:
+    """Move the live tracks whose ids are in ``ended`` to a new batch of
+    the archive.
+
+    Each global's choices for them become its entry for the batch; globals
+    that made the same choices share that entry, and those that also agree
+    on the earlier batches share the whole ``archived`` tuple.  The caller
+    guarantees that none of these tracks has a trajectory alive at the
+    density's last scan; they are then frozen, so the posterior is
+    unchanged.
+    """
+    if not ended:
+        return p
+    batch = ArchiveBatch.of([t for t in p.tracks if t.id in ended])
+    shared_picks: dict = {}
+    shared: dict = {}
+    globals_ = []
+    for g in p.global_hyps:
+        picks = tuple(h for tid, h in g.choice if tid in ended)
+        picks = shared_picks.setdefault(picks, picks)
+        key = (id(g.archived), picks)
+        archived = shared.get(key)
+        if archived is None:
+            archived = shared[key] = g.archived + (picks,)
+        choice = tuple(c for c in g.choice if c[0] not in ended)
+        globals_.append(GlobalHypothesis(g.log_weight, choice, archived))
+    return replace(
+        p,
+        tracks=tuple(t for t in p.tracks if t.id not in ended),
+        global_hyps=tuple(globals_),
+        archive=p.archive + (batch,),
+    )
 
 
 def normalize(p: PmbmDensity) -> PmbmDensity:
@@ -139,8 +249,7 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
     if p.global_hyps:
         best = max(g.log_weight for g in p.global_hyps)
         keep = [g for g in p.global_hyps if g.log_weight - best >= np.log(thresholds.global_w)]
-        keep.sort(key=lambda g: (-g.log_weight, g.choice))
-        keep = keep[: thresholds.cap_M]
+        keep = p.ranked(keep)[: thresholds.cap_M]
         globals_ = tuple(keep)
     else:
         globals_ = ()
@@ -148,6 +257,9 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
     # Bernoulli existence threshold -> placeholder
     new_tracks = []
     for track in p.tracks:
+        if all(h.r >= thresholds.bern_r or h.r == 0.0 for h in track.hypotheses):
+            new_tracks.append(track)
+            continue
         hyps = tuple(
             h
             if h.r >= thresholds.bern_r or h.r == 0.0
@@ -175,11 +287,11 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
             for h in hyps:
                 retired |= h.meas_history
             continue
-        remap[track.id] = {old: new for new, old in enumerate(used)}
-        kept_tracks.append(Track(track.id, hyps))
-    kept_ids = set(remap)
+        # one (track id, new index) pair object for every global choosing it
+        remap[track.id] = {old: (track.id, new) for new, old in enumerate(used)}
+        kept_tracks.append(track if len(hyps) == len(track.hypotheses) else Track(track.id, hyps))
     globals_ = tuple(
-        replace(g, choice=tuple((tid, remap[tid][h]) for tid, h in g.choice if tid in kept_ids))
+        replace(g, choice=tuple(remap[tid][h] for tid, h in g.choice if tid in remap))
         for g in globals_
     )
 
@@ -223,8 +335,13 @@ def validate(p: PmbmDensity) -> None:
     w = np.array([g.log_weight for g in p.global_hyps])
     _require(not len(w) or abs(np.exp(w).sum() - 1.0) < 1e-9, "global weights not normalized")
     ids = [t.id for t in p.tracks]
-    _require(len(ids) == len(set(ids)), "duplicate track ids")
-    for track in p.tracks:
+    batches = [b.tracks for b in p.archive]
+    archived = [t for tracks in batches for t in tracks]
+    _require(len(ids) + len(archived) == len(set(ids).union(t.id for t in archived)), "duplicate track ids")
+    _require(p.mode == "all" or not p.archive, "an archive in current-trajectories mode")
+    for b, tracks in zip(p.archive, batches):
+        _require(b.rs == tuple(tuple(h.r for h in t.hypotheses) for t in tracks), "archived existence probabilities")
+    for track in p.tracks + tuple(archived):
         _require(len(track.hypotheses) > 0, "track {} without hypotheses", track.id)
         for h in track.hypotheses:
             _require(0.0 <= h.r <= 1.0, "existence probability {} outside [0, 1]", h.r)
@@ -237,10 +354,16 @@ def validate(p: PmbmDensity) -> None:
     for g in p.global_hyps:
         _require(list(g.choice) == sorted(g.choice), "choice map not sorted")
         _require({tid for tid, _ in g.choice} == set(ids), "choice map does not cover the track table")
+        _require(
+            [len(picks) for picks in g.archived] == [len(tracks) for tracks in batches],
+            "archived choices do not cover the archive",
+        )
         seen: set = set()
-        for tid, hidx in g.choice:
-            hyps = p.track_by_id(tid).hypotheses
-            _require(0 <= hidx < len(hyps), "choice names hypothesis {} of track {} with {}", hidx, tid, len(hyps))
+        chosen = [(p.track_by_id(tid), hidx) for tid, hidx in g.choice]
+        chosen += [pair for tracks, picks in zip(batches, g.archived) for pair in zip(tracks, picks)]
+        for track, hidx in chosen:
+            hyps = track.hypotheses
+            _require(0 <= hidx < len(hyps), "choice names hypothesis {} of track {} with {}", hidx, track.id, len(hyps))
             hist = hyps[hidx].meas_history
             _require(not (seen & hist), "measurement shared between chosen hypotheses")
             seen |= hist
@@ -250,6 +373,10 @@ def validate(p: PmbmDensity) -> None:
 
 def dump_density(p: PmbmDensity) -> dict:
     """JSON-serializable dump of the hypothesis forest.
+
+    Archived tracks are written into ``tracks``, sorted by id with the live
+    ones, keeping the hypotheses some global still chooses, in order; each
+    global's choice map covers both.
 
     Each sequence density writes its own form: an information-form sequence
     its band (``ivec``, ``diag``, ``off``) and cached last-state moments
@@ -266,6 +393,23 @@ def dump_density(p: PmbmDensity) -> dict:
             "eps_pmf": None if c.eps_pmf is None else [[e, m] for e, m in c.eps_pmf],
             **c.seq.dump(),
         }
+
+    # archived tracks join the track table, keeping only the hypotheses some
+    # global still chooses, renumbered in order, as the live table keeps them
+    tracks = list(p.tracks)
+    picks = [tuple(itertools.chain.from_iterable(g.archived)) for g in p.global_hyps]
+    renumber = []  # per archived track, old -> new hypothesis index
+    for i, t in enumerate(p.archived_tracks()):
+        used = sorted({f[i] for f in picks})
+        renumber.append({old: new for new, old in enumerate(used)})
+        if used:
+            tracks.append(Track(t.id, tuple(t.hypotheses[j] for j in used)))
+    tracks.sort(key=lambda t: t.id)
+    ids = [tid for b in p.archive for tid in b.ids]
+
+    def choice(g: GlobalHypothesis, flat: tuple) -> list:
+        pairs = list(g.choice) + [(tid, n[h]) for tid, n, h in zip(ids, renumber, flat)]
+        return sorted(list(c) for c in pairs)
 
     return {
         "mode": p.mode,
@@ -285,12 +429,9 @@ def dump_density(p: PmbmDensity) -> dict:
                     for h in t.hypotheses
                 ],
             }
-            for t in p.tracks
+            for t in tracks
         ],
-        "globals": [
-            {"log_weight": g.log_weight, "choice": [list(c) for c in g.choice]}
-            for g in p.global_hyps
-        ],
+        "globals": [{"log_weight": g.log_weight, "choice": choice(g, f)} for g, f in zip(p.global_hyps, picks)],
     }
 
 
@@ -299,7 +440,8 @@ def load_density(d: dict) -> PmbmDensity:
 
     Every sequence is rebuilt in the form it was dumped in
     (:func:`gaussseq.load_seq`); dumps of earlier versions, which wrote every
-    sequence densely, load in moment form.  Raises ValueError when a
+    sequence densely, load in moment form.  Every track loads into the live
+    table; the tracker's next prediction archives the ended ones again.  Raises ValueError when a
     sequence does not fit its window or the loaded density fails
     :func:`validate`.
     """

@@ -48,7 +48,12 @@ def best_global(p: PmbmDensity):
     lexicographically smallest choice map."""
     if not p.global_hyps:
         raise ValueError("density has no global hypotheses")
-    return min(p.global_hyps, key=lambda g: (-g.log_weight, g.choice))
+    return p.ranked()[0]
+
+
+def _estimate(h) -> Trajectory:
+    beta, epsilon = map_birth_death(h.density)
+    return Trajectory(beta, epsilon, expected_sequence(h.density, beta, epsilon))
 
 
 def extract_set(p: PmbmDensity, r_e: float = 1.0) -> tuple:
@@ -56,15 +61,26 @@ def extract_set(p: PmbmDensity, r_e: float = 1.0) -> tuple:
 
     Emits one trajectory per chosen local hypothesis whose existence
     probability reaches ``r_e`` (inclusive), using the most probable
-    (birth, last step) pair and the conditional mean sequence.
+    (birth, last step) pair and the conditional mean sequence, in track id
+    order.  An archived hypothesis never changes, so its trajectory is
+    computed once and kept on its archive batch.
     """
     g = best_global(p)
     out = []
     for tid, hidx in g.choice:
         h = p.track_by_id(tid).hypotheses[hidx]
-        if h.r < r_e or h.density is None:
-            continue
-        beta, epsilon = map_birth_death(h.density)
-        states = expected_sequence(h.density, beta, epsilon)
-        out.append(Trajectory(beta, epsilon, states))
-    return tuple(out)
+        if h.r >= r_e and h.density is not None:
+            out.append((tid, _estimate(h)))
+    for batch, picks in zip(p.archive, g.archived):
+        tracks = None
+        for i, hidx in enumerate(picks):
+            if batch.rs[i][hidx] < r_e:
+                continue
+            if (i, hidx) not in batch.estimates:
+                tracks = tracks or batch.tracks
+                h = tracks[i].hypotheses[hidx]
+                batch.estimates[(i, hidx)] = None if h.density is None else _estimate(h)
+            if batch.estimates[(i, hidx)] is not None:
+                out.append((batch.ids[i], batch.estimates[(i, hidx)]))
+    out.sort(key=lambda e: e[0])
+    return tuple(traj for _, traj in out)

@@ -27,7 +27,11 @@ Constructors only convert and store: ``load_seq`` checks outside input.
 
 The information form answers a marginal over its last step alone from the
 last-state moments its filter recursion caches, in O(1); every other window
-is recovered by a band solve.
+is recovered by a band solve.  It holds each completed band step once, in
+read-only arrays that a sequence shares with its parent and its children,
+and every predicted superdiagonal block is the model's one -F'Q^{-1}
+block, so prediction and update copy no band.  The chi-square gate
+threshold comes from ``scipy.special``; ``scipy.stats`` is not imported.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .trajectory import TimeWindow, _frozen_array
 
@@ -64,6 +68,19 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
+
+
+@lru_cache(maxsize=4096)
+def _window(alpha: int, gamma: int) -> TimeWindow:
+    """One shared TimeWindow per (alpha, gamma): predicted sequences of the
+    same window hold the same (immutable) value."""
+    return TimeWindow(alpha, gamma)
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only (no copy)."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -106,15 +123,38 @@ class ModelLG:
     def Rinv(self) -> np.ndarray:
         return _symmetrize(cho_solve(cho_factor(np.asarray(self.R), lower=True), np.eye(self.nz)))
 
+    # the constant blocks of the information form's predict and update,
+    # computed once and shared by every sequence of the model
+
+    @cached_property
+    def FtQinvF(self) -> np.ndarray:
+        return _readonly(self.F.T @ self.Qinv @ self.F)
+
+    @cached_property
+    def HtRinvH(self) -> np.ndarray:
+        return _readonly(self.H.T @ self.Rinv @ self.H)
+
+    @cached_property
+    def info_off(self) -> np.ndarray:
+        """The superdiagonal block -F'Q^{-1} between a step and its successor."""
+        return _readonly(-self.F.T @ self.Qinv)
+
+    @cached_property
+    def info_head(self) -> np.ndarray:
+        """A freshly predicted step's entries: zero information vector, Q^{-1}."""
+        return _readonly(np.concatenate([np.zeros((1, self.nx)), self.Qinv]))
+
 
 class _Seq:
     """Operations every form shares; a form supplies ``window``,
     ``nx``, ``_predict``, ``update``, ``last_moments``, ``_select``,
     ``to_moment`` and ``dump``."""
 
+    __slots__ = ()
+
     def predict(self, m: ModelLG):
         """Append the one-step-ahead state."""
-        return self._predict(m, TimeWindow(self.window.alpha, self.window.gamma + 1))
+        return self._predict(m, _window(self.window.alpha, self.window.gamma + 1))
 
     def full_mean(self) -> np.ndarray:
         """Full mean over the window, flattened."""
@@ -136,7 +176,7 @@ class _Seq:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MomentSeq(_Seq):
     """Joint Gaussian over the window's states as a mean and the dense joint
     covariance of its trailing steps.
@@ -246,93 +286,186 @@ class MomentSeq(_Seq):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class InfoSeq(_Seq):
     """Information-form joint Gaussian with block-tridiagonal structure.
 
-    ``diag`` holds the length-many diagonal blocks of the information matrix
-    and ``off`` the superdiagonal blocks (subdiagonal blocks follow by
-    symmetry); everything outside the band is exactly zero.  The mean and
-    covariance of the *last* state are carried alongside so that likelihoods
-    and gating never require a solve.  They are also the marginal over the
-    last step: the filter recursion computes them directly, where the band
-    solve accumulates rounding over the window.  Marginals over other
-    windows and the moment view are recovered by sparse solves and returned
-    in moment form.  ``dump`` writes the band and the cached moments,
-    O(length * nx^2).
+    The information matrix has a diagonal block per step and a superdiagonal
+    block between consecutive steps (subdiagonal blocks follow by symmetry);
+    everything outside the band is exactly zero.  Only the last step's
+    entries change under an update, so the band is stored as:
+
+    * ``done``, the completed steps, as a flat tuple of read-only arrays
+      ``(steps, off, steps, off, ...)``.  Each ``steps`` is an
+      (m, nx + 1, nx) array whose row 0 holds a step's information-vector
+      entries and rows 1.. its diagonal block; the ``off`` after it is the
+      superdiagonal block from each of those steps to the next, one
+      (nx, nx) block for all of them or an (m, nx, nx) array.  Prediction
+      appends one step and shares every array before it with the parent,
+      and every predicted step shares the model's single -F'Q^{-1} block.
+      A tuple of arrays holds no reference the garbage collector has to
+      follow, so it leaves the collector's tracking at its first pass;
+    * ``head``, the last step's (nx + 1, nx) entries, laid out the same way;
+    * ``last``, the mean (row 0) and covariance (rows 1..) of the last
+      state.  They are also the marginal over the last step: the filter
+      recursion computes them directly, where the band solve accumulates
+      rounding over the window, and likelihoods and gating never require a
+      solve.
+
+    ``InfoSeq(window, ivec, diag, off, last_mean, last_cov)`` builds one
+    from a full band (``diag`` of shape (length, nx, nx), ``off`` of shape
+    (length - 1, nx, nx), block (i, i + 1)); the properties of those names
+    gather it back.  Marginals over other windows and the moment view are
+    recovered by sparse solves and returned in moment form.  ``dump``
+    writes the band and the cached moments, O(length * nx^2).
     """
 
     window: TimeWindow
-    ivec: np.ndarray
-    diag: np.ndarray  # (length, nx, nx)
-    off: np.ndarray  # (length-1, nx, nx), block (i, i+1)
-    last_mean: np.ndarray
-    last_cov: np.ndarray
+    done: tuple
+    head: np.ndarray
+    last: np.ndarray
 
-    def __post_init__(self):
-        ivec = _frozen_array(np.asarray(self.ivec, dtype=float).reshape(-1))
-        diag = _frozen_array(self.diag)
-        off = _frozen_array(np.asarray(self.off, dtype=float).reshape((-1,) + diag.shape[1:]))
-        object.__setattr__(self, "ivec", ivec)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "off", off)
-        object.__setattr__(self, "last_mean", _frozen_array(self.last_mean))
-        object.__setattr__(self, "last_cov", _frozen_array(self.last_cov))
+    def __init__(self, window, ivec, diag, off, last_mean, last_cov):
+        diag = np.asarray(diag, dtype=float)
+        nu, nx = diag.shape[0], diag.shape[-1]
+        steps = np.empty((nu, nx + 1, nx))
+        steps[:, 0] = np.reshape(ivec, (nu, nx))
+        steps[:, 1:] = diag
+        done = ()
+        if nu > 1:
+            off = np.array(off, dtype=float).reshape(nu - 1, nx, nx)
+            if (off.view(np.uint64) == off[0].view(np.uint64)).all():  # bitwise, signed zeros too
+                off = off[0].copy()  # one block for every step, as prediction writes it
+            done = (_readonly(steps[:-1]), _readonly(off))
+        last = np.empty((nx + 1, nx))
+        last[0] = np.reshape(last_mean, nx)
+        last[1:] = np.reshape(last_cov, (nx, nx))
+        _init_info(self, window, done, _readonly(steps[-1]), _readonly(last))
 
     @property
     def nx(self) -> int:
-        return self.diag.shape[1]
+        return self.head.shape[1]
+
+    @property
+    def last_mean(self) -> np.ndarray:
+        return self.last[0]
+
+    @property
+    def last_cov(self) -> np.ndarray:
+        return self.last[1:]
+
+    def band(self) -> tuple:
+        """The full band as (ivec, diag, off) arrays, gathered from ``done``."""
+        nx = self.nx
+        parts, offs = self.done[0::2], self.done[1::2]
+        steps = np.concatenate(parts + (self.head[None],))
+        if offs and all(o is offs[0] for o in offs) and offs[0].ndim == 2:
+            off = np.broadcast_to(offs[0], (len(steps) - 1, nx, nx))
+        elif offs:
+            off = np.concatenate([np.broadcast_to(o, (len(part), nx, nx)) for part, o in zip(parts, offs)])
+        else:
+            off = np.zeros((0, nx, nx))
+        return steps[:, 0].reshape(-1), steps[:, 1:], off
+
+    @property
+    def ivec(self) -> np.ndarray:
+        return self.band()[0]
+
+    @property
+    def diag(self) -> np.ndarray:
+        return self.band()[1]
+
+    @property
+    def off(self) -> np.ndarray:
+        return self.band()[2]
 
     def _predict(self, m: ModelLG, window: TimeWindow) -> "InfoSeq":
         """Grow the band by one step.
 
-        The previous last diagonal block gains F'Q^{-1}F, the new off-diagonal
-        block is -F'Q^{-1}, the new diagonal block is Q^{-1}, and the information
-        vector is padded with zeros; the corners stay exactly zero.
+        The previous last diagonal block gains F'Q^{-1}F and completes; the
+        new off-diagonal block is -F'Q^{-1}, the new diagonal block is
+        Q^{-1}, and the new information-vector entries are zero; the corners
+        stay exactly zero.
         """
-        F, Qinv = np.asarray(m.F), m.Qinv
-        diag = np.concatenate([self.diag, Qinv[None]])
-        diag[-2] = diag[-2] + F.T @ Qinv @ F
-        off = np.concatenate([self.off, (-F.T @ Qinv)[None]])
-        ivec = np.concatenate([self.ivec, np.zeros(m.nx)])
-        last_mean = F @ self.last_mean
-        last_cov = _symmetrize(F @ self.last_cov @ F.T + np.asarray(m.Q))
-        return InfoSeq(window, ivec, diag, off, last_mean, last_cov)
+        F, head = m.F, self.head
+        step = np.empty((1,) + head.shape)
+        step[0, 0] = head[0]
+        step[0, 1:] = head[1:] + m.FtQinvF
+        last = np.empty_like(self.last)
+        last[0] = F @ self.last[0]
+        last[1:] = _symmetrize(F @ self.last[1:] @ F.T + m.Q)
+        return _new_info(window, self.done + (_readonly(step), m.info_off), m.info_head, _readonly(last))
 
     def update(self, m: ModelLG, z) -> "InfoSeq":
-        """Add H'R^{-1}z / H'R^{-1}H to the trailing entries; nothing else moves."""
-        H, R, Rinv = np.asarray(m.H), np.asarray(m.R), m.Rinv
+        """Add H'R^{-1}z / H'R^{-1}H to the last step's entries; nothing else moves."""
+        H, R, Rinv = m.H, m.R, m.Rinv
         z = np.asarray(z, dtype=float).reshape(-1)
-        ivec = self.ivec.copy()
-        ivec[-m.nx :] += H.T @ Rinv @ z
-        diag = self.diag.copy()
-        diag[-1] = diag[-1] + H.T @ Rinv @ H
-        S = _symmetrize(H @ self.last_cov @ H.T + R)
-        v = z - H @ self.last_mean
-        K = self.last_cov @ H.T @ np.linalg.inv(S)
-        last_mean = self.last_mean + K @ v
-        last_cov = _symmetrize(self.last_cov - K @ H @ self.last_cov)
-        return InfoSeq(self.window, ivec, diag, self.off, last_mean, last_cov)
+        head = np.empty_like(self.head)
+        head[0] = self.head[0] + H.T @ Rinv @ z
+        head[1:] = self.head[1:] + m.HtRinvH
+        mean, cov = self.last[0], self.last[1:]
+        S = _symmetrize(H @ cov @ H.T + R)
+        v = z - H @ mean
+        K = cov @ H.T @ np.linalg.inv(S)
+        last = np.empty_like(self.last)
+        last[0] = mean + K @ v
+        last[1:] = _symmetrize(cov - K @ H @ cov)
+        return _new_info(self.window, self.done, _readonly(head), _readonly(last))
 
     def last_moments(self) -> tuple:
-        return np.asarray(self.last_mean), np.asarray(self.last_cov)
+        return self.last[0], self.last[1:]
 
     def full_mean(self) -> np.ndarray:
-        return _BandCholesky(np.asarray(self.diag), np.asarray(self.off)).solve(np.asarray(self.ivec))
+        ivec, diag, off = self.band()
+        return _BandCholesky(diag, off).solve(ivec)
 
     def _select(self, keep: TimeWindow, i0: int, i1: int) -> MomentSeq:
         if keep.alpha == self.window.gamma:
-            return MomentSeq(keep, self.last_mean, self.last_cov)
+            return MomentSeq(keep, self.last[0], self.last[1:])
         return MomentSeq(keep, *recover_moments(self, keep))
 
     def to_moment(self) -> MomentSeq:
         return MomentSeq(self.window, *recover_moments(self, self.window))
 
     def dump(self) -> dict:
-        return {name: np.asarray(getattr(self, name)).tolist() for name in _BAND}
+        """The band and the cached moments as lists.  Bitwise-identical
+        blocks (the shared superdiagonal, the diagonal blocks of steps alike)
+        are converted once and share one list, which JSON writes out in full;
+        treat the result as read-only."""
+        ivec, diag, off = self.band()
+        lists: dict = {}
+
+        def block(b: np.ndarray) -> list:
+            key = b.tobytes()
+            out = lists.get(key)
+            if out is None:
+                out = lists[key] = b.tolist()
+            return out
+
+        return {
+            "ivec": ivec.tolist(),
+            "diag": [block(b) for b in diag],
+            "off": [block(b) for b in off],
+            "last_mean": self.last[0].tolist(),
+            "last_cov": self.last[1:].tolist(),
+        }
 
 
 _BAND = ("ivec", "diag", "off", "last_mean", "last_cov")  # the dumped fields of an InfoSeq
+
+
+def _init_info(s: InfoSeq, window, done, head, last) -> None:
+    object.__setattr__(s, "window", window)
+    object.__setattr__(s, "done", done)
+    object.__setattr__(s, "head", head)
+    object.__setattr__(s, "last", last)
+
+
+def _new_info(window, done, head, last) -> InfoSeq:
+    """An InfoSeq from its stored parts, which it shares, not copies."""
+    s = object.__new__(InfoSeq)
+    _init_info(s, window, done, head, last)
+    return s
 
 
 class _BandCholesky:
@@ -343,8 +476,8 @@ class _BandCholesky:
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         nu, nx = diag.shape[0], diag.shape[1]
         self.nx = nx
-        self.L = np.empty_like(diag)  # diagonal blocks, lower triangular
-        self.B = np.empty_like(off)  # subdiagonal blocks of the factor
+        self.L = np.empty((nu, nx, nx))  # diagonal blocks, lower triangular
+        self.B = np.empty((max(nu - 1, 0), nx, nx))  # subdiagonal blocks of the factor
         d_ext = (np.inf, 0.0)
         prev = None
         try:
@@ -393,11 +526,12 @@ def recover_moments(s: InfoSeq, steps: TimeWindow) -> tuple:
     if not s.window.contains(steps):
         raise ValueError("requested steps outside the sequence window")
     nx = s.nx
-    fac = _BandCholesky(np.asarray(s.diag), np.asarray(s.off))
-    mean = fac.solve(np.asarray(s.ivec))
+    ivec, diag, off = s.band()
+    fac = _BandCholesky(diag, off)
+    mean = fac.solve(ivec)
     i0 = (steps.alpha - s.window.alpha) * nx
     i1 = (steps.gamma - s.window.alpha + 1) * nx
-    rhs = np.zeros((s.ivec.size, i1 - i0))
+    rhs = np.zeros((ivec.size, i1 - i0))
     rhs[i0:i1] = np.eye(i1 - i0)
     cov = fac.solve(rhs)[i0:i1]
     return mean[i0:i1], _symmetrize(cov)
@@ -496,7 +630,10 @@ def to_moment(s) -> MomentSeq:
 
 @lru_cache(maxsize=32)
 def _gate_threshold(gate_prob: float, df: int) -> float:
-    return float(chi2.ppf(gate_prob, df=df))
+    """The chi-square quantile of ``gate_prob`` with ``df`` degrees of
+    freedom, computed as ``scipy.stats.chi2.ppf`` does, without loading
+    ``scipy.stats``."""
+    return float(2.0 * gammaincinv(df / 2.0, gate_prob))
 
 
 def gate_likelihoods(s, m: ModelLG, Z: np.ndarray, gate_prob: float = 1.0):

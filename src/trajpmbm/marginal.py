@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import gaussseq
-from .density import LocalHypothesis, PmbmDensity, Track
+from .density import ArchiveBatch, LocalHypothesis, PmbmDensity, Track
 from .trajectory import (
     MixtureComponent,
     TimeWindow,
@@ -93,7 +93,8 @@ def marginalize_pmbm(p: PmbmDensity, q: AliveQuery) -> PmbmDensity:
 
     Local hypotheses whose restricted existence is zero are kept as
     non-existence placeholders so that global hypotheses stay valid; global
-    weights are unchanged.
+    weights are unchanged.  Archived tracks are restricted too and stay in
+    the answer's archive, so that the globals' choices still index them.
     """
     if q.gamma > p.window.gamma or q.alpha < p.window.alpha:
         raise ValueError("query window outside the density window")
@@ -101,9 +102,14 @@ def marginalize_pmbm(p: PmbmDensity, q: AliveQuery) -> PmbmDensity:
         Track(t.id, tuple(marginalize_bernoulli(h, q) for h in t.hypotheses))
         for t in p.tracks
     )
+    archive = tuple(
+        ArchiveBatch.of([Track(t.id, tuple(marginalize_bernoulli(h, q) for h in t.hypotheses)) for t in b.tracks])
+        for b in p.archive
+    )
     return replace(
         p,
         ppp=marginalize_ppp(p.ppp, q),
         tracks=tracks,
         window=q.keep,
+        archive=archive,
     )

@@ -12,6 +12,12 @@ The update processes a scan jointly: per prior global hypothesis the best
 children are enumerated with Murty's algorithm over a cost matrix of negative
 log weight ratios, new tracks are spawned per measurement, and the result is
 normalized and pruned.
+
+In all-trajectories mode the recursion visits only the live tracks.
+Prediction ends a component's surviving tail once its surviving mass falls
+below the Bernoulli threshold, and moves every track with no trajectory
+alive to the density's archive, where no later scan changes it; estimates
+still read the archive.  Exact mode neither truncates nor archives.
 """
 
 from __future__ import annotations
@@ -28,9 +34,11 @@ from . import bernoulli, estimate, gaussseq
 from .association import build_cost_matrix, murty_kbest, scan_weight_tables
 from .density import (
     GlobalHypothesis,
+    LocalHypothesis,
     PmbmDensity,
     PruneThresholds,
     Track,
+    archive_ended,
     normalize,
     prune,
     validate,
@@ -79,6 +87,11 @@ class RunResult:
     cycle_times: tuple  # seconds per predict+update+estimate cycle
 
 
+def _alive(h, k: int) -> bool:
+    """Whether a local hypothesis has a trajectory alive at scan k."""
+    return h.r > 0.0 and h.density is not None and any(c.alive_mass(k) > 0.0 for c in h.density.components)
+
+
 class PmbmTracker:
     """Recursion driver binding the models, mode, and configuration."""
 
@@ -123,7 +136,15 @@ class PmbmTracker:
         all-trajectories mode its death-time pmf splits between ending there
         and surviving, and track counts, weights and existence probabilities
         are unchanged; in current-trajectories mode existence and Poisson
-        weights scale by survival instead."""
+        weights scale by survival instead.
+
+        In all-trajectories mode, except in exact mode, a component whose
+        surviving mass r * weight * alive mass * ps falls below
+        ``thresholds.bern_r`` ends at the previous scan instead: it stays
+        the frozen spectator it then is.  Tracks left with no trajectory
+        alive at the new scan move to the density's archive
+        (:func:`density.archive_ended`).
+        """
         mode = self.mode
         if s.density.mode != mode:
             raise ValueError(f"density is not in {mode}-trajectories mode")
@@ -134,23 +155,35 @@ class PmbmTracker:
         if scale != 1.0:
             ppp = tuple(replace(c, weight=c.weight * scale) for c in ppp)
         births = birth_intensity_at(self.birth, k, self.config.backend, self.config.L)
-        tracks = tuple(
-            Track(
-                t.id,
-                tuple(
-                    h
-                    if h.r == 0.0 or h.density is None
-                    else replace(
-                        h, r=h.r * scale, density=bernoulli.predict_mixture(h.density, self.model, ps, k, mode)
-                    )
-                    for h in t.hypotheses
-                ),
-            )
-            for t in s.density.tracks
-        )
+        # exact mode stays the reference recursion: it neither truncates
+        # nor archives
+        freeze = mode == "all" and self.config.murty_budget is not None
+        end_below = self.config.thresholds.bern_r if freeze else 0.0
+        tracks = []
+        ended = set()
+        for t in s.density.tracks:
+            hyps = tuple(self._predict_hypothesis(h, k, end_below) for h in t.hypotheses)
+            tracks.append(Track(t.id, hyps))
+            if freeze and not any(_alive(h, k) for h in hyps):
+                ended.add(t.id)
         ppp = TrajectoryMixture(ppp + births.components, "intensity")
-        density = replace(s.density, ppp=ppp, tracks=tracks, window=TimeWindow(0, k))
-        return TrackerState(density, k, s.next_track_id)
+        density = replace(s.density, ppp=ppp, tracks=tuple(tracks), window=TimeWindow(0, k))
+        return TrackerState(archive_ended(density, ended), k, s.next_track_id)
+
+    def _predict_hypothesis(self, h, k: int, end_below: float):
+        """One local hypothesis at scan k, with the components whose
+        surviving mass falls below ``end_below`` ended at k - 1."""
+        if h.r == 0.0 or h.density is None:
+            return h
+        ps, mode = self.survival.ps, self.mode
+        comps = tuple(
+            c
+            if h.r * c.weight * c.alive_mass(k - 1) * ps < end_below
+            else bernoulli.predict_component(c, self.model, ps, k, mode)
+            for c in h.density.components
+        )
+        r = h.r * ps if mode == "current" else h.r
+        return LocalHypothesis(r, TrajectoryMixture(comps, h.density.kind), h.meas_history)
 
     # -- update -------------------------------------------------------------
 
@@ -181,7 +214,7 @@ class PmbmTracker:
         exact = self.config.murty_budget is None
         new_threshold = 0.0 if exact else NEW_COMPONENT_THRESHOLD
         gap = None if exact else -math.log(self.config.thresholds.global_w)
-        chosen_children = []  # (child log weight, prior choice dict, {tid: j}, new js)
+        chosen_children = []  # (child log weight, prior choice dict, {tid: j}, new js, prior archived)
         for g, w in zip(p.global_hyps, weights):
             budget = sys.maxsize if exact else max(1, math.ceil(w * self.config.murty_budget))
             cm = build_cost_matrix(p, g, tables)
@@ -206,7 +239,7 @@ class PmbmTracker:
                         new_js.append(j)
                         logw += new_log[j]
                 if math.isfinite(logw):
-                    chosen_children.append((logw, chosen, detected, tuple(sorted(new_js))))
+                    chosen_children.append((logw, chosen, detected, tuple(sorted(new_js)), g.archived))
         if not chosen_children:
             raise ValueError("no feasible association for the scan")
 
@@ -221,7 +254,7 @@ class PmbmTracker:
 
         # materialize each distinct child hypothesis once
         needed = set()
-        for _, chosen, detected, _ in chosen_children:
+        for _, chosen, detected, _, _ in chosen_children:
             for tid in track_ids:
                 needed.add((tid, chosen[tid], detected.get(tid)))
         needed = sorted(needed, key=lambda t: (t[0], t[1], -1 if t[2] is None else t[2]))
@@ -241,19 +274,20 @@ class PmbmTracker:
                 )
             child_cache[(tid, parent, assoc)] = child
 
-        realized_new = sorted({j for _, _, _, new_js in chosen_children for j in new_js})
+        realized_new = sorted({j for _, _, _, new_js, _ in chosen_children for j in new_js})
         new_track_ids = {j: s.next_track_id + j for j in range(m)}
 
-        # assemble the new track table and the child choice maps
+        # assemble the new track table and the child choice maps, with one
+        # (track id, hypothesis index) pair object per chosen hypothesis
         needed_by_track: dict = {}
         for key in needed:
             needed_by_track.setdefault(key[0], []).append(key)
         tracks = []
-        index_of = {}
+        pair_of = {}
         for t in p.tracks:
             keys = needed_by_track[t.id]
             hyps = tuple(child_cache[key] for key in keys)
-            index_of.update({key: i for i, key in enumerate(keys)})
+            pair_of.update({key: (t.id, i) for i, key in enumerate(keys)})
             tracks.append(Track(t.id, hyps))
         for j in realized_new:
             gated = tables.ppp_gated[j]
@@ -262,14 +296,13 @@ class PmbmTracker:
             )
             tracks.append(Track(new_track_ids[j], pair))
 
+        new_pairs = {j: ((new_track_ids[j], 0), (new_track_ids[j], 1)) for j in realized_new}
         globals_ = []
-        for logw, chosen, detected, new_js in chosen_children:
-            choice = [
-                (tid, index_of[(tid, chosen[tid], detected.get(tid))]) for tid in track_ids
-            ]
+        for logw, chosen, detected, new_js, archived in chosen_children:
+            choice = [pair_of[(tid, chosen[tid], detected.get(tid))] for tid in track_ids]
             for j in realized_new:
-                choice.append((new_track_ids[j], 1 if j in new_js else 0))
-            globals_.append(GlobalHypothesis(logw, tuple(choice)))
+                choice.append(new_pairs[j][1 if j in new_js else 0])
+            globals_.append(GlobalHypothesis(logw, tuple(choice), archived))
 
         density = replace(
             p,

@@ -35,7 +35,7 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeWindow:
     """Closed interval of consecutive time steps [alpha, gamma]."""
 
@@ -60,7 +60,7 @@ class TimeWindow:
         return self.alpha <= other.gamma and other.alpha <= self.gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trajectory:
     """Single trajectory: birth step, last step, and the state sequence.
 
@@ -122,7 +122,7 @@ class BirthDeathPmf:
         return best[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixtureComponent:
     """One mixture component: weight, a state-sequence density, and optionally
     a deferred death-time pmf.
@@ -163,7 +163,7 @@ class MixtureComponent:
         return 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryMixture:
     """Weighted mixture of (b, e)-pinned sequence densities.
 

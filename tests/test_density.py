@@ -22,6 +22,7 @@ from trajpmbm.density import (
     prune,
     validate,
 )
+from trajpmbm.marginal import AliveQuery, marginalize_pmbm
 from trajpmbm.scenario import ScenarioConfig, generate_scenario
 from trajpmbm.tracker import PmbmTracker, TrackerConfig, TrackerState
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
@@ -449,3 +450,67 @@ class TestLScanDump:
         break_dense(cd)
         with pytest.raises(ValueError):
             load_density(d)
+
+
+def scenario1_run(backend="info", L=1, scans=20):
+    """Tracker, scans and the all-mode posterior after ``scans`` scans of
+    ``configs/scenario1.json``, whose archive by then holds hundreds of
+    tracks."""
+    cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "scenario1.json")
+    log = generate_scenario(cfg)[1].scans
+    tracker = PmbmTracker(
+        cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode="all", config=TrackerConfig(backend=backend, L=L)
+    )
+    return tracker, log, tracker.run(log[:scans]).final_state
+
+
+def exact_estimates(estimates) -> list:
+    return [[(t.beta, t.epsilon, t.states.tolist()) for t in est] for est in estimates]
+
+
+class TestArchive:
+    @pytest.mark.parametrize("backend,L", [("info", 1), ("moment", 1), ("lscan", 3)])
+    def test_resumed_run_matches_the_uninterrupted_one(self, backend, L):
+        tracker, scans, state = scenario1_run(backend, L)
+        assert state.density.archive
+        reloaded = load_density(json.loads(json.dumps(dump_density(state.density))))
+        runs = []
+        for start in (state, TrackerState(reloaded, state.k, state.next_track_id)):
+            s, estimates = start, []
+            for k in range(20, 30):
+                s = tracker.step(s, scans[k])
+                estimates.append(tracker.estimate(s))
+            runs.append((exact_estimates(estimates), json.dumps(dump_density(s.density))))
+        assert runs[0] == runs[1]
+
+    def test_archived_tracks_are_dumped_into_the_track_table(self):
+        p = scenario1_run()[2].density
+        archived = {t.id for t in p.archived_tracks()}
+        d = dump_density(p)
+        ids = [td["id"] for td in d["tracks"]]
+        assert ids == sorted(ids) and set(ids) == archived | {t.id for t in p.tracks}
+        assert all([tid for tid, _ in gd["choice"]] == ids for gd in d["globals"])
+        q = load_density(json.loads(json.dumps(d)))
+        assert q.archive == () and json.dumps(dump_density(q)) == json.dumps(d)
+
+    def test_window_query_reads_the_archive(self):
+        tracker, _, state = scenario1_run()
+        p = state.density
+        folded = load_density(json.loads(json.dumps(dump_density(p))))
+        archived = {t.id for t in p.archived_tracks()}
+        for kq in (5, 12, state.k):
+            q = AliveQuery(0, kq, kq, kq)
+            got = marginalize_pmbm(p, q)
+            assert json.dumps(dump_density(got)) == json.dumps(dump_density(marginalize_pmbm(folded, q)))
+            alive_archived = [
+                h for t in got.archived_tracks() if t.id in archived for h in t.hypotheses if h.r > 0.0
+            ]
+            assert bool(alive_archived) == (kq < state.k)
+
+    def test_archive_choices_must_cover_the_archive(self):
+        p = scenario1_run(scans=12)[2].density
+        validate(p)
+        g = p.global_hyps[0]
+        broken = [GlobalHypothesis(g.log_weight, g.choice, g.archived[:-1])] + list(p.global_hyps[1:])
+        with pytest.raises(AssertionError):
+            validate(PmbmDensity(p.ppp, p.tracks, tuple(broken), p.window, p.mode, p.measurement_record, p.retired, p.archive))

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,3 +402,79 @@ class TestBackendEquivalenceSweep:
             np.testing.assert_allclose(gs.mean_sequence(si), sm.mean, atol=1e-8)
             cov_sym = np.asarray(sm.cov)
             np.testing.assert_allclose(cov_sym, cov_sym.T, atol=1e-10)
+
+
+def concatenated_band(m, si, events):
+    """The band of ``si`` after ``events``, built by concatenating whole
+    arrays on every step as the recursion is written on paper."""
+    ivec, diag, off = np.array(si.ivec), np.array(si.diag), np.array(si.off)
+    F, Qinv, H, Rinv = m.F, m.Qinv, m.H, m.Rinv
+    for ev in events:
+        diag = np.concatenate([diag, Qinv[None]])
+        diag[-2] = diag[-2] + F.T @ Qinv @ F
+        off = np.concatenate([off, (-F.T @ Qinv)[None]])
+        ivec = np.concatenate([ivec, np.zeros(m.nx)])
+        if ev is not None:
+            ivec[-m.nx :] += H.T @ Rinv @ ev
+            diag[-1] = diag[-1] + H.T @ Rinv @ H
+    return ivec, diag, off
+
+
+class TestBandSharing:
+    """Each completed band step is held once: a sequence's children share
+    it, and every predicted step shares the model's -F'Q^{-1} block."""
+
+    def test_children_share_completed_steps_and_superdiagonal(self, cv_model):
+        s0 = gs.make_seq("info", TimeWindow(0, 0), np.arange(4.0), np.eye(4))
+        s1 = gs.predict_seq(s0, cv_model)
+        s2 = gs.predict_seq(s1, cv_model)
+        u2 = gs.update_seq(s2, cv_model, [0.5, -0.5])
+        s3 = gs.predict_seq(u2, cv_model)
+        # predict appends one step and shares every completed one before it
+        assert len(s1.done) == 2 and all(a is b for a, b in zip(s3.done, s2.done))
+        assert u2.done is s2.done  # update moves only the last step
+        assert all(off is cv_model.info_off for off in s3.done[1::2])
+        assert np.shares_memory(s3.off, cv_model.info_off)
+        # a freshly predicted last step is the model's shared block, not a copy
+        assert s3.head is cv_model.info_head and not s3.head.flags.writeable
+        assert not u2.head.flags.writeable and not u2.last.flags.writeable
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_values_match_the_concatenated_band_and_the_exact_solve(self, cv_model, seed):
+        rng = np.random.default_rng(seed)
+        events = random_events(rng, 9, 2, 5)
+        mean0 = rng.standard_normal(4)
+        si, _ = run_pipeline("info", cv_model, TimeWindow(3, 3), mean0, np.eye(4) * 4.0, events)
+        ref = concatenated_band(cv_model, gs.make_seq("info", TimeWindow(3, 3), mean0, np.eye(4) * 4.0), events)
+        for got, want in zip(si.band(), ref):
+            assert np.array_equal(got, want)
+        flat = gs.InfoSeq(si.window, *ref, si.last_mean, si.last_cov)  # the same band in one piece
+        assert np.array_equal(si.full_mean(), flat.full_mean())
+        nu = si.window.length
+        for lo, hi in ((0, nu - 1), (2, 5), (nu - 1, nu - 1)):
+            steps = TimeWindow(si.window.alpha + lo, si.window.alpha + hi)
+            mean, cov = gs.recover_moments(si, steps)
+            flat_mean, flat_cov = gs.recover_moments(flat, steps)
+            assert np.array_equal(mean, flat_mean) and np.array_equal(cov, flat_cov)
+            exact_mean, exact_cov = exact_band_moments(*ref[1:], ref[0], lo, hi)
+            assert rel_err(mean, exact_mean) <= 1e-12 and rel_err(cov, exact_cov) <= 1e-12
+        last_mean, last_cov = gs.last_state_moments(si)
+        exact_mean, exact_cov = exact_band_moments(ref[1], ref[2], ref[0], nu - 1, nu - 1)
+        assert rel_err(last_mean, exact_mean) <= 1e-12 and rel_err(last_cov, exact_cov) <= 1e-12
+
+
+class TestGateThreshold:
+    def test_is_the_chi_square_quantile(self):
+        from scipy.stats import chi2
+
+        for p in [0.5, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999, *np.linspace(0.01, 0.99, 25)]:
+            for df in range(1, 7):
+                assert gs._gate_threshold(float(p), df) == float(chi2.ppf(p, df=df))
+
+    def test_import_does_not_load_scipy_stats(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, trajpmbm; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

@@ -95,6 +95,83 @@ class TestPredictAll:
         assert {c.b for c in s1.density.ppp.components} == {0, 1}
 
 
+class TestTruncation:
+    """All mode ends a component's surviving tail at the previous scan once
+    r * weight * alive mass * ps falls below ``bern_r`` and archives a
+    track left with no trajectory alive; exact mode and ``bern_r = 0``
+    keep every tail."""
+
+    SCANS = [[[0.4]], [[0.9], [6.0]], [], [[2.1]], [[2.9], [-4.0]], [], [], [[3.5]], []]
+
+    def run(self, tracker, check):
+        state = tracker.initial()
+        for k, scan in enumerate(self.SCANS):
+            if k:
+                prev, state = state, tracker.predict(state)
+                check(prev.density, state.density, k)
+            state = tracker.update(state, scan)
+        return state
+
+    @pytest.mark.parametrize("exact,bern_r", [(True, 1e-5), (False, 0.0)], ids=["exact", "bern_r-0"])
+    def test_every_tail_kept(self, exact, bern_r):
+        tracker = scalar_setup(
+            ps=0.3, pd=0.95, clutter_rate=0.5, backend="info", exact=exact, thresholds=PruneThresholds(bern_r=bern_r)
+        )
+        extended = []
+
+        def check(prev, now, k):
+            assert now.archive == ()
+            assert [t.id for t in now.tracks] == [t.id for t in prev.tracks]
+            for t_prev, t in zip(prev.tracks, now.tracks):
+                for h_prev, h in zip(t_prev.hypotheses, t.hypotheses):
+                    if h_prev.r == 0.0 or h_prev.density is None:
+                        continue
+                    for c_prev, c in zip(h_prev.density.components, h.density.components):
+                        if c_prev.alive_mass(k - 1) > 0.0:
+                            assert c.alive_mass(k) > 0.0
+                            extended.append(h.r * c.weight * c_prev.alive_mass(k - 1) * 0.3)
+
+        self.run(tracker, check)
+        # the run has tails the default threshold would have ended
+        assert min(extended) < PruneThresholds().bern_r
+
+    def test_default_threshold_ends_tails_and_archives(self):
+        tracker = scalar_setup(ps=0.3, pd=0.95, clutter_rate=0.5, backend="info", exact=False)
+        archived = []
+
+        def check(prev, now, k):
+            archived.extend(t.id for t in now.archived_tracks())
+            validate(now)
+
+        state = self.run(tracker, check)
+        assert archived
+        # archived tracks keep every hypothesis and choice: the posterior
+        # still accounts for them
+        p = state.density
+        assert all(len(picks) == len(b.ids) for g in p.global_hyps for b, picks in zip(p.archive, g.archived))
+
+    def test_surviving_mass_below_threshold_ends_at_previous_scan(self):
+        tracker = scalar_setup(ps=0.9, mode="all", exact=False)
+        for r, truncated in ((1e-5, True), (1e-4, False)):
+            state = single_track_state(tracker, r=r, k=2, mean=[1.0, 1.0, 1.0], var=np.eye(3))
+            out = tracker.predict(state).density
+            h = out.track_by_id(0).hypotheses[0]
+            c = h.density.components[0]
+            if truncated:  # 1e-5 * 0.9 < 1e-5: the point mass stays at scan 2
+                assert out.tracks == () and [b.ids for b in out.archive] == [(0,)]
+                assert c.e == 2 and c.alive_mass(2) == 1.0 and c.alive_mass(3) == 0.0
+            else:
+                assert out.archive == () and c.e == 3 and c.alive_mass(3) == pytest.approx(0.9)
+
+    def test_current_mode_never_archives(self):
+        tracker = scalar_setup(ps=0.5, pd=0.95, clutter_rate=0.5, mode="current", exact=False)
+
+        def check(prev, now, k):
+            assert now.archive == ()
+
+        self.run(tracker, check)
+
+
 class TestPredictCurrent:
     def test_existence_scales_by_survival(self):
         tracker = scalar_setup(ps=0.9, mode="current")
