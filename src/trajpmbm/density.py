@@ -442,8 +442,8 @@ def load_density(d: dict) -> PmbmDensity:
     (:func:`gaussseq.load_seq`); dumps of earlier versions, which wrote every
     sequence densely, load in moment form.  Every track loads into the live
     table; the tracker's next prediction archives the ended ones again.  Raises ValueError when a
-    sequence does not fit its window or the loaded density fails
-    :func:`validate`.
+    sequence entry is missing or not finite, a sequence does not fit its
+    window, or the loaded density fails :func:`validate`.
     """
 
     def comp(cd: dict) -> MixtureComponent:

@@ -23,14 +23,17 @@ the same form).  The module functions ``predict_seq``, ``update_seq``,
 ``to_moment`` delegate to them; ``gate_likelihoods`` scores a batch of
 measurements against any form's last state and is the only measurement
 likelihood.  Values are immutable; every operation returns a new value.
-Constructors only convert and store: ``load_seq`` checks outside input.
+Constructors only convert and store; ``load_seq`` checks outside input
+(missing entries, non-finite values, shapes) and raises ValueError.
 
 The information form answers a marginal over its last step alone from the
 last-state moments its filter recursion caches, in O(1); every other window
 is recovered by a band solve.  It holds each completed band step once, in
 read-only arrays that a sequence shares with its parent and its children,
 and every predicted superdiagonal block is the model's one -F'Q^{-1}
-block, so prediction and update copy no band.  The chi-square gate
+block, so prediction and update copy no band: its constructor takes those
+stored parts, and ``InfoSeq.from_band`` alone converts a full band (from
+``make_seq`` and ``load_seq``) into them.  The chi-square gate
 threshold comes from ``scipy.special``; ``scipy.stats`` is not imported.
 """
 
@@ -81,6 +84,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     """``a`` itself, made read-only (no copy)."""
     a.setflags(write=False)
     return a
+
+
+def _stacked(top, rest, shape: tuple) -> np.ndarray:
+    """A new read-only array of ``shape`` (..., nx + 1, nx) in the
+    information form's layout: ``top`` in row 0, ``rest`` in rows 1.."""
+    out = np.empty(shape)
+    out[..., 0, :] = top
+    out[..., 1:, :] = rest
+    return _readonly(out)
 
 
 @dataclass(frozen=True)
@@ -196,12 +208,8 @@ class MomentSeq(_Seq):
     old_blocks: np.ndarray = ()  # (n_old, nx, nx), empty unless L is set
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).reshape(-1)
-        cov = np.array(self.cov, dtype=float, ndmin=2)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "mean", _readonly(np.array(self.mean, dtype=float).reshape(-1)))
+        object.__setattr__(self, "cov", _readonly(np.array(self.cov, dtype=float, ndmin=2)))
         if self.L is not None:
             nx = self.nx
             object.__setattr__(self, "old_blocks", _frozen_array(np.reshape(self.old_blocks, (-1, nx, nx))))
@@ -286,7 +294,7 @@ class MomentSeq(_Seq):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class InfoSeq(_Seq):
     """Information-form joint Gaussian with block-tridiagonal structure.
 
@@ -312,12 +320,11 @@ class InfoSeq(_Seq):
       rounding over the window, and likelihoods and gating never require a
       solve.
 
-    ``InfoSeq(window, ivec, diag, off, last_mean, last_cov)`` builds one
-    from a full band (``diag`` of shape (length, nx, nx), ``off`` of shape
-    (length - 1, nx, nx), block (i, i + 1)); the properties of those names
-    gather it back.  Marginals over other windows and the moment view are
-    recovered by sparse solves and returned in moment form.  ``dump``
-    writes the band and the cached moments, O(length * nx^2).
+    The constructor stores these four fields and shares, not copies, the
+    arrays.  ``from_band`` builds one from a full band, and ``band()`` and
+    ``last_moments()`` gather it back.  Marginals over other windows and the
+    moment view are recovered by sparse solves and returned in moment form.
+    ``dump`` writes the band and the cached moments, O(length * nx^2).
     """
 
     window: TimeWindow
@@ -325,34 +332,25 @@ class InfoSeq(_Seq):
     head: np.ndarray
     last: np.ndarray
 
-    def __init__(self, window, ivec, diag, off, last_mean, last_cov):
+    @classmethod
+    def from_band(cls, window, ivec, diag, off, last_mean, last_cov) -> "InfoSeq":
+        """Copy a full band (``diag`` (length, nx, nx), ``off`` (length - 1,
+        nx, nx), block (i, i + 1)) and the last-state moments into storage."""
         diag = np.asarray(diag, dtype=float)
         nu, nx = diag.shape[0], diag.shape[-1]
-        steps = np.empty((nu, nx + 1, nx))
-        steps[:, 0] = np.reshape(ivec, (nu, nx))
-        steps[:, 1:] = diag
+        steps = _stacked(np.reshape(ivec, (nu, nx)), diag, (nu, nx + 1, nx))
         done = ()
         if nu > 1:
             off = np.array(off, dtype=float).reshape(nu - 1, nx, nx)
             if (off.view(np.uint64) == off[0].view(np.uint64)).all():  # bitwise, signed zeros too
                 off = off[0].copy()  # one block for every step, as prediction writes it
-            done = (_readonly(steps[:-1]), _readonly(off))
-        last = np.empty((nx + 1, nx))
-        last[0] = np.reshape(last_mean, nx)
-        last[1:] = np.reshape(last_cov, (nx, nx))
-        _init_info(self, window, done, _readonly(steps[-1]), _readonly(last))
+            done = (steps[:-1], _readonly(off))
+        last = _stacked(np.reshape(last_mean, nx), np.reshape(last_cov, (nx, nx)), (nx + 1, nx))
+        return cls(window, done, steps[-1], last)
 
     @property
     def nx(self) -> int:
         return self.head.shape[1]
-
-    @property
-    def last_mean(self) -> np.ndarray:
-        return self.last[0]
-
-    @property
-    def last_cov(self) -> np.ndarray:
-        return self.last[1:]
 
     def band(self) -> tuple:
         """The full band as (ivec, diag, off) arrays, gathered from ``done``."""
@@ -367,18 +365,6 @@ class InfoSeq(_Seq):
             off = np.zeros((0, nx, nx))
         return steps[:, 0].reshape(-1), steps[:, 1:], off
 
-    @property
-    def ivec(self) -> np.ndarray:
-        return self.band()[0]
-
-    @property
-    def diag(self) -> np.ndarray:
-        return self.band()[1]
-
-    @property
-    def off(self) -> np.ndarray:
-        return self.band()[2]
-
     def _predict(self, m: ModelLG, window: TimeWindow) -> "InfoSeq":
         """Grow the band by one step.
 
@@ -388,29 +374,21 @@ class InfoSeq(_Seq):
         stay exactly zero.
         """
         F, head = m.F, self.head
-        step = np.empty((1,) + head.shape)
-        step[0, 0] = head[0]
-        step[0, 1:] = head[1:] + m.FtQinvF
-        last = np.empty_like(self.last)
-        last[0] = F @ self.last[0]
-        last[1:] = _symmetrize(F @ self.last[1:] @ F.T + m.Q)
-        return _new_info(window, self.done + (_readonly(step), m.info_off), m.info_head, _readonly(last))
+        step = _stacked(head[0], head[1:] + m.FtQinvF, (1,) + head.shape)
+        last = _stacked(F @ self.last[0], _symmetrize(F @ self.last[1:] @ F.T + m.Q), self.last.shape)
+        return InfoSeq(window, self.done + (step, m.info_off), m.info_head, last)
 
     def update(self, m: ModelLG, z) -> "InfoSeq":
         """Add H'R^{-1}z / H'R^{-1}H to the last step's entries; nothing else moves."""
         H, R, Rinv = m.H, m.R, m.Rinv
         z = np.asarray(z, dtype=float).reshape(-1)
-        head = np.empty_like(self.head)
-        head[0] = self.head[0] + H.T @ Rinv @ z
-        head[1:] = self.head[1:] + m.HtRinvH
+        head = _stacked(self.head[0] + H.T @ Rinv @ z, self.head[1:] + m.HtRinvH, self.head.shape)
         mean, cov = self.last[0], self.last[1:]
         S = _symmetrize(H @ cov @ H.T + R)
         v = z - H @ mean
         K = cov @ H.T @ np.linalg.inv(S)
-        last = np.empty_like(self.last)
-        last[0] = mean + K @ v
-        last[1:] = _symmetrize(cov - K @ H @ cov)
-        return _new_info(self.window, self.done, _readonly(head), _readonly(last))
+        last = _stacked(mean + K @ v, _symmetrize(cov - K @ H @ cov), self.last.shape)
+        return InfoSeq(self.window, self.done, head, last)
 
     def last_moments(self) -> tuple:
         return self.last[0], self.last[1:]
@@ -454,20 +432,6 @@ class InfoSeq(_Seq):
 _BAND = ("ivec", "diag", "off", "last_mean", "last_cov")  # the dumped fields of an InfoSeq
 
 
-def _init_info(s: InfoSeq, window, done, head, last) -> None:
-    object.__setattr__(s, "window", window)
-    object.__setattr__(s, "done", done)
-    object.__setattr__(s, "head", head)
-    object.__setattr__(s, "last", last)
-
-
-def _new_info(window, done, head, last) -> InfoSeq:
-    """An InfoSeq from its stored parts, which it shares, not copies."""
-    s = object.__new__(InfoSeq)
-    _init_info(s, window, done, head, last)
-    return s
-
-
 class _BandCholesky:
     """Block Cholesky factorization of a block-tridiagonal SPD matrix."""
 
@@ -478,7 +442,6 @@ class _BandCholesky:
         self.nx = nx
         self.L = np.empty((nu, nx, nx))  # diagonal blocks, lower triangular
         self.B = np.empty((max(nu - 1, 0), nx, nx))  # subdiagonal blocks of the factor
-        d_ext = (np.inf, 0.0)
         prev = None
         try:
             for i in range(nu):
@@ -490,13 +453,12 @@ class _BandCholesky:
                     D = D - X.T @ X
                 Li = cholesky(_symmetrize(D), lower=True)
                 self.L[i] = Li
-                d = np.diag(Li)
-                d_ext = (min(d_ext[0], d.min()), max(d_ext[1], d.max()))
                 prev = Li
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError("information matrix is numerically singular") from exc
         # cheap condition estimate from the factor's diagonal spread
-        if (d_ext[1] / max(d_ext[0], np.finfo(float).tiny)) ** 2 > self.MAX_CONDITION:
+        d = np.diagonal(self.L, axis1=1, axis2=2)
+        if (d.max() / max(d.min(), np.finfo(float).tiny)) ** 2 > self.MAX_CONDITION:
             raise np.linalg.LinAlgError("information matrix is numerically singular")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -552,7 +514,7 @@ def make_seq(backend: str, window: TimeWindow, mean, cov, L: int = 1):
         Y = np.linalg.inv(cov)
         diag = np.stack([Y[i * nx : (i + 1) * nx, i * nx : (i + 1) * nx] for i in range(nu)])
         off = np.stack([Y[i * nx : (i + 1) * nx, (i + 1) * nx : (i + 2) * nx] for i in range(nu - 1)]) if nu > 1 else np.zeros((0, nx, nx))
-        return InfoSeq(window, Y @ mean, diag, off, mean[-nx:], _symmetrize(cov[-nx:, -nx:]))
+        return InfoSeq.from_band(window, Y @ mean, diag, off, mean[-nx:], _symmetrize(cov[-nx:, -nx:]))
     if backend == "moment":
         return MomentSeq(window, mean, cov)
     if backend == "lscan":
@@ -562,29 +524,39 @@ def make_seq(backend: str, window: TimeWindow, mean, cov, L: int = 1):
     raise ValueError(f"unknown backend {backend!r}")
 
 
+def _load_arrays(d: dict, names: tuple) -> list:
+    """The named entries of a sequence dump as finite float arrays."""
+    if missing := [name for name in names if name not in d]:
+        raise ValueError(f"sequence dump has no {', '.join(missing)}")
+    out = [np.array(d[name], dtype=float) for name in names]
+    if not all(np.isfinite(a).all() for a in out):
+        raise ValueError(f"sequence dump of {', '.join(names)} has a non-finite entry")
+    return out
+
+
 def load_seq(window: TimeWindow, d: dict):
     """Inverse of the backends' ``dump``: an ``InfoSeq`` from a band, a
     ``MomentSeq`` from a mean and dense covariance, with its depth ``L`` and
     detached ``old_blocks`` when the dump has them.  Raises ValueError on a
-    shape that does not fit the window."""
+    missing entry, a non-finite value or a shape that does not fit the
+    window."""
     nu = window.length
     if "ivec" not in d:
-        mean = np.array(d["mean"], dtype=float)
-        cov = np.array(d["cov"], dtype=float)
-        old = np.array(d.get("old_blocks", []), dtype=float)
+        mean, cov = _load_arrays(d, ("mean", "cov"))
+        (old,) = _load_arrays(d, ("old_blocks",)) if "old_blocks" in d else (np.zeros(0),)
         L = d.get("L")
         nx = mean.size // nu
         t = nu - len(old)  # steps in the dense part
         if nx < 1 or mean.shape != (nu * nx,):
             raise ValueError(f"mean of shape {mean.shape} does not fit window {window}")
-        if L is not None and (int(L) != L or L < 1):
+        if L is not None and (not float(L).is_integer() or L < 1):
             raise ValueError(f"L-scan depth {L} is not an integer >= 1")
         if len(old) and (L is None or old.shape[1:] != (nx, nx)):
             raise ValueError(f"detached blocks of shape {old.shape} need L and ({nx}, {nx}) blocks")
         if not 1 <= t <= (nu if L is None else L) or cov.shape != (t * nx, t * nx):
             raise ValueError(f"{len(old)} detached blocks and a covariance of shape {cov.shape} do not cover window {window} with L={L}")
         return MomentSeq(window, mean, cov) if L is None else MomentSeq(window, mean, cov, int(L), old)
-    band = {name: np.array(d[name], dtype=float) for name in _BAND}
+    band = dict(zip(_BAND, _load_arrays(d, _BAND)))
     nx = band["diag"].shape[-1] if band["diag"].ndim == 3 else 0
     want = {
         "ivec": (nu * nx,),
@@ -596,7 +568,7 @@ def load_seq(window: TimeWindow, d: dict):
     for name, shape in want.items():
         if band[name].shape != shape:
             raise ValueError(f"band {name} has shape {band[name].shape}, window {window} needs {shape}")
-    return InfoSeq(window, **band)
+    return InfoSeq.from_band(window, **band)
 
 
 def predict_seq(s, m: ModelLG):

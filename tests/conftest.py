@@ -1,4 +1,11 @@
 import math
+import os
+
+# One BLAS thread: the small-matrix algebra gains nothing from more, and
+# threads that spin next to another process on the machine slow every test
+# several-fold.  Set before numpy is first imported: BLAS reads them as it loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

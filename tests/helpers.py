@@ -84,7 +84,8 @@ def gate(seq, m, z, gate_prob: float) -> bool:
 def nonzero_counts(s) -> tuple:
     """(mean, covariance) nonzero-entry counts of the stored representation."""
     if isinstance(s, gs.InfoSeq):
-        return int(np.count_nonzero(s.ivec)), int(s.diag.shape[0] + 2 * s.off.shape[0]) * s.nx**2
+        ivec, diag, off = s.band()
+        return int(np.count_nonzero(ivec)), int(diag.shape[0] + 2 * off.shape[0]) * s.nx**2
     return s.mean.size, int(len(s.old_blocks) * s.nx**2 + s.cov.size)
 
 

@@ -356,8 +356,8 @@ class TestBandDump:
         assert seqs and all(isinstance(s, gs.InfoSeq) for s in seqs)
         assert any(s.window.length > 1 for s in seqs)
         for a, b in zip(components(p), components(q)):
-            for name in ("ivec", "diag", "off", "last_mean", "last_cov"):
-                assert np.array_equal(getattr(a.seq, name), getattr(b.seq, name))
+            for x, y in zip(a.seq.band() + a.seq.last_moments(), b.seq.band() + b.seq.last_moments()):
+                assert np.array_equal(x, y)
 
     def test_earlier_dense_format_loads_with_the_same_moments(self):
         p = info_posterior()
@@ -381,8 +381,27 @@ class TestBandDump:
             lambda cd: cd.update(ivec=cd["ivec"][:-1]),
             lambda cd: cd.update(last_cov=[[1.0, 0.0], [0.0, 1.0]]),
             lambda cd: cd.update(last_cov=cd["last_cov"][0]),
+            # a missing or non-finite entry is malformed as well
+            lambda cd: cd.pop("last_cov"),
+            lambda cd: cd.pop("ivec"),
+            lambda cd: cd.update(last_cov=[[math.nan]]),
+            lambda cd: cd.update(last_mean=[math.inf]),
+            lambda cd: cd.update(ivec=[math.nan] + cd["ivec"][1:]),
+            lambda cd: cd.update(off=[[[-math.inf]]] + cd["off"][1:]),
         ],
-        ids=["diag-blocks", "off-blocks", "ivec-length", "last-cov-2x2", "last-cov-flat"],
+        ids=[
+            "diag-blocks",
+            "off-blocks",
+            "ivec-length",
+            "last-cov-2x2",
+            "last-cov-flat",
+            "no-last-cov",
+            "no-ivec",
+            "nan-last-cov",
+            "inf-last-mean",
+            "nan-ivec",
+            "inf-off",
+        ],
     )
     def test_band_that_does_not_fit_its_window_rejected(self, break_band):
         d = dump_density(info_posterior())
@@ -441,8 +460,27 @@ class TestLScanDump:
             _dense_longer_than_L,
             lambda cd: cd.update(L=0),
             lambda cd: cd.pop("L"),
+            # a missing or non-finite entry is malformed as well
+            lambda cd: cd.pop("cov"),
+            lambda cd: cd.pop("mean"),
+            lambda cd: cd.update(mean=[math.nan] + cd["mean"][1:]),
+            lambda cd: cd.update(cov=[[math.inf] * len(row) for row in cd["cov"]]),
+            lambda cd: cd.update(old_blocks=[[[math.nan]]] + cd["old_blocks"][1:]),
+            lambda cd: cd.update(L=math.inf),
         ],
-        ids=["mean-cov-size", "blocks-do-not-cover", "dense-longer-than-L", "L-below-one", "blocks-without-L"],
+        ids=[
+            "mean-cov-size",
+            "blocks-do-not-cover",
+            "dense-longer-than-L",
+            "L-below-one",
+            "blocks-without-L",
+            "no-cov",
+            "no-mean",
+            "nan-mean",
+            "inf-cov",
+            "nan-old-block",
+            "inf-L",
+        ],
     )
     def test_dense_dump_that_does_not_fit_its_window_rejected(self, break_dense):
         d = dump_density(lscan_posterior())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -103,10 +104,10 @@ class TestInformationForm:
 
     def test_predict_hand_values(self, scalar_model):
         si = gs.make_seq("info", TimeWindow(0, 0), [0.0], [[1.0]])
-        out = gs.predict_seq(si, scalar_model)
-        np.testing.assert_allclose(out.ivec, [0.0, 0.0])
-        np.testing.assert_allclose(out.diag, [[[2.0]], [[1.0]]])
-        np.testing.assert_allclose(out.off, [[[-1.0]]])
+        ivec, diag, off = gs.predict_seq(si, scalar_model).band()
+        np.testing.assert_allclose(ivec, [0.0, 0.0])
+        np.testing.assert_allclose(diag, [[[2.0]], [[1.0]]])
+        np.testing.assert_allclose(off, [[[-1.0]]])
 
     def test_band_block_count(self, scalar_model):
         si = gs.make_seq("info", TimeWindow(0, 0), [0.0], [[1.0]])
@@ -121,19 +122,20 @@ class TestInformationForm:
         si = gs.make_seq("info", TimeWindow(0, 0), rng.standard_normal(4), np.eye(4))
         for _ in range(4):
             si = gs.predict_seq(si, cv_model)
-        out = gs.update_seq(si, cv_model, [1.0, -1.0])
+        ivec, diag, off = gs.update_seq(si, cv_model, [1.0, -1.0]).band()
+        ivec0, diag0, off0 = si.band()
         nx = si.nx
-        assert np.array_equal(out.ivec[:-nx], np.asarray(si.ivec[:-nx]))
-        assert np.array_equal(out.diag[:-1], np.asarray(si.diag[:-1]))
-        assert np.array_equal(out.off, np.asarray(si.off))
-        assert not np.array_equal(out.diag[-1], np.asarray(si.diag[-1]))
+        assert np.array_equal(ivec[:-nx], ivec0[:-nx])
+        assert np.array_equal(diag[:-1], diag0[:-1])
+        assert np.array_equal(off, off0)
+        assert not np.array_equal(diag[-1], diag0[-1])
 
     def test_single_step_equals_information_filter(self, scalar_model):
         si = gs.make_seq("info", TimeWindow(0, 0), [0.5], [[2.0]])
-        out = gs.update_seq(si, scalar_model, [1.5])
+        ivec, diag, _ = gs.update_seq(si, scalar_model, [1.5]).band()
         # information filter: Y += H'R^{-1}H, y += H'R^{-1}z
-        np.testing.assert_allclose(out.diag[0], [[0.5 + 1.0]])
-        np.testing.assert_allclose(out.ivec, [0.25 + 1.5])
+        np.testing.assert_allclose(diag[0], [[0.5 + 1.0]])
+        np.testing.assert_allclose(ivec, [0.25 + 1.5])
 
     def test_pipeline_matches_moment_form(self, cv_model):
         rng = np.random.default_rng(3)
@@ -160,7 +162,7 @@ class TestInformationForm:
 
 class TestRecoverMoments:
     def test_single_step_solve(self):
-        si = gs.InfoSeq(TimeWindow(0, 0), [3.0], [[[2.0]]], np.zeros((0, 1, 1)), [1.5], [[0.5]])
+        si = gs.InfoSeq.from_band(TimeWindow(0, 0), [3.0], [[[2.0]]], np.zeros((0, 1, 1)), [1.5], [[0.5]])
         mean, cov = gs.recover_moments(si, TimeWindow(0, 0))
         np.testing.assert_allclose(mean, [1.5])
         np.testing.assert_allclose(cov, [[0.5]])
@@ -196,7 +198,7 @@ class TestRecoverMoments:
     def test_singular_band_raises(self):
         diag = np.array([[[1e30]], [[1e-30]]])
         off = np.array([[[0.0]]])
-        si = gs.InfoSeq(TimeWindow(0, 1), [0.0, 0.0], diag, off, [0.0], [[1e30]])
+        si = gs.InfoSeq.from_band(TimeWindow(0, 1), [0.0, 0.0], diag, off, [0.0], [[1e30]])
         with pytest.raises(np.linalg.LinAlgError):
             gs.recover_moments(si, TimeWindow(0, 1))
 
@@ -226,7 +228,8 @@ class TestCurrentSetMarginal:
 
     def test_last_step_matches_exact_solve(self, band):
         nu = band.window.length
-        mean, cov = exact_band_moments(band.diag, band.off, band.ivec, nu - 1, nu - 1)
+        ivec, diag, off = band.band()
+        mean, cov = exact_band_moments(diag, off, ivec, nu - 1, nu - 1)
         e = band.window.gamma
         out = gs.marginalize_steps(band, TimeWindow(e, e))
         cached = gs.last_state_moments(band)
@@ -242,7 +245,8 @@ class TestCurrentSetMarginal:
         assert rel_err(out.mean, ref.mean) <= 1e-12
         assert rel_err(out.cov, ref.cov) <= 1e-12
         lo, hi = keep[0] - 2, keep[1] - 2
-        mean, cov = exact_band_moments(band.diag, band.off, band.ivec, lo, hi)
+        ivec, diag, off = band.band()
+        mean, cov = exact_band_moments(diag, off, ivec, lo, hi)
         assert rel_err(out.mean, mean) <= 1e-12
         assert rel_err(out.cov, cov) <= 1e-12
 
@@ -407,7 +411,7 @@ class TestBackendEquivalenceSweep:
 def concatenated_band(m, si, events):
     """The band of ``si`` after ``events``, built by concatenating whole
     arrays on every step as the recursion is written on paper."""
-    ivec, diag, off = np.array(si.ivec), np.array(si.diag), np.array(si.off)
+    ivec, diag, off = (np.array(a) for a in si.band())
     F, Qinv, H, Rinv = m.F, m.Qinv, m.H, m.Rinv
     for ev in events:
         diag = np.concatenate([diag, Qinv[None]])
@@ -434,10 +438,18 @@ class TestBandSharing:
         assert len(s1.done) == 2 and all(a is b for a, b in zip(s3.done, s2.done))
         assert u2.done is s2.done  # update moves only the last step
         assert all(off is cv_model.info_off for off in s3.done[1::2])
-        assert np.shares_memory(s3.off, cv_model.info_off)
+        assert np.shares_memory(s3.band()[2], cv_model.info_off)
         # a freshly predicted last step is the model's shared block, not a copy
         assert s3.head is cv_model.info_head and not s3.head.flags.writeable
         assert not u2.head.flags.writeable and not u2.last.flags.writeable
+
+    def test_replace_keeps_the_other_stored_fields(self, cv_model):
+        s = gs.predict_seq(gs.make_seq("info", TimeWindow(0, 0), np.arange(4.0), np.eye(4)), cv_model)
+        u = gs.update_seq(s, cv_model, [0.5, -0.5])
+        r = dataclasses.replace(s, head=u.head, last=u.last)
+        assert type(r) is gs.InfoSeq and r.done is s.done and r.head is u.head and r.last is u.last
+        for got, want in zip(r.band() + r.last_moments(), u.band() + u.last_moments()):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_values_match_the_concatenated_band_and_the_exact_solve(self, cv_model, seed):
@@ -448,7 +460,7 @@ class TestBandSharing:
         ref = concatenated_band(cv_model, gs.make_seq("info", TimeWindow(3, 3), mean0, np.eye(4) * 4.0), events)
         for got, want in zip(si.band(), ref):
             assert np.array_equal(got, want)
-        flat = gs.InfoSeq(si.window, *ref, si.last_mean, si.last_cov)  # the same band in one piece
+        flat = gs.InfoSeq.from_band(si.window, *ref, *si.last_moments())  # the same band in one piece
         assert np.array_equal(si.full_mean(), flat.full_mean())
         nu = si.window.length
         for lo, hi in ((0, nu - 1), (2, 5), (nu - 1, nu - 1)):

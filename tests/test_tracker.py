@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from trajpmbm.density import (
     PmbmDensity,
     PruneThresholds,
     Track,
+    dump_density,
+    load_density,
     validate,
 )
 from trajpmbm.marginal import AliveQuery, marginalize_pmbm
@@ -360,32 +363,45 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("backend,L", [("moment", 1), ("info", 1), ("lscan", 1), ("lscan", 2)])
     @pytest.mark.parametrize("mode", ["all", "current"])
-    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @settings(derandomize=True, deadline=None, max_examples=50, database=None)
     @given(
         ps=st.floats(0.05, 0.99),
         pd=st.floats(0.05, 0.99),
         clutter_rate=st.floats(0.05, 3.0),
         birth_w=st.floats(0.05, 1.0),
-        # at most 6 measurements: 4 scans of 2 enumerate 1,657 globals, over
-        # ten times the cost of the largest 6-measurement case
-        scans=st.lists(st.lists(st.floats(-8.0, 8.0).map(lambda z: [z]), max_size=2), min_size=1, max_size=4).filter(
-            lambda scans: sum(map(len, scans)) <= 6
-        ),
+        # about one step in four has no data (None) and only predicts; at
+        # most 6 measurements: 4 scans of 2 enumerate 1,657 globals, over ten
+        # times the cost of the largest 6-measurement case
+        scans=st.lists(
+            st.integers(0, 3).flatmap(
+                lambda i: st.none() if i == 0 else st.lists(st.floats(-8.0, 8.0).map(lambda z: [z]), max_size=2)
+            ),
+            min_size=1,
+            max_size=4,
+        ).filter(lambda scans: sum(len(scan) for scan in scans if scan is not None) <= 6),
+        data=st.data(),
     )
-    def test_random_scenarios(self, mode, backend, L, ps, pd, clutter_rate, birth_w, scans):
+    def test_random_scenarios(self, mode, backend, L, ps, pd, clutter_rate, birth_w, scans, data):
         """Exact mode matches the reference enumeration on random scalar
-        scenarios, and every scan's posterior passes validate()."""
+        scenarios with no-data steps, every scan's posterior passes
+        validate(), and a posterior reloaded from its JSON dump at a drawn
+        scan still matches at that scan and every later one."""
         tracker = scalar_setup(ps, pd, clutter_rate, birth_w, mode, backend, L=L, validate_every_step=True)
         oracle = OracleTracker(
             tracker.model, [(birth_w, [0.0], [[4.0]])], ps, pd, clutter_rate / SCALAR_REGION.volume, mode
         )
+        reload_at = data.draw(st.integers(0, len(scans) - 1), label="reload_at")
         state = tracker.initial()
         for k, scan in enumerate(scans):
             if k:
                 state = tracker.predict(state)
                 oracle.predict()
-            state = tracker.update(state, scan)
-            oracle.update(scan)
+            if scan is not None:
+                state = tracker.update(state, scan)
+                oracle.update(scan)
+            if k == reload_at:
+                reloaded = load_density(json.loads(json.dumps(dump_density(state.density))))
+                state = TrackerState(reloaded, state.k, state.next_track_id)
             assert_tables_match(tracker_global_table(state), oracle.global_table())
 
     def test_no_data_steps(self):
