@@ -7,17 +7,18 @@ hypothesis per track and carries a log weight.  Maintenance (normalization,
 pruning, capping) never changes which global is best.  The constructors
 only store their fields; :func:`validate` checks the invariants.
 
-In all-trajectories mode the tracks with no trajectory alive leave the live
-track table for an append-only archive (:func:`archive_ended`), one packed
-:class:`ArchiveBatch` per scan, and each global keeps its choices for them
-in ``archived``.  Normalization and pruning see only the live table;
-:func:`validate` and the dump read the archive too, and the dump writes
-archived tracks into its track table, so the format is unchanged.
+In all-trajectories mode a track with no trajectory alive, whose hypothesis
+every global chooses, is one fixed factor of every global: it leaves the
+live track table for an append-only archive (:func:`archive_ended`), one
+packed :class:`ArchiveBatch` per scan, with that hypothesis only.
+Normalization and pruning see only the live table; :func:`validate` and the
+dump read the archive too, as tracks of one hypothesis that every global
+chooses, and the dump writes them into its track table, so the format is
+unchanged.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import pickle
 import zlib
@@ -60,6 +61,10 @@ class LocalHypothesis:
     density: Optional[TrajectoryMixture]
     meas_history: frozenset
 
+    def alive_at(self, k: int) -> bool:
+        """Whether the hypothesis has a trajectory alive at scan k."""
+        return self.r > 0.0 and self.density is not None and any(c.alive_mass(k) > 0.0 for c in self.density.components)
+
 
 @dataclass(frozen=True, slots=True)
 class Track:
@@ -69,15 +74,15 @@ class Track:
 
 @dataclass(frozen=True, slots=True)
 class ArchiveBatch:
-    """The tracks archived at one scan, packed.
+    """The tracks archived at one scan, packed, each as the one hypothesis
+    that every global chooses for it.
 
-    No hypothesis of these tracks has a trajectory alive at that scan, so
-    no later scan changes them.  Their hypotheses are kept as one
-    zlib-compressed pickle, a few hundred bytes per track instead of the
-    few kilobytes their objects take, and :attr:`tracks` unpacks them.
-    ``rs`` holds each track's existence probabilities, per hypothesis, and
-    ``estimates`` caches the trajectory estimate of a (track position,
-    hypothesis index) once ``estimate.extract_set`` has computed it.
+    None of these hypotheses has a trajectory alive at that scan, so no
+    later scan changes them.  They are kept as one zlib-compressed pickle, a
+    few hundred bytes per track instead of the few kilobytes their objects
+    take; :attr:`hypotheses` unpacks them.  ``rs`` holds each track's
+    existence probability, and ``estimates`` caches the trajectory estimate
+    of a track position once ``estimate.extract_set`` has computed it.
     """
 
     ids: tuple
@@ -86,18 +91,14 @@ class ArchiveBatch:
     estimates: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    def of(cls, tracks) -> "ArchiveBatch":
-        hyps = tuple(t.hypotheses for t in tracks)
-        return cls(
-            tuple(t.id for t in tracks),
-            tuple(tuple(h.r for h in hs) for hs in hyps),
-            zlib.compress(pickle.dumps(hyps, protocol=pickle.HIGHEST_PROTOCOL), 1),
-        )
+    def of(cls, ids, hypotheses) -> "ArchiveBatch":
+        hypotheses = tuple(hypotheses)
+        packed = zlib.compress(pickle.dumps(hypotheses, protocol=pickle.HIGHEST_PROTOCOL), 1)
+        return cls(tuple(ids), tuple(h.r for h in hypotheses), packed)
 
     @property
-    def tracks(self) -> tuple:
-        hyps = pickle.loads(zlib.decompress(self.packed))
-        return tuple(Track(tid, hs) for tid, hs in zip(self.ids, hyps))
+    def hypotheses(self) -> tuple:
+        return pickle.loads(zlib.decompress(self.packed))
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,14 +106,12 @@ class GlobalHypothesis:
     """One consistent choice of local hypothesis per track.
 
     ``choice`` is a sorted tuple of (track id, hypothesis index) pairs over
-    the live track table.  ``archived`` has an entry per batch of the
-    density's archive: the hypothesis index chosen for each of its tracks.
-    Globals that agree on a batch share its entry.
+    the live track table; every global chooses the one hypothesis of each
+    archived track.
     """
 
     log_weight: float
     choice: tuple
-    archived: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -161,62 +160,48 @@ class PmbmDensity:
             return t
         for b in self.archive:
             if track_id in b.ids:
-                return b.tracks[b.ids.index(track_id)]
+                return Track(track_id, (b.hypotheses[b.ids.index(track_id)],))
         raise KeyError(f"no track with id {track_id}")
 
     def archived_tracks(self) -> tuple:
         """Every archived track, unpacked, in archive order."""
-        return tuple(t for b in self.archive for t in b.tracks)
-
-    def full_choice(self, g: GlobalHypothesis) -> tuple:
-        """The sorted (track id, hypothesis index) pairs of ``g`` over live
-        and archived tracks."""
-        if not g.archived:
-            return g.choice
-        archived = ((tid, h) for b, picks in zip(self.archive, g.archived) for tid, h in zip(b.ids, picks))
-        return tuple(sorted(g.choice + tuple(archived)))
+        return tuple(Track(tid, (h,)) for b in self.archive for tid, h in zip(b.ids, b.hypotheses))
 
     def ranked(self, globals_=None) -> list:
         """Globals by decreasing weight; exact ties go to the
-        lexicographically smallest full choice map."""
-        by_weight = sorted(self.global_hyps if globals_ is None else globals_, key=lambda g: -g.log_weight)
-        out = []
-        for _, tied in itertools.groupby(by_weight, key=lambda g: g.log_weight):
-            tied = list(tied)
-            out += sorted(tied, key=self.full_choice) if len(tied) > 1 else tied
-        return out
+        lexicographically smallest choice map, which orders them as the
+        full choice maps over live and archived tracks do, since every
+        global chooses the same hypotheses of the archived ones."""
+        return sorted(self.global_hyps if globals_ is None else globals_, key=lambda g: (-g.log_weight, g.choice))
 
 
-def archive_ended(p: PmbmDensity, ended) -> PmbmDensity:
-    """Move the live tracks whose ids are in ``ended`` to a new batch of
-    the archive.
+def archive_ended(p: PmbmDensity, dead) -> PmbmDensity:
+    """Move the live tracks whose ids are in ``dead`` and whose hypothesis
+    every global chooses to a new batch of the archive, with that hypothesis
+    only.
 
-    Each global's choices for them become its entry for the batch; globals
-    that made the same choices share that entry, and those that also agree
-    on the earlier batches share the whole ``archived`` tuple.  The caller
-    guarantees that none of these tracks has a trajectory alive at the
-    density's last scan; they are then frozen, so the posterior is
-    unchanged.
+    The caller guarantees that none of these tracks has a trajectory alive
+    at the density's last scan; such a track is then the same fixed factor
+    of every global, so the posterior is unchanged.  A track the globals
+    still disagree on stays in the live table, a frozen spectator, until a
+    later call finds them agreeing.
     """
-    if not ended:
-        return p
-    batch = ArchiveBatch.of([t for t in p.tracks if t.id in ended])
-    shared_picks: dict = {}
-    shared: dict = {}
-    globals_ = []
+    picks: dict = {tid: set() for tid in dead}
     for g in p.global_hyps:
-        picks = tuple(h for tid, h in g.choice if tid in ended)
-        picks = shared_picks.setdefault(picks, picks)
-        key = (id(g.archived), picks)
-        archived = shared.get(key)
-        if archived is None:
-            archived = shared[key] = g.archived + (picks,)
-        choice = tuple(c for c in g.choice if c[0] not in ended)
-        globals_.append(GlobalHypothesis(g.log_weight, choice, archived))
+        for tid, h in g.choice:
+            if tid in picks:
+                picks[tid].add(h)
+    common = {tid: hs.pop() for tid, hs in picks.items() if len(hs) == 1}
+    if not common:
+        return p
+    ended = [t for t in p.tracks if t.id in common]
+    batch = ArchiveBatch.of((t.id for t in ended), (t.hypotheses[common[t.id]] for t in ended))
     return replace(
         p,
-        tracks=tuple(t for t in p.tracks if t.id not in ended),
-        global_hyps=tuple(globals_),
+        tracks=tuple(t for t in p.tracks if t.id not in common),
+        global_hyps=tuple(
+            GlobalHypothesis(g.log_weight, tuple(c for c in g.choice if c[0] not in common)) for g in p.global_hyps
+        ),
         archive=p.archive + (batch,),
     )
 
@@ -334,14 +319,16 @@ def validate(p: PmbmDensity) -> None:
     _validate_mixture(p.ppp, "intensity")
     w = np.array([g.log_weight for g in p.global_hyps])
     _require(not len(w) or abs(np.exp(w).sum() - 1.0) < 1e-9, "global weights not normalized")
-    ids = [t.id for t in p.tracks]
-    batches = [b.tracks for b in p.archive]
-    archived = [t for tracks in batches for t in tracks]
-    _require(len(ids) + len(archived) == len(set(ids).union(t.id for t in archived)), "duplicate track ids")
     _require(p.mode == "all" or not p.archive, "an archive in current-trajectories mode")
-    for b, tracks in zip(p.archive, batches):
-        _require(b.rs == tuple(tuple(h.r for h in t.hypotheses) for t in tracks), "archived existence probabilities")
-    for track in p.tracks + tuple(archived):
+    for b in p.archive:
+        hyps = b.hypotheses
+        _require(len(hyps) == len(b.ids) and b.rs == tuple(h.r for h in hyps), "archived existence probabilities")
+        for tid, h in zip(b.ids, hyps):
+            _require(not h.alive_at(p.window.gamma), "archived track {} alive at scan {}", tid, p.window.gamma)
+    archived = p.archived_tracks()
+    ids = [t.id for t in p.tracks]
+    _require(len(ids) + len(archived) == len(set(ids).union(t.id for t in archived)), "duplicate track ids")
+    for track in p.tracks + archived:
         _require(len(track.hypotheses) > 0, "track {} without hypotheses", track.id)
         for h in track.hypotheses:
             _require(0.0 <= h.r <= 1.0, "existence probability {} outside [0, 1]", h.r)
@@ -351,17 +338,18 @@ def validate(p: PmbmDensity) -> None:
             if h.density is not None:
                 _validate_mixture(h.density, "density")
     expected = {(k, j) for k, m in p.measurement_record for j in range(m)}
+    # every global chooses the one hypothesis of each archived track
+    common: set = set()
+    for t in archived:
+        hist = t.hypotheses[0].meas_history
+        _require(not (common & hist), "measurement shared between archived hypotheses")
+        common |= hist
     for g in p.global_hyps:
         _require(list(g.choice) == sorted(g.choice), "choice map not sorted")
         _require({tid for tid, _ in g.choice} == set(ids), "choice map does not cover the track table")
-        _require(
-            [len(picks) for picks in g.archived] == [len(tracks) for tracks in batches],
-            "archived choices do not cover the archive",
-        )
-        seen: set = set()
-        chosen = [(p.track_by_id(tid), hidx) for tid, hidx in g.choice]
-        chosen += [pair for tracks, picks in zip(batches, g.archived) for pair in zip(tracks, picks)]
-        for track, hidx in chosen:
+        seen = set(common)
+        for tid, hidx in g.choice:
+            track = p.track_by_id(tid)
             hyps = track.hypotheses
             _require(0 <= hidx < len(hyps), "choice names hypothesis {} of track {} with {}", hidx, track.id, len(hyps))
             hist = hyps[hidx].meas_history
@@ -375,8 +363,8 @@ def dump_density(p: PmbmDensity) -> dict:
     """JSON-serializable dump of the hypothesis forest.
 
     Archived tracks are written into ``tracks``, sorted by id with the live
-    ones, keeping the hypotheses some global still chooses, in order; each
-    global's choice map covers both.
+    ones, each with its one hypothesis, which every global's choice map
+    names at index 0.
 
     Each sequence density writes its own form: an information-form sequence
     its band (``ivec``, ``diag``, ``off``) and cached last-state moments
@@ -394,23 +382,9 @@ def dump_density(p: PmbmDensity) -> dict:
             **c.seq.dump(),
         }
 
-    # archived tracks join the track table, keeping only the hypotheses some
-    # global still chooses, renumbered in order, as the live table keeps them
-    tracks = list(p.tracks)
-    picks = [tuple(itertools.chain.from_iterable(g.archived)) for g in p.global_hyps]
-    renumber = []  # per archived track, old -> new hypothesis index
-    for i, t in enumerate(p.archived_tracks()):
-        used = sorted({f[i] for f in picks})
-        renumber.append({old: new for new, old in enumerate(used)})
-        if used:
-            tracks.append(Track(t.id, tuple(t.hypotheses[j] for j in used)))
-    tracks.sort(key=lambda t: t.id)
-    ids = [tid for b in p.archive for tid in b.ids]
-
-    def choice(g: GlobalHypothesis, flat: tuple) -> list:
-        pairs = list(g.choice) + [(tid, n[h]) for tid, n, h in zip(ids, renumber, flat)]
-        return sorted(list(c) for c in pairs)
-
+    archived = p.archived_tracks()
+    tracks = sorted(p.tracks + archived, key=lambda t: t.id)
+    common = tuple((t.id, 0) for t in archived)
     return {
         "mode": p.mode,
         "window": [p.window.alpha, p.window.gamma],
@@ -431,7 +405,9 @@ def dump_density(p: PmbmDensity) -> dict:
             }
             for t in tracks
         ],
-        "globals": [{"log_weight": g.log_weight, "choice": choice(g, f)} for g, f in zip(p.global_hyps, picks)],
+        "globals": [
+            {"log_weight": g.log_weight, "choice": sorted(list(c) for c in g.choice + common)} for g in p.global_hyps
+        ],
     }
 
 
@@ -441,9 +417,10 @@ def load_density(d: dict) -> PmbmDensity:
     Every sequence is rebuilt in the form it was dumped in
     (:func:`gaussseq.load_seq`); dumps of earlier versions, which wrote every
     sequence densely, load in moment form.  Every track loads into the live
-    table; the tracker's next prediction archives the ended ones again.  Raises ValueError when a
-    sequence entry is missing or not finite, a sequence does not fit its
-    window, or the loaded density fails :func:`validate`.
+    table; the tracker's next prediction archives the ended ones again.
+    Raises ValueError when an entry is missing or of the wrong type, a
+    sequence entry is not finite, a sequence does not fit its window, or the
+    loaded density fails :func:`validate`.
     """
 
     def comp(cd: dict) -> MixtureComponent:
@@ -451,32 +428,25 @@ def load_density(d: dict) -> PmbmDensity:
         eps = None if cd["eps_pmf"] is None else tuple((int(e), float(m)) for e, m in cd["eps_pmf"])
         return MixtureComponent(cd["weight"], seq, eps)
 
-    tracks = tuple(
-        Track(
-            td["id"],
-            tuple(
-                LocalHypothesis(
-                    float(hd["r"]),
-                    None if hd["components"] is None else TrajectoryMixture(tuple(comp(c) for c in hd["components"])),
-                    frozenset((int(k), int(j)) for k, j in hd["meas_history"]),
-                )
-                for hd in td["hypotheses"]
+    def hyp(hd: dict) -> LocalHypothesis:
+        density = None if hd["components"] is None else TrajectoryMixture(tuple(comp(c) for c in hd["components"]))
+        return LocalHypothesis(float(hd["r"]), density, frozenset((int(k), int(j)) for k, j in hd["meas_history"]))
+
+    try:
+        p = PmbmDensity(
+            ppp=TrajectoryMixture(tuple(comp(c) for c in d["ppp"]), "intensity"),
+            tracks=tuple(Track(td["id"], tuple(hyp(hd) for hd in td["hypotheses"])) for td in d["tracks"]),
+            global_hyps=tuple(
+                GlobalHypothesis(float(gd["log_weight"]), tuple(sorted((int(t), int(h)) for t, h in gd["choice"])))
+                for gd in d["globals"]
             ),
+            window=TimeWindow(*d["window"]),
+            mode=d["mode"],
+            measurement_record=tuple((int(k), int(m)) for k, m in d["measurement_record"]),
+            retired=frozenset((int(k), int(j)) for k, j in d["retired"]),
         )
-        for td in d["tracks"]
-    )
-    p = PmbmDensity(
-        ppp=TrajectoryMixture(tuple(comp(c) for c in d["ppp"]), "intensity"),
-        tracks=tracks,
-        global_hyps=tuple(
-            GlobalHypothesis(gd["log_weight"], tuple(sorted((int(t), int(h)) for t, h in gd["choice"])))
-            for gd in d["globals"]
-        ),
-        window=TimeWindow(*d["window"]),
-        mode=d["mode"],
-        measurement_record=tuple((int(k), int(m)) for k, m in d["measurement_record"]),
-        retired=frozenset((int(k), int(j)) for k, j in d["retired"]),
-    )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed density dump: {exc!r}") from exc
     try:
         validate(p)
     except AssertionError as exc:

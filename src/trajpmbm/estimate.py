@@ -62,8 +62,9 @@ def extract_set(p: PmbmDensity, r_e: float = 1.0) -> tuple:
     Emits one trajectory per chosen local hypothesis whose existence
     probability reaches ``r_e`` (inclusive), using the most probable
     (birth, last step) pair and the conditional mean sequence, in track id
-    order.  An archived hypothesis never changes, so its trajectory is
-    computed once and kept on its archive batch.
+    order.  Every global chooses the one hypothesis of an archived track,
+    which never changes, so its trajectory is computed once and kept on its
+    archive batch.
     """
     g = best_global(p)
     out = []
@@ -71,16 +72,15 @@ def extract_set(p: PmbmDensity, r_e: float = 1.0) -> tuple:
         h = p.track_by_id(tid).hypotheses[hidx]
         if h.r >= r_e and h.density is not None:
             out.append((tid, _estimate(h)))
-    for batch, picks in zip(p.archive, g.archived):
-        tracks = None
-        for i, hidx in enumerate(picks):
-            if batch.rs[i][hidx] < r_e:
+    for batch in p.archive:
+        hyps = None
+        for i, r in enumerate(batch.rs):
+            if r < r_e:
                 continue
-            if (i, hidx) not in batch.estimates:
-                tracks = tracks or batch.tracks
-                h = tracks[i].hypotheses[hidx]
-                batch.estimates[(i, hidx)] = None if h.density is None else _estimate(h)
-            if batch.estimates[(i, hidx)] is not None:
-                out.append((batch.ids[i], batch.estimates[(i, hidx)]))
+            if i not in batch.estimates:
+                hyps = hyps or batch.hypotheses
+                batch.estimates[i] = None if hyps[i].density is None else _estimate(hyps[i])
+            if batch.estimates[i] is not None:
+                out.append((batch.ids[i], batch.estimates[i]))
     out.sort(key=lambda e: e[0])
     return tuple(traj for _, traj in out)

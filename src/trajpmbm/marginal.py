@@ -93,8 +93,9 @@ def marginalize_pmbm(p: PmbmDensity, q: AliveQuery) -> PmbmDensity:
 
     Local hypotheses whose restricted existence is zero are kept as
     non-existence placeholders so that global hypotheses stay valid; global
-    weights are unchanged.  Archived tracks are restricted too and stay in
-    the answer's archive, so that the globals' choices still index them.
+    weights are unchanged.  Archived hypotheses are restricted too and stay
+    in the answer's archive, which keeps the live track table of the answer
+    in the posterior's order.
     """
     if q.gamma > p.window.gamma or q.alpha < p.window.alpha:
         raise ValueError("query window outside the density window")
@@ -102,10 +103,7 @@ def marginalize_pmbm(p: PmbmDensity, q: AliveQuery) -> PmbmDensity:
         Track(t.id, tuple(marginalize_bernoulli(h, q) for h in t.hypotheses))
         for t in p.tracks
     )
-    archive = tuple(
-        ArchiveBatch.of([Track(t.id, tuple(marginalize_bernoulli(h, q) for h in t.hypotheses)) for t in b.tracks])
-        for b in p.archive
-    )
+    archive = tuple(ArchiveBatch.of(b.ids, (marginalize_bernoulli(h, q) for h in b.hypotheses)) for b in p.archive)
     return replace(
         p,
         ppp=marginalize_ppp(p.ppp, q),

@@ -74,8 +74,8 @@ class ScenarioConfig:
     def model(self):
         return constant_velocity_model(self.sigma_v, self.sigma_r)
 
-    def sensor(self, gate_prob: float = 0.9999) -> SensorModel:
-        return SensorModel(self.pd, self.mu_fa, self.region, gate_prob)
+    def sensor(self) -> SensorModel:
+        return SensorModel(self.pd, self.mu_fa, self.region)
 
     def survival(self) -> SurvivalModel:
         return SurvivalModel(self.ps)

@@ -16,8 +16,9 @@ normalized and pruned.
 In all-trajectories mode the recursion visits only the live tracks.
 Prediction ends a component's surviving tail once its surviving mass falls
 below the Bernoulli threshold, and moves every track with no trajectory
-alive to the density's archive, where no later scan changes it; estimates
-still read the archive.  Exact mode neither truncates nor archives.
+alive whose hypothesis every global chooses to the density's archive, where
+no later scan changes it; estimates still read the archive.  Exact mode
+neither truncates nor archives.
 """
 
 from __future__ import annotations
@@ -87,11 +88,6 @@ class RunResult:
     cycle_times: tuple  # seconds per predict+update+estimate cycle
 
 
-def _alive(h, k: int) -> bool:
-    """Whether a local hypothesis has a trajectory alive at scan k."""
-    return h.r > 0.0 and h.density is not None and any(c.alive_mass(k) > 0.0 for c in h.density.components)
-
-
 class PmbmTracker:
     """Recursion driver binding the models, mode, and configuration."""
 
@@ -142,8 +138,10 @@ class PmbmTracker:
         surviving mass r * weight * alive mass * ps falls below
         ``thresholds.bern_r`` ends at the previous scan instead: it stays
         the frozen spectator it then is.  Tracks left with no trajectory
-        alive at the new scan move to the density's archive
-        (:func:`density.archive_ended`).
+        alive at the new scan move to the density's archive once every
+        global chooses the same hypothesis of them
+        (:func:`density.archive_ended`); until then they stay live, gating
+        nothing and adding no row to the cost matrices.
         """
         mode = self.mode
         if s.density.mode != mode:
@@ -160,15 +158,15 @@ class PmbmTracker:
         freeze = mode == "all" and self.config.murty_budget is not None
         end_below = self.config.thresholds.bern_r if freeze else 0.0
         tracks = []
-        ended = set()
+        dead = set()
         for t in s.density.tracks:
             hyps = tuple(self._predict_hypothesis(h, k, end_below) for h in t.hypotheses)
             tracks.append(Track(t.id, hyps))
-            if freeze and not any(_alive(h, k) for h in hyps):
-                ended.add(t.id)
+            if freeze and not any(h.alive_at(k) for h in hyps):
+                dead.add(t.id)
         ppp = TrajectoryMixture(ppp + births.components, "intensity")
         density = replace(s.density, ppp=ppp, tracks=tuple(tracks), window=TimeWindow(0, k))
-        return TrackerState(archive_ended(density, ended), k, s.next_track_id)
+        return TrackerState(archive_ended(density, dead), k, s.next_track_id)
 
     def _predict_hypothesis(self, h, k: int, end_below: float):
         """One local hypothesis at scan k, with the components whose
@@ -214,7 +212,7 @@ class PmbmTracker:
         exact = self.config.murty_budget is None
         new_threshold = 0.0 if exact else NEW_COMPONENT_THRESHOLD
         gap = None if exact else -math.log(self.config.thresholds.global_w)
-        chosen_children = []  # (child log weight, prior choice dict, {tid: j}, new js, prior archived)
+        chosen_children = []  # (child log weight, prior choice dict, {tid: j}, new js)
         for g, w in zip(p.global_hyps, weights):
             budget = sys.maxsize if exact else max(1, math.ceil(w * self.config.murty_budget))
             cm = build_cost_matrix(p, g, tables)
@@ -239,7 +237,7 @@ class PmbmTracker:
                         new_js.append(j)
                         logw += new_log[j]
                 if math.isfinite(logw):
-                    chosen_children.append((logw, chosen, detected, tuple(sorted(new_js)), g.archived))
+                    chosen_children.append((logw, chosen, detected, tuple(sorted(new_js))))
         if not chosen_children:
             raise ValueError("no feasible association for the scan")
 
@@ -254,7 +252,7 @@ class PmbmTracker:
 
         # materialize each distinct child hypothesis once
         needed = set()
-        for _, chosen, detected, _, _ in chosen_children:
+        for _, chosen, detected, _ in chosen_children:
             for tid in track_ids:
                 needed.add((tid, chosen[tid], detected.get(tid)))
         needed = sorted(needed, key=lambda t: (t[0], t[1], -1 if t[2] is None else t[2]))
@@ -274,7 +272,7 @@ class PmbmTracker:
                 )
             child_cache[(tid, parent, assoc)] = child
 
-        realized_new = sorted({j for _, _, _, new_js, _ in chosen_children for j in new_js})
+        realized_new = sorted({j for _, _, _, new_js in chosen_children for j in new_js})
         new_track_ids = {j: s.next_track_id + j for j in range(m)}
 
         # assemble the new track table and the child choice maps, with one
@@ -298,11 +296,11 @@ class PmbmTracker:
 
         new_pairs = {j: ((new_track_ids[j], 0), (new_track_ids[j], 1)) for j in realized_new}
         globals_ = []
-        for logw, chosen, detected, new_js, archived in chosen_children:
+        for logw, chosen, detected, new_js in chosen_children:
             choice = [pair_of[(tid, chosen[tid], detected.get(tid))] for tid in track_ids]
             for j in realized_new:
                 choice.append(new_pairs[j][1 if j in new_js else 0])
-            globals_.append(GlobalHypothesis(logw, tuple(choice), archived))
+            globals_.append(GlobalHypothesis(logw, tuple(choice)))
 
         density = replace(
             p,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import trajpmbm
 from trajpmbm import gaussseq as gs
 from trajpmbm.density import (
+    ArchiveBatch,
     GlobalHypothesis,
     LocalHypothesis,
     PmbmDensity,
@@ -303,6 +305,16 @@ class TestDumpRoundTrip:
             lambda d: d.update(mode="some"),
             lambda d: d["globals"][0].update(choice=[[3, 0], [7, -1]]),
             lambda d: d["globals"][0].update(choice=[[3, 0], [7, 5]]),
+            # a missing entry or a mistyped one is malformed as well
+            lambda d: d.pop("globals"),
+            lambda d: d.pop("tracks"),
+            lambda d: d.pop("retired"),
+            lambda d: d.pop("measurement_record"),
+            lambda d: d.pop("mode"),
+            lambda d: d.pop("window"),
+            lambda d: d.pop("ppp"),
+            lambda d: hyp7(d).pop("r"),
+            lambda d: d["globals"][0].update(log_weight="heavy"),
         ],
         ids=[
             "pmf-sum",
@@ -314,6 +326,15 @@ class TestDumpRoundTrip:
             "mode",
             "choice-negative",
             "choice-past-end",
+            "no-globals",
+            "no-tracks",
+            "no-retired",
+            "no-measurement-record",
+            "no-mode",
+            "no-window",
+            "no-ppp",
+            "no-r",
+            "string-log-weight",
         ],
     )
     def test_malformed_dump_rejected(self, break_dump):
@@ -545,10 +566,31 @@ class TestArchive:
             ]
             assert bool(alive_archived) == (kq < state.k)
 
-    def test_archive_choices_must_cover_the_archive(self):
+    def test_alive_hypothesis_in_the_archive_rejected(self):
         p = scenario1_run(scans=12)[2].density
-        validate(p)
-        g = p.global_hyps[0]
-        broken = [GlobalHypothesis(g.log_weight, g.choice, g.archived[:-1])] + list(p.global_hyps[1:])
-        with pytest.raises(AssertionError):
-            validate(PmbmDensity(p.ppp, p.tracks, tuple(broken), p.window, p.mode, p.measurement_record, p.retired, p.archive))
+        k, g = p.window.gamma, p.ranked()[0]
+        tid, hidx = next((tid, h) for tid, h in g.choice if p.track_by_id(tid).hypotheses[h].alive_at(k))
+        only_g = replace(p, global_hyps=(GlobalHypothesis(0.0, g.choice),))
+        validate(only_g)
+        planted = replace(
+            only_g,
+            tracks=tuple(t for t in p.tracks if t.id != tid),
+            global_hyps=(GlobalHypothesis(0.0, tuple(c for c in g.choice if c[0] != tid)),),
+            archive=p.archive + (ArchiveBatch.of((tid,), (p.track_by_id(tid).hypotheses[hidx],)),),
+        )
+        with pytest.raises(AssertionError, match=f"archived track {tid} alive at scan {k}"):
+            validate(planted)
+
+    def test_every_dumped_track_exists_under_some_global(self):
+        d = dump_density(scenario1_run(scans=30)[2].density)
+        r = {(td["id"], i): hd["r"] for td in d["tracks"] for i, hd in enumerate(td["hypotheses"])}
+        existing = {tid for gd in d["globals"] for tid, h in gd["choice"] if r[(tid, h)] > 0.0}
+        assert existing == {td["id"] for td in d["tracks"]}
+
+    def test_ranked_orders_ties_as_the_dumped_choice_maps(self):
+        p = scenario1_run(scans=12)[2].density
+        assert p.archive and len(p.global_hyps) > 2
+        tied = replace(p, global_hyps=tuple(GlobalHypothesis(0.0, g.choice) for g in p.global_hyps))
+        dumped = [gd["choice"] for gd in dump_density(tied)["globals"]]
+        position = {id(g): i for i, g in enumerate(tied.global_hyps)}
+        assert [position[id(g)] for g in tied.ranked()] == sorted(range(len(dumped)), key=dumped.__getitem__)

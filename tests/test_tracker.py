@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajpmbm import gaussseq as gs
+from trajpmbm.association import build_cost_matrix, scan_weight_tables
 from trajpmbm.density import (
     GlobalHypothesis,
     LocalHypothesis,
@@ -19,7 +21,15 @@ from trajpmbm.density import (
     validate,
 )
 from trajpmbm.marginal import AliveQuery, marginalize_pmbm
-from trajpmbm.models import BirthComponent, BirthModel, Rectangle, SensorModel, SurvivalModel, constant_velocity_model
+from trajpmbm.models import (
+    BirthComponent,
+    BirthModel,
+    Rectangle,
+    SensorModel,
+    SurvivalModel,
+    birth_intensity_at,
+    constant_velocity_model,
+)
 from trajpmbm.scenario import ScenarioConfig
 from trajpmbm.tracker import PmbmTracker, TrackerConfig, TrackerState
 from trajpmbm.trajectory import (
@@ -43,8 +53,6 @@ from oracles import OracleTracker, PointPmbmOracle, epsilon_pmf_closed, predicti
 
 def single_track_state(tracker, r, k, mean, var, history=frozenset({(0, 0)})):
     """Tracker state with one track and a fresh birth intensity at step k."""
-    from trajpmbm.models import birth_intensity_at
-
     seq = gs.make_seq(tracker.config.backend, TimeWindow(0, k), mean, var)
     hyp = LocalHypothesis(r, TrajectoryMixture((MixtureComponent(1.0, seq),)), history)
     density = PmbmDensity(
@@ -101,8 +109,8 @@ class TestPredictAll:
 class TestTruncation:
     """All mode ends a component's surviving tail at the previous scan once
     r * weight * alive mass * ps falls below ``bern_r`` and archives a
-    track left with no trajectory alive; exact mode and ``bern_r = 0``
-    keep every tail."""
+    track left with no trajectory alive once every global chooses the same
+    hypothesis of it; exact mode and ``bern_r = 0`` keep every tail."""
 
     SCANS = [[[0.4]], [[0.9], [6.0]], [], [[2.1]], [[2.9], [-4.0]], [], [], [[3.5]], []]
 
@@ -139,19 +147,67 @@ class TestTruncation:
         assert min(extended) < PruneThresholds().bern_r
 
     def test_default_threshold_ends_tails_and_archives(self):
-        tracker = scalar_setup(ps=0.3, pd=0.95, clutter_rate=0.5, backend="info", exact=False)
+        # under the default global threshold of 1e-4, 23 globals still
+        # disagree on every ended track at the last scan, so all of them stay
+        # live; a threshold of 0.05 prunes the weak associations, and the
+        # globals agree on ended tracks from scan 5 on
+        tracker = scalar_setup(
+            ps=0.3, pd=0.95, clutter_rate=0.5, backend="info", exact=False, thresholds=PruneThresholds(global_w=0.05)
+        )
         archived = []
 
         def check(prev, now, k):
             archived.extend(t.id for t in now.archived_tracks())
             validate(now)
+            # a live track with no trajectory alive is one the globals disagree on
+            for t in now.tracks:
+                if not any(h.alive_at(k) for h in t.hypotheses):
+                    assert len({h for g in now.global_hyps for tid, h in g.choice if tid == t.id}) > 1
 
         state = self.run(tracker, check)
         assert archived
-        # archived tracks keep every hypothesis and choice: the posterior
-        # still accounts for them
+        # an archived track keeps the one hypothesis that every global
+        # chooses: the posterior still accounts for it
         p = state.density
-        assert all(len(picks) == len(b.ids) for g in p.global_hyps for b, picks in zip(p.archive, g.archived))
+        d = dump_density(p)
+        n_hyps = {td["id"]: len(td["hypotheses"]) for td in d["tracks"]}
+        assert p.archive and all(n_hyps[tid] == 1 for b in p.archive for tid in b.ids)
+        common = {(tid, 0) for b in p.archive for tid in b.ids}
+        assert all(common <= {tuple(c) for c in gd["choice"]} for gd in d["globals"])
+
+    def test_dead_track_stays_live_until_the_globals_agree(self):
+        tracker = scalar_setup(ps=0.9, mode="all", exact=False)
+        seq = gs.make_seq(tracker.config.backend, TimeWindow(0, 1), [0.0, 1.0], np.eye(2))
+        # both hypotheses ended at scan 1: frozen from scan 2 on
+        hyps = tuple(
+            LocalHypothesis(r, TrajectoryMixture((MixtureComponent(1.0, seq),)), frozenset({(j, 0)}))
+            for r, j in ((0.6, 0), (0.9, 1))
+        )
+        disagree = PmbmDensity(
+            ppp=birth_intensity_at(tracker.birth, 2, tracker.config.backend),
+            tracks=(Track(0, hyps),),
+            global_hyps=(GlobalHypothesis(math.log(0.3), ((0, 0),)), GlobalHypothesis(math.log(0.7), ((0, 1),))),
+            window=TimeWindow(0, 2),
+            mode="all",
+        )
+        out = tracker.predict(TrackerState(disagree, 2, 1)).density
+        validate(out)
+        assert out.archive == () and [t.id for t in out.tracks] == [0]
+        assert all(
+            c is c0
+            for h, h0 in zip(out.tracks[0].hypotheses, hyps)
+            for c, c0 in zip(h.density.components, h0.density.components)
+        )
+        tables = scan_weight_tables(out, [np.array([1.0])], tracker.model, tracker.sensor)
+        assert all(build_cost_matrix(out, g, tables).rows == () for g in out.global_hyps)
+
+        agree = replace(out, global_hyps=(GlobalHypothesis(0.0, ((0, 1),)),))
+        out = tracker.predict(TrackerState(agree, 3, 1)).density
+        validate(out)
+        assert out.tracks == () and out.global_hyps[0].choice == ()
+        assert [(b.ids, b.rs) for b in out.archive] == [((0,), (0.9,))]
+        (h,) = out.archive[0].hypotheses
+        assert (h.r, h.meas_history, h.density.components[0].e) == (0.9, frozenset({(1, 0)}), 1)
 
     def test_surviving_mass_below_threshold_ends_at_previous_scan(self):
         tracker = scalar_setup(ps=0.9, mode="all", exact=False)
