@@ -8,6 +8,8 @@ two-hypothesis Bernoulli for a track started on a measurement.
 
 The children's association weights, and the measurement likelihoods the
 updates condition on, come from :func:`association.scan_weight_tables`.
+The predictions or the updates of one scan may pass one ``shared`` dict: equal
+death-time pmfs, and the last steps one z updates from equal ones, are then one object.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .trajectory import MixtureComponent, TrajectoryMixture, epsilon_pmf_miss_up
 
 __all__ = [
     "predict_component",
-    "predict_mixture",
     "miss_update",
     "detect_update",
     "thin_ppp",
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 def predict_component(
-    c: MixtureComponent, model: gaussseq.ModelLG, ps: float, k: int, mode: str
+    c: MixtureComponent, model: gaussseq.ModelLG, ps: float, k: int, mode: str, shared: dict | None = None
 ) -> MixtureComponent:
     """Advance one component to scan k.
 
@@ -42,6 +43,7 @@ def predict_component(
     if alive <= 0.0:
         return c
     pmf = epsilon_pmf_predict(((c.e, 1.0),) if c.eps_pmf is None else c.eps_pmf, ps, k)
+    pmf = pmf if shared is None else shared.setdefault(pmf, pmf)
     if pmf[-1][0] == k:
         seq = gaussseq.predict_seq(c.seq, model)
     else:
@@ -49,52 +51,45 @@ def predict_component(
     return MixtureComponent(c.weight, seq, pmf)
 
 
-def predict_mixture(
-    mix: TrajectoryMixture, model: gaussseq.ModelLG, ps: float, k: int, mode: str
-) -> TrajectoryMixture:
-    comps = tuple(predict_component(c, model, ps, k, mode) for c in mix.components)
-    return TrajectoryMixture(comps, mix.kind)
-
-
 def _mixture_detection_prob(mix: TrajectoryMixture, pd: float, k: int) -> float:
     """<f, detection at scan k> for a normalized mixture."""
     return pd * sum(c.weight * c.alive_mass(k) for c in mix.components)
 
 
-def miss_update(h: LocalHypothesis, pd: float, k: int) -> LocalHypothesis:
+def miss_update(h: LocalHypothesis, pd: float, k: int, shared: dict | None = None) -> LocalHypothesis:
     """Missed-detection child of a local hypothesis.
 
     Existence and the density are reconditioned on the miss; the child's
     weight factor (1 - r <f, pd>) is the scan tables' miss factor.
-    Hypotheses with r == 0 pass through unchanged.
+    Hypotheses with r == 0 or with no trajectory alive at k pass through unchanged.
     """
     if h.r == 0.0 or h.density is None:
         return h
     mix = h.density
     pd_mass = _mixture_detection_prob(mix, pd, k)
+    if pd_mass == 0.0:
+        return h
     w_factor = 1.0 - h.r * pd_mass
     r = h.r * (1.0 - pd_mass) / w_factor if w_factor > 0.0 else 0.0
-    comps = _miss_components(mix, pd, k)
+    comps = _miss_components(mix, pd, k, shared)
     total = sum(c.weight for c in comps)
     if total <= 0.0 or r <= 0.0:
-        return LocalHypothesis(0.0, None, h.meas_history)
-    density = TrajectoryMixture(
-        tuple(MixtureComponent(c.weight / total, c.seq, c.eps_pmf) for c in comps)
-    )
-    return LocalHypothesis(r, density, h.meas_history)
+        return LocalHypothesis(0.0, None, h.history)
+    density = TrajectoryMixture(tuple(MixtureComponent(c.weight / total, c.seq, c.eps_pmf) for c in comps))
+    return LocalHypothesis(r, density, h.history)
 
 
-def _condition(mix: TrajectoryMixture, model: gaussseq.ModelLG, z, k: int, gated: tuple, component_threshold: float):
+def _condition(mix: TrajectoryMixture, model: gaussseq.ModelLG, z, k: int, gated: tuple, component_threshold: float, shared):
     """The ``gated`` (component index, likelihood of z) components of ``mix``
     weighted by weight * alive mass * likelihood, updated with z, normalized
     and pruned.  Returns (density or None when no weight remains, total
     weight)."""
-    comps = []
+    comps, shared = [], {} if shared is None else shared
     for idx, lik in gated:
         c = mix.components[idx]
         w = c.weight * c.alive_mass(k) * lik
         if w > 0.0:
-            comps.append(MixtureComponent(w, gaussseq.update_seq(c.seq, model, z)))
+            comps.append(MixtureComponent(w, gaussseq.update_seq(c.seq, model, z, shared)))
     if not comps:
         return None, 0.0
     total = sum(c.weight for c in comps)
@@ -111,6 +106,7 @@ def detect_update(
     scan: tuple,
     gated: tuple,
     component_threshold: float = 0.0,
+    shared: dict | None = None,
 ) -> LocalHypothesis:
     """Detection child: hypothesis h updated with measurement z at scan k.
 
@@ -120,11 +116,11 @@ def detect_update(
     under ``det_liks``.  Returns a non-existence placeholder when the
     measurement is impossible under the hypothesis.
     """
-    density = _condition(h.density, model, z, scan[0], gated, component_threshold)[0] if h.r > 0.0 else None
-    return LocalHypothesis(0.0 if density is None else 1.0, density, h.meas_history | {scan})
+    density = _condition(h.density, model, z, scan[0], gated, component_threshold, shared)[0] if h.r > 0.0 else None
+    return LocalHypothesis(0.0 if density is None else 1.0, density, h.history + (scan,))
 
 
-def _miss_components(mix: TrajectoryMixture, pd: float, k: int) -> tuple:
+def _miss_components(mix: TrajectoryMixture, pd: float, k: int, shared: dict | None) -> tuple:
     """Components weighted by their miss probability 1 - pd * alive mass at
     scan k, with death-time pmfs reconditioned on the miss; components a miss
     rules out are dropped."""
@@ -136,19 +132,20 @@ def _miss_components(mix: TrajectoryMixture, pd: float, k: int) -> tuple:
             continue
         if c.eps_pmf is not None and alive > 0.0:
             pmf = epsilon_pmf_miss_update(c.eps_pmf, pd, k)
+            pmf = pmf if shared is None else shared.setdefault(pmf, pmf)
         else:
             pmf = c.eps_pmf
         comps.append(MixtureComponent(c.weight * scale, c.seq, pmf))
     return tuple(comps)
 
 
-def thin_ppp(ppp: TrajectoryMixture, pd: float, k: int) -> TrajectoryMixture:
+def thin_ppp(ppp: TrajectoryMixture, pd: float, k: int, shared: dict | None = None) -> TrajectoryMixture:
     """Undetected intensity after a scan: alive mass is scaled by (1 - pd).
 
     Components keep their identity; in all-trajectories mode the death-time
     pmf is reconditioned on the miss, in current mode the weight just scales.
     """
-    return TrajectoryMixture(_miss_components(ppp, pd, k), "intensity")
+    return TrajectoryMixture(_miss_components(ppp, pd, k, shared), "intensity")
 
 
 def new_track_hypotheses(
@@ -159,6 +156,7 @@ def new_track_hypotheses(
     scan: tuple,
     gated: tuple,
     component_threshold: float = 1e-3,
+    shared: dict | None = None,
 ) -> tuple:
     """Two-hypothesis Bernoulli for the track started on measurement z.
 
@@ -168,9 +166,9 @@ def new_track_hypotheses(
     (component index, likelihood) for the Poisson components that pass the
     gate with z, as :func:`association.scan_weight_tables` records them.
     """
-    density, evid = _condition(ppp, model, z, scan[0], gated, component_threshold)
+    density, evid = _condition(ppp, model, z, scan[0], gated, component_threshold, shared)
     signal = sensor.pd * evid
     w_exist = clutter_density(sensor, z) + signal
     r = signal / w_exist if w_exist > 0.0 else 0.0
-    exist = LocalHypothesis(r, density if r > 0.0 else None, frozenset({scan}))
-    return LocalHypothesis(0.0, None, frozenset()), exist
+    exist = LocalHypothesis(r, density if r > 0.0 else None, (scan,))
+    return LocalHypothesis(0.0, None, ()), exist

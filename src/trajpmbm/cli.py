@@ -196,5 +196,15 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run(argv=None) -> int:
+    """The ``pmbm`` command: ``main``, reporting a ValueError (malformed
+    input, an invalid setting) as one ``error:`` line and exit status 1."""
+    try:
+        return main(argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -53,13 +53,22 @@ class LocalHypothesis:
     ``r`` is the probability of existence; ``density`` is a
     normalized trajectory mixture (may be None when r == 0, e.g. the
     non-existence hypothesis of a new track or a pruned placeholder);
-    ``meas_history`` records the (scan, measurement index) pairs this
-    hypothesis has associated, at most one per scan.
+    ``history`` holds the (scan, measurement index) pairs this hypothesis
+    has associated, at most one per scan, in scan order; ``meas_history``
+    returns them as a set.
     """
 
     r: float
     density: Optional[TrajectoryMixture]
-    meas_history: frozenset
+    history: tuple  # 26 pairs take 248 bytes as a tuple, 1,240 as a frozenset
+
+    def __post_init__(self):
+        if type(self.history) is not tuple:  # a set of pairs: stored sorted
+            object.__setattr__(self, "history", tuple(sorted(self.history)))
+
+    @property
+    def meas_history(self) -> frozenset:
+        return frozenset(self.history)
 
     def alive_at(self, k: int) -> bool:
         """Whether the hypothesis has a trajectory alive at scan k."""
@@ -248,7 +257,7 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
         hyps = tuple(
             h
             if h.r >= thresholds.bern_r or h.r == 0.0
-            else LocalHypothesis(0.0, None, h.meas_history)
+            else LocalHypothesis(0.0, None, h.history)
             for h in track.hypotheses
         )
         new_tracks.append(Track(track.id, hyps))
@@ -270,7 +279,7 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
             # non-existent under every global: remove the track outright;
             # its likelihood factors stay banked in the global log weights
             for h in hyps:
-                retired |= h.meas_history
+                retired.update(h.history)
             continue
         # one (track id, new index) pair object for every global choosing it
         remap[track.id] = {old: (track.id, new) for new, old in enumerate(used)}
@@ -332,7 +341,7 @@ def validate(p: PmbmDensity) -> None:
         _require(len(track.hypotheses) > 0, "track {} without hypotheses", track.id)
         for h in track.hypotheses:
             _require(0.0 <= h.r <= 1.0, "existence probability {} outside [0, 1]", h.r)
-            scans = [k for k, _ in h.meas_history]
+            scans = [k for k, _ in h.history]
             _require(len(scans) == len(set(scans)), "more than one association in a single scan")
             _require(h.r == 0.0 or h.density is not None, "existing hypothesis must carry a density")
             if h.density is not None:
@@ -341,9 +350,9 @@ def validate(p: PmbmDensity) -> None:
     # every global chooses the one hypothesis of each archived track
     common: set = set()
     for t in archived:
-        hist = t.hypotheses[0].meas_history
-        _require(not (common & hist), "measurement shared between archived hypotheses")
-        common |= hist
+        hist = t.hypotheses[0].history
+        _require(common.isdisjoint(hist), "measurement shared between archived hypotheses")
+        common.update(hist)
     for g in p.global_hyps:
         _require(list(g.choice) == sorted(g.choice), "choice map not sorted")
         _require({tid for tid, _ in g.choice} == set(ids), "choice map does not cover the track table")
@@ -352,9 +361,9 @@ def validate(p: PmbmDensity) -> None:
             track = p.track_by_id(tid)
             hyps = track.hypotheses
             _require(0 <= hidx < len(hyps), "choice names hypothesis {} of track {} with {}", hidx, track.id, len(hyps))
-            hist = hyps[hidx].meas_history
-            _require(not (seen & hist), "measurement shared between chosen hypotheses")
-            seen |= hist
+            hist = hyps[hidx].history
+            _require(seen.isdisjoint(hist), "measurement shared between chosen hypotheses")
+            seen.update(hist)
         missing = expected - seen - p.retired
         _require(not missing, "measurements not covered: {}", sorted(missing)[:5])
 
@@ -397,7 +406,7 @@ def dump_density(p: PmbmDensity) -> dict:
                 "hypotheses": [
                     {
                         "r": h.r,
-                        "meas_history": sorted(list(x) for x in h.meas_history),
+                        "meas_history": sorted(list(x) for x in h.history),
                         "components": None if h.density is None else [comp_dict(c) for c in h.density.components],
                     }
                     for h in t.hypotheses

@@ -27,14 +27,14 @@ Constructors only convert and store; ``load_seq`` checks outside input
 (missing entries, non-finite values, shapes) and raises ValueError.
 
 The information form answers a marginal over its last step alone from the
-last-state moments its filter recursion caches, in O(1); every other window
-is recovered by a band solve.  It holds each completed band step once, in
-read-only arrays that a sequence shares with its parent and its children,
-and every predicted superdiagonal block is the model's one -F'Q^{-1}
-block, so prediction and update copy no band: its constructor takes those
-stored parts, and ``InfoSeq.from_band`` alone converts a full band (from
-``make_seq`` and ``load_seq``) into them.  The chi-square gate
-threshold comes from ``scipy.special``; ``scipy.stats`` is not imported.
+last-state moments its filter recursion caches, in O(1); the full mean and
+every other window come from LAPACK's banded Cholesky solve.  It holds each
+measured step once, in read-only arrays shared with its parent, children
+and the siblings one measurement updated, so prediction and update copy no
+band: its constructor takes those stored parts, and ``InfoSeq.from_band``
+alone converts a full band (from ``make_seq`` and ``load_seq``) into them.
+The chi-square gate threshold comes from ``scipy.special``; ``scipy.stats``
+is not imported.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky, cholesky_banded, solve_triangular
 from scipy.special import gammaincinv
 
 from .trajectory import TimeWindow, _frozen_array
@@ -237,9 +237,9 @@ class MomentSeq(_Seq):
             new_cov = new_cov[nx:, nx:]
         return MomentSeq(window, mean, new_cov, self.L, old)
 
-    def update(self, m: ModelLG, z) -> "MomentSeq":
+    def update(self, m: ModelLG, z, shared: Optional[dict] = None) -> "MomentSeq":
         """Condition the dense steps on a measurement of the last state;
-        detached steps are untouched."""
+        detached steps are untouched.  Nothing is ``shared``."""
         nx, H, R = m.nx, np.asarray(m.H), np.asarray(m.R)
         z = np.asarray(z, dtype=float).reshape(-1)
         P_tail = self.cov[:, -nx:]
@@ -303,14 +303,15 @@ class InfoSeq(_Seq):
     everything outside the band is exactly zero.  Only the last step's
     entries change under an update, so the band is stored as:
 
-    * ``done``, the completed steps, as a flat tuple of read-only arrays
-      ``(steps, off, steps, off, ...)``.  Each ``steps`` is an
-      (m, nx + 1, nx) array whose row 0 holds a step's information-vector
-      entries and rows 1.. its diagonal block; the ``off`` after it is the
-      superdiagonal block from each of those steps to the next, one
-      (nx, nx) block for all of them or an (m, nx, nx) array.  Prediction
-      appends one step and shares every array before it with the parent,
-      and every predicted step shares the model's single -F'Q^{-1} block.
+    * ``done``, the completed steps, as a flat tuple of read-only arrays.
+      A step's entries are nx + 1 rows of nx: its information-vector
+      entries, then its diagonal block.  First come the rows of the steps
+      ``from_band`` stored, in one array, and their superdiagonal blocks,
+      one (nx, nx) block for all or an (m, nx, nx) array.  A predicted
+      sequence goes on with the model's F'Q^{-1}F and -F'Q^{-1}, then each
+      predicted step's entries as they were while it was last, which
+      prediction shares with the parent: ``band()`` adds the F'Q^{-1}F a
+      step gains on completion, and -F'Q^{-1} is its superdiagonal block.
       A tuple of arrays holds no reference the garbage collector has to
       follow, so it leaves the collector's tracking at its first pass;
     * ``head``, the last step's (nx + 1, nx) entries, laid out the same way;
@@ -322,8 +323,9 @@ class InfoSeq(_Seq):
 
     The constructor stores these four fields and shares, not copies, the
     arrays.  ``from_band`` builds one from a full band, and ``band()`` and
-    ``last_moments()`` gather it back.  Marginals over other windows and the
-    moment view are recovered by sparse solves and returned in moment form.
+    ``last_moments()`` gather it back.  The full mean, marginals over other
+    windows and the moment view come from one banded Cholesky solve of the
+    band; marginals and the moment view are returned in moment form.
     ``dump`` writes the band and the cached moments, O(length * nx^2).
     """
 
@@ -339,50 +341,56 @@ class InfoSeq(_Seq):
         diag = np.asarray(diag, dtype=float)
         nu, nx = diag.shape[0], diag.shape[-1]
         steps = _stacked(np.reshape(ivec, (nu, nx)), diag, (nu, nx + 1, nx))
-        done = ()
-        if nu > 1:
-            off = np.array(off, dtype=float).reshape(nu - 1, nx, nx)
-            if (off.view(np.uint64) == off[0].view(np.uint64)).all():  # bitwise, signed zeros too
-                off = off[0].copy()  # one block for every step, as prediction writes it
-            done = (steps[:-1], _readonly(off))
+        off = np.array(off, dtype=float).reshape(nu - 1, nx, nx)
+        if nu > 1 and (off.view(np.uint64) == off[0].view(np.uint64)).all():  # bitwise, signed zeros too
+            off = off[0].copy()  # one block for every step, as prediction writes it
         last = _stacked(np.reshape(last_mean, nx), np.reshape(last_cov, (nx, nx)), (nx + 1, nx))
-        return cls(window, done, steps[-1], last)
+        return cls(window, (steps[:-1].reshape(-1, nx), _readonly(off)), steps[-1], last)
 
     @property
     def nx(self) -> int:
         return self.head.shape[1]
 
     def band(self) -> tuple:
-        """The full band as (ivec, diag, off) arrays, gathered from ``done``."""
-        nx = self.nx
-        parts, offs = self.done[0::2], self.done[1::2]
-        steps = np.concatenate(parts + (self.head[None],))
-        if offs and all(o is offs[0] for o in offs) and offs[0].ndim == 2:
-            off = np.broadcast_to(offs[0], (len(steps) - 1, nx, nx))
-        elif offs:
-            off = np.concatenate([np.broadcast_to(o, (len(part), nx, nx)) for part, o in zip(parts, offs)])
-        else:
-            off = np.zeros((0, nx, nx))
+        """The full band as (ivec, diag, off) arrays, gathered from ``done``
+        in one concatenation; the predicted steps gain F'Q^{-1}F in one add."""
+        nx, done = self.nx, self.done
+        steps = np.concatenate(done[:1] + done[4:] + (self.head,)).reshape(-1, nx + 1, nx)
+        n0 = len(done[0]) // (nx + 1)
+        off = np.broadcast_to(done[1], (n0, nx, nx)) if n0 or len(done) == 2 else None
+        if len(done) > 2:
+            steps[n0:-1, 1:] += done[2]
+            predicted = np.broadcast_to(done[3], (len(steps) - 1 - n0, nx, nx))
+            off = predicted if off is None else np.concatenate([off, predicted])
         return steps[:, 0].reshape(-1), steps[:, 1:], off
 
     def _predict(self, m: ModelLG, window: TimeWindow) -> "InfoSeq":
         """Grow the band by one step.
 
-        The previous last diagonal block gains F'Q^{-1}F and completes; the
+        The previous last step completes: its entries join ``done`` as they
+        are, and ``band()`` adds the F'Q^{-1}F its diagonal block gains.  The
         new off-diagonal block is -F'Q^{-1}, the new diagonal block is
         Q^{-1}, and the new information-vector entries are zero; the corners
         stay exactly zero.
         """
-        F, head = m.F, self.head
-        step = _stacked(head[0], head[1:] + m.FtQinvF, (1,) + head.shape)
+        F, done = m.F, self.done
+        if len(done) > 2 and done[2] is not m.FtQinvF:  # steps predicted under another model: complete them
+            done = InfoSeq.from_band(self.window, *self.band(), *self.last_moments()).done
+        if len(done) == 2:
+            done += (m.FtQinvF, m.info_off)
         last = _stacked(F @ self.last[0], _symmetrize(F @ self.last[1:] @ F.T + m.Q), self.last.shape)
-        return InfoSeq(window, self.done + (step, m.info_off), m.info_head, last)
+        return InfoSeq(window, done + (self.head,), m.info_head, last)
 
-    def update(self, m: ModelLG, z) -> "InfoSeq":
-        """Add H'R^{-1}z / H'R^{-1}H to the last step's entries; nothing else moves."""
+    def update(self, m: ModelLG, z, shared: Optional[dict] = None) -> "InfoSeq":
+        """Add H'R^{-1}z / H'R^{-1}H to the last step's entries; nothing else
+        moves.  Updates under one model passing one ``shared`` dict share the
+        new entries of equal last steps updated with equal z."""
         H, R, Rinv = m.H, m.R, m.Rinv
         z = np.asarray(z, dtype=float).reshape(-1)
-        head = _stacked(self.head[0] + H.T @ Rinv @ z, self.head[1:] + m.HtRinvH, self.head.shape)
+        shared, key = {} if shared is None else shared, self.head.tobytes() + z.tobytes()
+        if key not in shared:
+            shared[key] = _stacked(self.head[0] + H.T @ Rinv @ z, self.head[1:] + m.HtRinvH, self.head.shape)
+        head = shared[key]
         mean, cov = self.last[0], self.last[1:]
         S = _symmetrize(H @ cov @ H.T + R)
         v = z - H @ mean
@@ -395,7 +403,7 @@ class InfoSeq(_Seq):
 
     def full_mean(self) -> np.ndarray:
         ivec, diag, off = self.band()
-        return _BandCholesky(diag, off).solve(ivec)
+        return _band_solve(diag, off, ivec)
 
     def _select(self, keep: TimeWindow, i0: int, i1: int) -> MomentSeq:
         if keep.alpha == self.window.gamma:
@@ -432,71 +440,48 @@ class InfoSeq(_Seq):
 _BAND = ("ivec", "diag", "off", "last_mean", "last_cov")  # the dumped fields of an InfoSeq
 
 
-class _BandCholesky:
-    """Block Cholesky factorization of a block-tridiagonal SPD matrix."""
+MAX_CONDITION = 1e14  # above this condition estimate a band counts as singular
 
-    MAX_CONDITION = 1e14
 
-    def __init__(self, diag: np.ndarray, off: np.ndarray):
-        nu, nx = diag.shape[0], diag.shape[1]
-        self.nx = nx
-        self.L = np.empty((nu, nx, nx))  # diagonal blocks, lower triangular
-        self.B = np.empty((max(nu - 1, 0), nx, nx))  # subdiagonal blocks of the factor
-        prev = None
-        try:
-            for i in range(nu):
-                D = diag[i]
-                if i > 0:
-                    # subdiagonal: solve L_{i-1} X = off[i-1], B_i = X'
-                    X = solve_triangular(prev, off[i - 1], lower=True)
-                    self.B[i - 1] = X.T
-                    D = D - X.T @ X
-                Li = cholesky(_symmetrize(D), lower=True)
-                self.L[i] = Li
-                prev = Li
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError("information matrix is numerically singular") from exc
-        # cheap condition estimate from the factor's diagonal spread
-        d = np.diagonal(self.L, axis1=1, axis2=2)
-        if (d.max() / max(d.min(), np.finfo(float).tiny)) ** 2 > self.MAX_CONDITION:
-            raise np.linalg.LinAlgError("information matrix is numerically singular")
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve Y x = rhs for one or several right-hand sides."""
-        nx = self.nx
-        b = rhs.reshape(-1, nx, rhs.shape[1]) if rhs.ndim == 2 else rhs.reshape(-1, nx, 1)
-        nu = b.shape[0]
-        z = np.empty_like(b, dtype=float)
-        for i in range(nu):
-            t = b[i] - (self.B[i - 1] @ z[i - 1] if i > 0 else 0.0)
-            z[i] = solve_triangular(self.L[i], t, lower=True)
-        x = np.empty_like(z)
-        for i in reversed(range(nu)):
-            t = z[i] - (self.B[i].T @ x[i + 1] if i < nu - 1 else 0.0)
-            x[i] = solve_triangular(self.L[i].T, t, lower=False)
-        out = x.reshape(nu * nx, -1)
-        return out if rhs.ndim == 2 else out[:, 0]
+def _band_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve Y x = rhs for one or several right-hand sides, Y the
+    block-tridiagonal SPD matrix of ``diag`` and ``off``, by LAPACK's banded
+    Cholesky (``pbtrf``/``pbtrs``) on Y packed in one step into lower banded
+    storage: bandwidth 2 nx - 1, entry (d, j) holding Y[j + d, j]."""
+    nu, nx = diag.shape[0], diag.shape[-1]
+    cols = np.zeros((nu, nx, 3 * nx))  # cols[i, b, r]: Y[i nx + r, i nx + b], zero past the band
+    cols[:, :, :nx] = diag.transpose(0, 2, 1)
+    cols[:-1, :, nx : 2 * nx] = off
+    b, d = np.ogrid[:nx, : 2 * nx]
+    ab = cols[:, b, b + d].reshape(nu * nx, 2 * nx).T
+    try:
+        factor = cholesky_banded(ab, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("information matrix is numerically singular") from exc
+    pivots = factor[0]  # the factor's diagonal, that of the block factors
+    if (pivots.max() / max(pivots.min(), np.finfo(float).tiny)) ** 2 > MAX_CONDITION:
+        raise np.linalg.LinAlgError("information matrix is numerically singular")
+    return cho_solve_banded((factor, True), rhs, check_finite=False)
 
 
 def recover_moments(s: InfoSeq, steps: TimeWindow) -> tuple:
-    """Mean and covariance blocks for ``steps``, via sparse SPD solves.
+    """Mean and covariance blocks for ``steps``, via one banded SPD solve.
 
-    The dense inverse is never formed: the mean solves the full band system
-    once, and the covariance block solves against the identity columns of the
-    requested steps only.
+    The dense inverse is never formed: the band system is solved for the
+    information vector (the mean) and for the identity columns of the
+    requested steps only (the covariance block).
     """
     if not s.window.contains(steps):
         raise ValueError("requested steps outside the sequence window")
     nx = s.nx
     ivec, diag, off = s.band()
-    fac = _BandCholesky(diag, off)
-    mean = fac.solve(ivec)
     i0 = (steps.alpha - s.window.alpha) * nx
     i1 = (steps.gamma - s.window.alpha + 1) * nx
-    rhs = np.zeros((ivec.size, i1 - i0))
-    rhs[i0:i1] = np.eye(i1 - i0)
-    cov = fac.solve(rhs)[i0:i1]
-    return mean[i0:i1], _symmetrize(cov)
+    rhs = np.zeros((ivec.size, 1 + i1 - i0))
+    rhs[:, 0] = ivec
+    rhs[i0:i1, 1:] = np.eye(i1 - i0)
+    x = _band_solve(diag, off, rhs)[i0:i1]
+    return x[:, 0], _symmetrize(x[:, 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +560,9 @@ def predict_seq(s, m: ModelLG):
     return s.predict(m)
 
 
-def update_seq(s, m: ModelLG, z):
-    return s.update(m, z)
+def update_seq(s, m: ModelLG, z, shared: Optional[dict] = None):
+    """``s.update``: sibling updates by one z may pass one ``shared`` dict."""
+    return s.update(m, z, shared)
 
 
 def last_state_moments(s) -> tuple:

@@ -67,16 +67,16 @@ def marginalize_bernoulli(h: LocalHypothesis, q: AliveQuery) -> LocalHypothesis:
     alive interval; surviving components are clamped and renormalized.
     """
     if h.r == 0.0 or h.density is None:
-        return LocalHypothesis(0.0, None, h.meas_history)
+        return LocalHypothesis(0.0, None, h.history)
     alive = materialize_mixture(h.density, q.alive).components
     alive_mass = sum(c.weight for c in alive)
     r = min(h.r * alive_mass, 1.0)  # the summed masses may round above one
     if alive_mass <= 0.0:
-        return LocalHypothesis(0.0, None, h.meas_history)
+        return LocalHypothesis(0.0, None, h.history)
     comps = tuple(
         replace(_clamp_component(c, q), weight=c.weight / alive_mass) for c in alive
     )
-    return LocalHypothesis(r, TrajectoryMixture(comps), h.meas_history)
+    return LocalHypothesis(r, TrajectoryMixture(comps), h.history)
 
 
 def marginalize_ppp(ppp: TrajectoryMixture, q: AliveQuery) -> TrajectoryMixture:

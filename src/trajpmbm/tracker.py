@@ -149,7 +149,8 @@ class PmbmTracker:
         k = s.k + 1
         ps = self.survival.ps
         scale = ps if mode == "current" else 1.0  # survival of existence and Poisson weights
-        ppp = bernoulli.predict_mixture(s.density.ppp, self.model, ps, k, mode).components
+        shared = {}  # what the predicted components share (see bernoulli)
+        ppp = tuple(bernoulli.predict_component(c, self.model, ps, k, mode, shared) for c in s.density.ppp.components)
         if scale != 1.0:
             ppp = tuple(replace(c, weight=c.weight * scale) for c in ppp)
         births = birth_intensity_at(self.birth, k, self.config.backend, self.config.L)
@@ -160,7 +161,7 @@ class PmbmTracker:
         tracks = []
         dead = set()
         for t in s.density.tracks:
-            hyps = tuple(self._predict_hypothesis(h, k, end_below) for h in t.hypotheses)
+            hyps = tuple(self._predict_hypothesis(h, k, end_below, shared) for h in t.hypotheses)
             tracks.append(Track(t.id, hyps))
             if freeze and not any(h.alive_at(k) for h in hyps):
                 dead.add(t.id)
@@ -168,7 +169,7 @@ class PmbmTracker:
         density = replace(s.density, ppp=ppp, tracks=tuple(tracks), window=TimeWindow(0, k))
         return TrackerState(archive_ended(density, dead), k, s.next_track_id)
 
-    def _predict_hypothesis(self, h, k: int, end_below: float):
+    def _predict_hypothesis(self, h, k: int, end_below: float, shared: dict):
         """One local hypothesis at scan k, with the components whose
         surviving mass falls below ``end_below`` ended at k - 1."""
         if h.r == 0.0 or h.density is None:
@@ -177,11 +178,11 @@ class PmbmTracker:
         comps = tuple(
             c
             if h.r * c.weight * c.alive_mass(k - 1) * ps < end_below
-            else bernoulli.predict_component(c, self.model, ps, k, mode)
+            else bernoulli.predict_component(c, self.model, ps, k, mode, shared)
             for c in h.density.components
         )
         r = h.r * ps if mode == "current" else h.r
-        return LocalHypothesis(r, TrajectoryMixture(comps, h.density.kind), h.meas_history)
+        return LocalHypothesis(r, TrajectoryMixture(comps, h.density.kind), h.history)
 
     # -- update -------------------------------------------------------------
 
@@ -250,7 +251,8 @@ class PmbmTracker:
             chosen_children.sort(key=lambda c: (-c[0], sorted(c[2].items()), c[3]))
             chosen_children = chosen_children[: self.config.thresholds.cap_M]
 
-        # materialize each distinct child hypothesis once
+        # materialize each distinct child hypothesis once, sharing (k, j) keys and what bernoulli shares
+        meas_keys, shared = [(k, j) for j in range(m)], {}
         needed = set()
         for _, chosen, detected, _ in chosen_children:
             for tid in track_ids:
@@ -260,16 +262,10 @@ class PmbmTracker:
         for tid, parent, assoc in needed:
             h = p.track_by_id(tid).hypotheses[parent]
             if assoc is None:
-                child = bernoulli.miss_update(h, self.sensor.pd, k)
+                child = bernoulli.miss_update(h, self.sensor.pd, k, shared)
             else:
-                child = bernoulli.detect_update(
-                    h,
-                    self.model,
-                    scan[assoc],
-                    (k, assoc),
-                    tables.det_liks[(tid, parent, assoc)],
-                    new_threshold,
-                )
+                liks = tables.det_liks[(tid, parent, assoc)]
+                child = bernoulli.detect_update(h, self.model, scan[assoc], meas_keys[assoc], liks, new_threshold, shared)
             child_cache[(tid, parent, assoc)] = child
 
         realized_new = sorted({j for _, _, _, new_js in chosen_children for j in new_js})
@@ -290,7 +286,7 @@ class PmbmTracker:
         for j in realized_new:
             gated = tables.ppp_gated[j]
             pair = bernoulli.new_track_hypotheses(
-                p.ppp, self.model, self.sensor, scan[j], (k, j), gated, new_threshold
+                p.ppp, self.model, self.sensor, scan[j], meas_keys[j], gated, new_threshold, shared
             )
             tracks.append(Track(new_track_ids[j], pair))
 
@@ -304,11 +300,11 @@ class PmbmTracker:
 
         density = replace(
             p,
-            ppp=bernoulli.thin_ppp(p.ppp, self.sensor.pd, k),
+            ppp=bernoulli.thin_ppp(p.ppp, self.sensor.pd, k, shared),
             tracks=tuple(tracks),
             global_hyps=tuple(globals_),
             measurement_record=p.measurement_record + ((k, m),),
-            retired=p.retired | {(k, j) for j in tables.unexplained},
+            retired=p.retired | {meas_keys[j] for j in tables.unexplained},
         )
         density = normalize(density)
         if not exact:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +156,19 @@ def test_track_rejects_a_budget_below_one(tmp_path, config_path):
     for bad in (["--M", "0"], ["--L", "0"]):
         with pytest.raises(ValueError, match="below 1"):
             main(args + bad + ["--out", str(tmp_path / "trk")])
+
+
+def test_malformed_dump_is_one_error_line_not_a_traceback(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    args = ["marginalize", "--dump", str(bad), "--alpha", "0", "--gamma", "0", "--eta", "0", "--zeta", "0"]
+    cmd = [sys.executable, "-m", "trajpmbm.cli", *args, "--out", str(tmp_path / "out.json")]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode != 0 and "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: malformed density dump") and out.stderr.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_simulate_is_deterministic(tmp_path, config_path):

@@ -594,3 +594,35 @@ class TestArchive:
         dumped = [gd["choice"] for gd in dump_density(tied)["globals"]]
         position = {id(g): i for i, g in enumerate(tied.global_hyps)}
         assert [position[id(g)] for g in tied.ranked()] == sorted(range(len(dumped)), key=dumped.__getitem__)
+
+
+class TestOneScanShares:
+    """The children of one scan hold each equal value once, and a
+    hypothesis keeps its measurement history as a tuple."""
+
+    def test_children_of_one_scan_share_steps_pmfs_and_keys(self):
+        tracker, scans, state = scenario1_run(scans=12)
+        s = tracker.update(tracker.predict(state), scans[12])
+        k, p = s.k, s.density
+        hyps = [h for t in p.tracks for h in t.hypotheses]
+        detected = [h for h in hyps if h.history and h.history[-1][0] == k and h.density is not None]
+        assert len({h.history[-1] for h in detected}) < len(detected)
+        heads, keys, pmfs = {}, {}, {}
+        for h in detected:
+            assert keys.setdefault(h.history[-1], h.history[-1]) is h.history[-1]
+            for c in h.density.components:  # updated at k: equal last steps are one array
+                assert heads.setdefault(c.seq.head.tobytes(), c.seq.head) is c.seq.head
+        assert len(heads) < sum(len(h.density.components) for h in detected)
+        alive = [c for h in hyps if h.density for c in h.density.components] + list(p.ppp.components)
+        alive = [c for c in alive if c.eps_pmf is not None and c.alive_mass(k) > 0.0]
+        for c in alive:  # written at k by the prediction or the miss update
+            assert pmfs.setdefault(c.eps_pmf, c.eps_pmf) is c.eps_pmf
+        assert len(pmfs) < len(alive)
+        assert all(type(h.history) is tuple and list(h.history) == sorted(h.history) for h in hyps)
+
+    def test_history_given_as_a_set_is_stored_as_a_sorted_tuple(self):
+        h = LocalHypothesis(0.0, None, frozenset({(3, 1), (1, 0)}))
+        assert h.history == ((1, 0), (3, 1)) and h.meas_history == frozenset({(1, 0), (3, 1)})
+        assert LocalHypothesis(0.0, None, ((2, 0),)).history == ((2, 0),)
+        d = dump_density(scenario1_run(scans=8)[2].density)
+        assert json.dumps(dump_density(load_density(json.loads(json.dumps(d))))) == json.dumps(d)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
@@ -8,8 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trajpmbm import bernoulli
 from trajpmbm import gaussseq as gs
-from trajpmbm.trajectory import TimeWindow
+from trajpmbm.density import LocalHypothesis
+from trajpmbm.scenario import ScenarioConfig, generate_scenario
+from trajpmbm.tracker import PmbmTracker, TrackerConfig
+from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
 from conftest import run_pipeline
 from helpers import nonzero_counts
@@ -201,6 +206,35 @@ class TestRecoverMoments:
         si = gs.InfoSeq.from_band(TimeWindow(0, 1), [0.0, 0.0], diag, off, [0.0], [[1e30]])
         with pytest.raises(np.linalg.LinAlgError):
             gs.recover_moments(si, TimeWindow(0, 1))
+
+    def test_indefinite_band_fails_the_factorization(self):
+        # [[1, 2], [2, 1]] has a negative eigenvalue: the second pivot is 1 - 4
+        si = gs.InfoSeq.from_band(TimeWindow(0, 1), [0.0, 0.0], [[[1.0]], [[1.0]]], [[[2.0]]], [0.0], [[1.0]])
+        for solve in (si.full_mean, lambda: gs.recover_moments(si, TimeWindow(0, 0))):
+            with pytest.raises(np.linalg.LinAlgError, match="numerically singular") as err:
+                solve()
+            assert isinstance(err.value.__cause__, np.linalg.LinAlgError)  # raised by the factorization
+
+    def test_last_block_of_long_tracker_bands_matches_the_cached_moments(self):
+        """Every multi-step band of a scenario3 posterior after 30 scans
+        (all mode, M=100), live or archived: the band solve's last block
+        agrees with the filter's cached last-state moments."""
+        cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "scenario3.json")
+        cfg = dataclasses.replace(cfg, K=30)
+        _, log = generate_scenario(cfg)
+        tracker = PmbmTracker(
+            cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode="all", config=TrackerConfig(murty_budget=100)
+        )
+        p = tracker.run(log).final_state.density
+        hyps = [h for t in p.tracks for h in t.hypotheses] + [h for b in p.archive for h in b.hypotheses]
+        mixes = [p.ppp] + [h.density for h in hyps if h.density is not None]
+        seqs = [c.seq for mix in mixes for c in mix.components if c.seq.window.length > 1]
+        assert len(seqs) > 100 and max(s.window.length for s in seqs) >= 25
+        for s in seqs:
+            e = s.window.gamma
+            mean, cov = gs.recover_moments(s, TimeWindow(e, e))
+            last_mean, last_cov = gs.last_state_moments(s)
+            assert rel_err(mean, last_mean) <= 1e-10 and rel_err(cov, last_cov) <= 1e-10
 
 
 def rel_err(a, b) -> float:
@@ -425,8 +459,10 @@ def concatenated_band(m, si, events):
 
 
 class TestBandSharing:
-    """Each completed band step is held once: a sequence's children share
-    it, and every predicted step shares the model's -F'Q^{-1} block."""
+    """Each measured step is held once: a predicted step is its parent's
+    last step, shared with the parent and the children, siblings updated by
+    one measurement share their last step, and every predicted step shares
+    the model's F'Q^{-1}F and -F'Q^{-1} blocks."""
 
     def test_children_share_completed_steps_and_superdiagonal(self, cv_model):
         s0 = gs.make_seq("info", TimeWindow(0, 0), np.arange(4.0), np.eye(4))
@@ -434,14 +470,58 @@ class TestBandSharing:
         s2 = gs.predict_seq(s1, cv_model)
         u2 = gs.update_seq(s2, cv_model, [0.5, -0.5])
         s3 = gs.predict_seq(u2, cv_model)
-        # predict appends one step and shares every completed one before it
-        assert len(s1.done) == 2 and all(a is b for a, b in zip(s3.done, s2.done))
+        # predict appends the parent's last step and shares every array before it
+        assert all(a is b for a, b in zip(s1.done, s0.done)) and s1.done[4] is s0.head
+        assert len(s3.done) == len(s2.done) + 1 and all(a is b for a, b in zip(s3.done, s2.done))
+        assert s2.done[-1] is s1.head is cv_model.info_head and s3.done[-1] is u2.head
         assert u2.done is s2.done  # update moves only the last step
-        assert all(off is cv_model.info_off for off in s3.done[1::2])
+        assert s3.done[2] is cv_model.FtQinvF and s3.done[3] is cv_model.info_off
         assert np.shares_memory(s3.band()[2], cv_model.info_off)
         # a freshly predicted last step is the model's shared block, not a copy
         assert s3.head is cv_model.info_head and not s3.head.flags.writeable
         assert not u2.head.flags.writeable and not u2.last.flags.writeable
+        # siblings updated by one measurement share one updated last step
+        t2 = gs.predict_seq(gs.predict_seq(gs.make_seq("info", TimeWindow(0, 0), -np.arange(4.0), np.eye(4)), cv_model), cv_model)
+        shared = {}
+        a, b = (gs.update_seq(s, cv_model, [0.5, -0.5], shared) for s in (s2, t2))
+        other = gs.update_seq(s2, cv_model, [0.5, 0.5], shared)
+        assert a.head is b.head and a.last is not b.last and other.head is not a.head
+        assert np.array_equal(a.head, u2.head) and np.array_equal(a.last, u2.last)
+        assert gs.predict_seq(a, cv_model).done[-1] is gs.predict_seq(b, cv_model).done[-1]
+
+    def test_detection_children_share_the_updated_last_step(self, cv_model):
+        seqs = [
+            gs.predict_seq(gs.make_seq("info", TimeWindow(0, 0), m, np.eye(4)), cv_model)
+            for m in (np.zeros(4), np.ones(4))
+        ]
+        h = LocalHypothesis(1.0, TrajectoryMixture(tuple(MixtureComponent(0.5, s) for s in seqs)), frozenset())
+        child = bernoulli.detect_update(h, cv_model, [0.5, 0.5], (1, 0), ((0, 0.2), (1, 0.1)))
+        a, b = (c.seq for c in child.density.components)
+        assert a.head is b.head and a.last is not b.last
+
+    def test_band_storage_is_untracked_by_the_garbage_collector(self, cv_model):
+        rng = np.random.default_rng(8)
+        seqs = [gs.make_seq("info", TimeWindow(0, 0), rng.standard_normal(4), np.eye(4))]
+        loaded = gs.load_seq(TimeWindow(0, 3), run_pipeline("info", cv_model, TimeWindow(0, 0), np.zeros(4), np.eye(4), [None] * 3)[0].dump())
+        seqs.append(loaded)
+        for ev in random_events(rng, 6, 2, 4):
+            seqs = [gs.predict_seq(s, cv_model) for s in seqs]
+            if ev is not None:
+                seqs = [gs.update_seq(s, cv_model, ev) for s in seqs]
+        gc.collect()
+        assert all(len(s.done) > 2 and not gc.is_tracked(s.done) for s in seqs)
+
+    def test_prediction_under_another_model_completes_the_earlier_steps(self, cv_model):
+        other = gs.ModelLG(F=cv_model.F, Q=2.0 * np.asarray(cv_model.Q), H=cv_model.H, R=cv_model.R)
+        s0 = gs.make_seq("info", TimeWindow(0, 0), np.arange(4.0), np.eye(4))
+        u = gs.update_seq(gs.predict_seq(gs.predict_seq(s0, cv_model), cv_model), cv_model, [0.5, -0.5])
+        ivec, diag, off = u.band()
+        mixed = gs.predict_seq(u, other)
+        assert mixed.done[-3] is other.FtQinvF and mixed.done[-1] is u.head
+        diag = np.concatenate([diag[:-1], [diag[-1] + other.FtQinvF, other.Qinv]])
+        want = (np.concatenate([ivec, np.zeros(4)]), diag, np.concatenate([off, [other.info_off]]))
+        for got, w in zip(mixed.band(), want):
+            assert np.array_equal(got, w)
 
     def test_replace_keeps_the_other_stored_fields(self, cv_model):
         s = gs.predict_seq(gs.make_seq("info", TimeWindow(0, 0), np.arange(4.0), np.eye(4)), cv_model)

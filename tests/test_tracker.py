@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajpmbm import bernoulli
 from trajpmbm import gaussseq as gs
 from trajpmbm.association import build_cost_matrix, scan_weight_tables
 from trajpmbm.density import (
@@ -274,6 +275,13 @@ class TestUpdate:
         h = out.density.track_by_id(0).hypotheses[0]
         assert h.r == pytest.approx(0.72 * 0.1 / (1.0 - 0.72 * 0.9), abs=1e-12)
         assert h.r == pytest.approx(0.2045454545, abs=1e-9)
+
+    def test_miss_passes_a_hypothesis_with_no_alive_mass_through(self):
+        seq = gs.make_seq("info", TimeWindow(0, 1), [0.0, 0.0], np.eye(2))
+        comps = (MixtureComponent(0.4, seq, ((1, 1.0),)), MixtureComponent(0.6, seq))
+        h = LocalHypothesis(0.7, TrajectoryMixture(comps), frozenset({(0, 0)}))
+        assert bernoulli.miss_update(h, 0.9, 2) is h  # every trajectory ended at 1
+        assert bernoulli.miss_update(h, 0.9, 1) is not h
 
     def test_new_track_without_clutter_is_certain(self):
         tracker = scalar_setup(clutter_rate=0.0, mode="all")
