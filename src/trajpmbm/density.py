@@ -7,14 +7,15 @@ hypothesis per track and carries a log weight.  Maintenance (normalization,
 pruning, capping) never changes which global is best.  The constructors
 only store their fields; :func:`validate` checks the invariants.
 
-In all-trajectories mode a track with no trajectory alive, whose hypothesis
-every global chooses, is one fixed factor of every global: it leaves the
-live track table for an append-only archive (:func:`archive_ended`), one
-packed :class:`ArchiveBatch` per scan, with that hypothesis only.
-Normalization and pruning see only the live table; :func:`validate` and the
-dump read the archive too, as tracks of one hypothesis that every global
-chooses, and the dump writes them into its track table, so the format is
-unchanged.
+In all-trajectories mode a track of one hypothesis with no trajectory
+alive is one fixed factor of every global, since every global chooses that
+hypothesis: it leaves the live track table for an append-only archive
+(:func:`archive_ended`), one packed :class:`ArchiveBatch` per scan.  Pruning
+keeps only hypotheses some global chooses, so once the globals agree on an
+ended track it has one hypothesis.  Normalization and pruning see only the
+live table; :func:`validate` and the dump read the archive too, as tracks
+of one hypothesis that every global chooses, and the dump writes them into
+its track table, so the format is unchanged.
 """
 
 from __future__ import annotations
@@ -83,27 +84,29 @@ class Track:
 
 @dataclass(frozen=True, slots=True)
 class ArchiveBatch:
-    """The tracks archived at one scan, packed, each as the one hypothesis
-    that every global chooses for it.
+    """The tracks archived at scan ``scan``, packed, each as its one
+    hypothesis, which every global chooses.
 
-    None of these hypotheses has a trajectory alive at that scan, so no
-    later scan changes them.  They are kept as one zlib-compressed pickle, a
-    few hundred bytes per track instead of the few kilobytes their objects
-    take; :attr:`hypotheses` unpacks them.  ``rs`` holds each track's
-    existence probability, and ``estimates`` caches the trajectory estimate
-    of a track position once ``estimate.extract_set`` has computed it.
+    None of these hypotheses has a trajectory alive at ``scan``, so no later
+    scan changes them; a window answer keeps its source batch's ``scan``.
+    They are kept as one zlib-compressed pickle, a few hundred bytes per
+    track instead of the few kilobytes their objects take; :attr:`hypotheses`
+    unpacks them.  ``rs`` holds each track's existence probability, and
+    ``estimates`` caches the trajectory estimate of a track position once
+    ``estimate.extract_set`` has computed it.
     """
 
     ids: tuple
     rs: tuple
     packed: bytes
+    scan: int
     estimates: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    def of(cls, ids, hypotheses) -> "ArchiveBatch":
+    def of(cls, ids, hypotheses, scan: int) -> "ArchiveBatch":
         hypotheses = tuple(hypotheses)
         packed = zlib.compress(pickle.dumps(hypotheses, protocol=pickle.HIGHEST_PROTOCOL), 1)
-        return cls(tuple(ids), tuple(h.r for h in hypotheses), packed)
+        return cls(tuple(ids), tuple(h.r for h in hypotheses), packed, scan)
 
     @property
     def hypotheses(self) -> tuple:
@@ -163,14 +166,12 @@ class PmbmDensity:
         return {t.id: t for t in self.tracks}
 
     def track_by_id(self, track_id: int) -> Track:
-        """The live or archived track of that id."""
+        """The live track of that id, as the choice maps name it; archived
+        tracks are not indexed (see :meth:`archived_tracks`)."""
         t = self._track_index.get(track_id)
-        if t is not None:
-            return t
-        for b in self.archive:
-            if track_id in b.ids:
-                return Track(track_id, (b.hypotheses[b.ids.index(track_id)],))
-        raise KeyError(f"no track with id {track_id}")
+        if t is None:
+            raise KeyError(f"no live track with id {track_id}")
+        return t
 
     def archived_tracks(self) -> tuple:
         """Every archived track, unpacked, in archive order."""
@@ -184,34 +185,24 @@ class PmbmDensity:
         return sorted(self.global_hyps if globals_ is None else globals_, key=lambda g: (-g.log_weight, g.choice))
 
 
-def archive_ended(p: PmbmDensity, dead) -> PmbmDensity:
-    """Move the live tracks whose ids are in ``dead`` and whose hypothesis
-    every global chooses to a new batch of the archive, with that hypothesis
-    only.
+def archive_ended(p: PmbmDensity, ended: dict) -> PmbmDensity:
+    """Move the ``ended`` tracks, ``{track id: hypothesis}``, which the
+    caller has taken out of ``p.tracks``, to a new batch of the archive at
+    scan ``p.window.gamma``, and drop their pairs from every choice map.
 
-    The caller guarantees that none of these tracks has a trajectory alive
-    at the density's last scan; such a track is then the same fixed factor
-    of every global, so the posterior is unchanged.  A track the globals
-    still disagree on stays in the live table, a frozen spectator, until a
-    later call finds them agreeing.
+    The caller guarantees that each of these tracks had that one hypothesis
+    and no trajectory alive at gamma.  Every global chooses a track's only
+    hypothesis, so the track is the same fixed factor of every global, and
+    the posterior is unchanged.
     """
-    picks: dict = {tid: set() for tid in dead}
-    for g in p.global_hyps:
-        for tid, h in g.choice:
-            if tid in picks:
-                picks[tid].add(h)
-    common = {tid: hs.pop() for tid, hs in picks.items() if len(hs) == 1}
-    if not common:
+    if not ended:
         return p
-    ended = [t for t in p.tracks if t.id in common]
-    batch = ArchiveBatch.of((t.id for t in ended), (t.hypotheses[common[t.id]] for t in ended))
     return replace(
         p,
-        tracks=tuple(t for t in p.tracks if t.id not in common),
         global_hyps=tuple(
-            GlobalHypothesis(g.log_weight, tuple(c for c in g.choice if c[0] not in common)) for g in p.global_hyps
+            GlobalHypothesis(g.log_weight, tuple(c for c in g.choice if c[0] not in ended)) for g in p.global_hyps
         ),
-        archive=p.archive + (batch,),
+        archive=p.archive + (ArchiveBatch.of(ended, ended.values(), p.window.gamma),),
     )
 
 
@@ -248,42 +239,32 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
     else:
         globals_ = ()
 
-    # Bernoulli existence threshold -> placeholder
-    new_tracks = []
-    for track in p.tracks:
-        if all(h.r >= thresholds.bern_r or h.r == 0.0 for h in track.hypotheses):
-            new_tracks.append(track)
-            continue
-        hyps = tuple(
-            h
-            if h.r >= thresholds.bern_r or h.r == 0.0
-            else LocalHypothesis(0.0, None, h.history)
-            for h in track.hypotheses
-        )
-        new_tracks.append(Track(track.id, hyps))
-
-    # drop unreferenced hypotheses, remap indices in the choice maps
-    referenced: dict = {t.id: set() for t in new_tracks}
+    # per track: drop unreferenced hypotheses, turn those with r below
+    # bern_r into placeholders, and remap the indices in the choice maps
+    referenced: dict = {}
     for g in globals_:
         for tid, h in g.choice:
-            referenced[tid].add(h)
+            referenced.setdefault(tid, set()).add(h)
     kept_tracks = []
     remap: dict = {}
-    retired = set(p.retired)
-    for track in new_tracks:
-        used = sorted(referenced[track.id])
+    fresh = set()  # measurements this pruning retires
+    for track in p.tracks:
+        used = sorted(referenced.get(track.id, ()))
         if not used:
             continue  # orphaned track: no surviving global references it
-        hyps = tuple(track.hypotheses[i] for i in used)
+        hyps = tuple(
+            h if h.r >= thresholds.bern_r or h.r == 0.0 else LocalHypothesis(0.0, None, h.history)
+            for h in (track.hypotheses[i] for i in used)
+        )
         if all(h.r == 0.0 for h in hyps):
             # non-existent under every global: remove the track outright;
             # its likelihood factors stay banked in the global log weights
-            for h in hyps:
-                retired.update(h.history)
+            fresh.update(key for h in hyps for key in h.history if key not in p.retired)
             continue
         # one (track id, new index) pair object for every global choosing it
         remap[track.id] = {old: (track.id, new) for new, old in enumerate(used)}
-        kept_tracks.append(track if len(hyps) == len(track.hypotheses) else Track(track.id, hyps))
+        same = len(hyps) == len(track.hypotheses) and all(a is b for a, b in zip(hyps, track.hypotheses))
+        kept_tracks.append(track if same else Track(track.id, hyps))
     globals_ = tuple(
         replace(g, choice=tuple(remap[tid][h] for tid, h in g.choice if tid in remap))
         for g in globals_
@@ -293,9 +274,8 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
         tuple(c for c in p.ppp.components if c.weight >= thresholds.ppp_w), "intensity"
     )
 
-    out = replace(
-        p, ppp=ppp, tracks=tuple(kept_tracks), global_hyps=globals_, retired=frozenset(retired)
-    )
+    retired = p.retired | fresh if fresh else p.retired
+    out = replace(p, ppp=ppp, tracks=tuple(kept_tracks), global_hyps=globals_, retired=retired)
     return normalize(out)
 
 
@@ -329,15 +309,16 @@ def validate(p: PmbmDensity) -> None:
     w = np.array([g.log_weight for g in p.global_hyps])
     _require(not len(w) or abs(np.exp(w).sum() - 1.0) < 1e-9, "global weights not normalized")
     _require(p.mode == "all" or not p.archive, "an archive in current-trajectories mode")
+    archived = []
     for b in p.archive:
         hyps = b.hypotheses
         _require(len(hyps) == len(b.ids) and b.rs == tuple(h.r for h in hyps), "archived existence probabilities")
         for tid, h in zip(b.ids, hyps):
-            _require(not h.alive_at(p.window.gamma), "archived track {} alive at scan {}", tid, p.window.gamma)
-    archived = p.archived_tracks()
+            _require(not h.alive_at(b.scan), "archived track {} alive at scan {}", tid, b.scan)
+            archived.append(Track(tid, (h,)))
     ids = [t.id for t in p.tracks]
     _require(len(ids) + len(archived) == len(set(ids).union(t.id for t in archived)), "duplicate track ids")
-    for track in p.tracks + archived:
+    for track in p.tracks + tuple(archived):
         _require(len(track.hypotheses) > 0, "track {} without hypotheses", track.id)
         for h in track.hypotheses:
             _require(0.0 <= h.r <= 1.0, "existence probability {} outside [0, 1]", h.r)
@@ -426,7 +407,8 @@ def load_density(d: dict) -> PmbmDensity:
     Every sequence is rebuilt in the form it was dumped in
     (:func:`gaussseq.load_seq`); dumps of earlier versions, which wrote every
     sequence densely, load in moment form.  Every track loads into the live
-    table; the tracker's next prediction archives the ended ones again.
+    table; the tracker's next prediction archives again the ended ones, each
+    of which the dump holds with one hypothesis.
     Raises ValueError when an entry is missing or of the wrong type, a
     sequence entry is not finite, a sequence does not fit its window, or the
     loaded density fails :func:`validate`.

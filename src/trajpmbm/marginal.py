@@ -103,7 +103,9 @@ def marginalize_pmbm(p: PmbmDensity, q: AliveQuery) -> PmbmDensity:
         Track(t.id, tuple(marginalize_bernoulli(h, q) for h in t.hypotheses))
         for t in p.tracks
     )
-    archive = tuple(ArchiveBatch.of(b.ids, (marginalize_bernoulli(h, q) for h in b.hypotheses)) for b in p.archive)
+    archive = tuple(
+        ArchiveBatch.of(b.ids, (marginalize_bernoulli(h, q) for h in b.hypotheses), b.scan) for b in p.archive
+    )
     return replace(
         p,
         ppp=marginalize_ppp(p.ppp, q),

@@ -15,10 +15,11 @@ normalized and pruned.
 
 In all-trajectories mode the recursion visits only the live tracks.
 Prediction ends a component's surviving tail once its surviving mass falls
-below the Bernoulli threshold, and moves every track with no trajectory
-alive whose hypothesis every global chooses to the density's archive, where
-no later scan changes it; estimates still read the archive.  Exact mode
-neither truncates nor archives.
+below the Bernoulli threshold, and moves every track of one hypothesis with
+no trajectory alive to the density's archive, where no later scan changes
+it; estimates still read the archive.  Pruning keeps only the hypotheses
+some global chooses, so an ended track the globals agree on has one.  Exact
+mode neither truncates nor archives.
 """
 
 from __future__ import annotations
@@ -137,11 +138,11 @@ class PmbmTracker:
         In all-trajectories mode, except in exact mode, a component whose
         surviving mass r * weight * alive mass * ps falls below
         ``thresholds.bern_r`` ends at the previous scan instead: it stays
-        the frozen spectator it then is.  Tracks left with no trajectory
-        alive at the new scan move to the density's archive once every
-        global chooses the same hypothesis of them
-        (:func:`density.archive_ended`); until then they stay live, gating
-        nothing and adding no row to the cost matrices.
+        the frozen spectator it then is.  A track left with one hypothesis
+        and no trajectory alive at the new scan moves to the density's
+        archive (:func:`density.archive_ended`).  An ended track with more
+        hypotheses stays live, gating nothing and adding no row to the cost
+        matrices, until pruning leaves it one.
         """
         mode = self.mode
         if s.density.mode != mode:
@@ -158,16 +159,16 @@ class PmbmTracker:
         # nor archives
         freeze = mode == "all" and self.config.murty_budget is not None
         end_below = self.config.thresholds.bern_r if freeze else 0.0
-        tracks = []
-        dead = set()
+        tracks, ended = [], {}
         for t in s.density.tracks:
             hyps = tuple(self._predict_hypothesis(h, k, end_below, shared) for h in t.hypotheses)
-            tracks.append(Track(t.id, hyps))
-            if freeze and not any(h.alive_at(k) for h in hyps):
-                dead.add(t.id)
+            if freeze and len(hyps) == 1 and not hyps[0].alive_at(k):
+                ended[t.id] = hyps[0]
+            else:
+                tracks.append(Track(t.id, hyps))
         ppp = TrajectoryMixture(ppp + births.components, "intensity")
         density = replace(s.density, ppp=ppp, tracks=tuple(tracks), window=TimeWindow(0, k))
-        return TrackerState(archive_ended(density, dead), k, s.next_track_id)
+        return TrackerState(archive_ended(density, ended), k, s.next_track_id)
 
     def _predict_hypothesis(self, h, k: int, end_below: float, shared: dict):
         """One local hypothesis at scan k, with the components whose
@@ -251,38 +252,29 @@ class PmbmTracker:
             chosen_children.sort(key=lambda c: (-c[0], sorted(c[2].items()), c[3]))
             chosen_children = chosen_children[: self.config.thresholds.cap_M]
 
-        # materialize each distinct child hypothesis once, sharing (k, j) keys and what bernoulli shares
+        # materialize each track's distinct children once, in (parent,
+        # measurement) order with -1 for a miss, sharing (k, j) keys and what
+        # bernoulli shares; one (track id, hypothesis index) pair object per
+        # chosen child
         meas_keys, shared = [(k, j) for j in range(m)], {}
-        needed = set()
-        for _, chosen, detected, _ in chosen_children:
-            for tid in track_ids:
-                needed.add((tid, chosen[tid], detected.get(tid)))
-        needed = sorted(needed, key=lambda t: (t[0], t[1], -1 if t[2] is None else t[2]))
-        child_cache = {}
-        for tid, parent, assoc in needed:
-            h = p.track_by_id(tid).hypotheses[parent]
-            if assoc is None:
-                child = bernoulli.miss_update(h, self.sensor.pd, k, shared)
-            else:
-                liks = tables.det_liks[(tid, parent, assoc)]
-                child = bernoulli.detect_update(h, self.model, scan[assoc], meas_keys[assoc], liks, new_threshold, shared)
-            child_cache[(tid, parent, assoc)] = child
-
-        realized_new = sorted({j for _, _, _, new_js in chosen_children for j in new_js})
-        new_track_ids = {j: s.next_track_id + j for j in range(m)}
-
-        # assemble the new track table and the child choice maps, with one
-        # (track id, hypothesis index) pair object per chosen hypothesis
-        needed_by_track: dict = {}
-        for key in needed:
-            needed_by_track.setdefault(key[0], []).append(key)
         tracks = []
         pair_of = {}
         for t in p.tracks:
-            keys = needed_by_track[t.id]
-            hyps = tuple(child_cache[key] for key in keys)
-            pair_of.update({key: (t.id, i) for i, key in enumerate(keys)})
-            tracks.append(Track(t.id, hyps))
+            tid = t.id
+            keys = sorted({(chosen[tid], detected.get(tid, -1)) for _, chosen, detected, _ in chosen_children})
+            hyps = []
+            for i, (parent, assoc) in enumerate(keys):
+                h = t.hypotheses[parent]
+                if assoc < 0:
+                    child = bernoulli.miss_update(h, self.sensor.pd, k, shared)
+                else:
+                    liks = tables.det_liks[(tid, parent, assoc)]
+                    child = bernoulli.detect_update(h, self.model, scan[assoc], meas_keys[assoc], liks, new_threshold, shared)
+                hyps.append(child)
+                pair_of[(tid, parent, assoc)] = (tid, i)
+            tracks.append(Track(tid, tuple(hyps)))
+        realized_new = sorted({j for _, _, _, new_js in chosen_children for j in new_js})
+        new_track_ids = {j: s.next_track_id + j for j in range(m)}
         for j in realized_new:
             gated = tables.ppp_gated[j]
             pair = bernoulli.new_track_hypotheses(
@@ -293,7 +285,7 @@ class PmbmTracker:
         new_pairs = {j: ((new_track_ids[j], 0), (new_track_ids[j], 1)) for j in realized_new}
         globals_ = []
         for logw, chosen, detected, new_js in chosen_children:
-            choice = [pair_of[(tid, chosen[tid], detected.get(tid))] for tid in track_ids]
+            choice = [pair_of[(tid, chosen[tid], detected.get(tid, -1))] for tid in track_ids]
             for j in realized_new:
                 choice.append(new_pairs[j][1 if j in new_js else 0])
             globals_.append(GlobalHypothesis(logw, tuple(choice)))
@@ -304,7 +296,7 @@ class PmbmTracker:
             tracks=tuple(tracks),
             global_hyps=tuple(globals_),
             measurement_record=p.measurement_record + ((k, m),),
-            retired=p.retired | {meas_keys[j] for j in tables.unexplained},
+            retired=p.retired.union(meas_keys[j] for j in tables.unexplained) if tables.unexplained else p.retired,
         )
         density = normalize(density)
         if not exact:

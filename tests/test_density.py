@@ -576,10 +576,20 @@ class TestArchive:
             only_g,
             tracks=tuple(t for t in p.tracks if t.id != tid),
             global_hyps=(GlobalHypothesis(0.0, tuple(c for c in g.choice if c[0] != tid)),),
-            archive=p.archive + (ArchiveBatch.of((tid,), (p.track_by_id(tid).hypotheses[hidx],)),),
+            archive=p.archive + (ArchiveBatch.of((tid,), (p.track_by_id(tid).hypotheses[hidx],), k),),
         )
         with pytest.raises(AssertionError, match=f"archived track {tid} alive at scan {k}"):
             validate(planted)
+
+    @pytest.mark.parametrize("alpha,kq", [(0, 5), (5, 5), (3, 8), (0, 11)])
+    def test_window_answer_ending_before_the_last_scan_validates(self, alpha, kq):
+        # archived hypotheses alive at the answer's end are dead at their
+        # batch's scan, which the answer keeps
+        p = scenario1_run(scans=12)[2].density
+        got = marginalize_pmbm(p, AliveQuery(alpha, kq, kq, kq))
+        assert [b.scan for b in got.archive] == [b.scan for b in p.archive]
+        assert any(h.alive_at(kq) for t in got.archived_tracks() for h in t.hypotheses) == (kq < p.window.gamma)
+        validate(got)
 
     def test_every_dumped_track_exists_under_some_global(self):
         d = dump_density(scenario1_run(scans=30)[2].density)

@@ -19,6 +19,7 @@ from trajpmbm.density import (
     Track,
     dump_density,
     load_density,
+    prune,
     validate,
 )
 from trajpmbm.marginal import AliveQuery, marginalize_pmbm
@@ -31,7 +32,7 @@ from trajpmbm.models import (
     birth_intensity_at,
     constant_velocity_model,
 )
-from trajpmbm.scenario import ScenarioConfig
+from trajpmbm.scenario import ScenarioConfig, generate_scenario
 from trajpmbm.tracker import PmbmTracker, TrackerConfig, TrackerState
 from trajpmbm.trajectory import (
     MixtureComponent,
@@ -110,8 +111,8 @@ class TestPredictAll:
 class TestTruncation:
     """All mode ends a component's surviving tail at the previous scan once
     r * weight * alive mass * ps falls below ``bern_r`` and archives a
-    track left with no trajectory alive once every global chooses the same
-    hypothesis of it; exact mode and ``bern_r = 0`` keep every tail."""
+    track left with no trajectory alive once pruning leaves it one
+    hypothesis; exact mode and ``bern_r = 0`` keep every tail."""
 
     SCANS = [[[0.4]], [[0.9], [6.0]], [], [[2.1]], [[2.9], [-4.0]], [], [], [[3.5]], []]
 
@@ -203,10 +204,17 @@ class TestTruncation:
         assert all(build_cost_matrix(out, g, tables).rows == () for g in out.global_hyps)
 
         agree = replace(out, global_hyps=(GlobalHypothesis(0.0, ((0, 1),)),))
+        # hypothesis 0, which no global chooses, keeps the track live until
+        # pruning drops it
+        held = tracker.predict(TrackerState(agree, 3, 1)).density
+        validate(held)
+        assert held.archive == () and [len(t.hypotheses) for t in held.tracks] == [2]
+        agree = prune(agree, tracker.config.thresholds)
+        assert [len(t.hypotheses) for t in agree.tracks] == [1]
         out = tracker.predict(TrackerState(agree, 3, 1)).density
         validate(out)
         assert out.tracks == () and out.global_hyps[0].choice == ()
-        assert [(b.ids, b.rs) for b in out.archive] == [((0,), (0.9,))]
+        assert [(b.ids, b.rs, b.scan) for b in out.archive] == [((0,), (0.9,), 4)]
         (h,) = out.archive[0].hypotheses
         assert (h.r, h.meas_history, h.density.components[0].e) == (0.9, frozenset({(1, 0)}), 1)
 
@@ -215,8 +223,8 @@ class TestTruncation:
         for r, truncated in ((1e-5, True), (1e-4, False)):
             state = single_track_state(tracker, r=r, k=2, mean=[1.0, 1.0, 1.0], var=np.eye(3))
             out = tracker.predict(state).density
-            h = out.track_by_id(0).hypotheses[0]
-            c = h.density.components[0]
+            track = out.archived_tracks()[0] if truncated else out.track_by_id(0)
+            c = track.hypotheses[0].density.components[0]
             if truncated:  # 1e-5 * 0.9 < 1e-5: the point mass stays at scan 2
                 assert out.tracks == () and [b.ids for b in out.archive] == [(0,)]
                 assert c.e == 2 and c.alive_mass(2) == 1.0 and c.alive_mass(3) == 0.0
@@ -230,6 +238,41 @@ class TestTruncation:
             assert now.archive == ()
 
         self.run(tracker, check)
+
+
+class TestOneHypothesisRule:
+    """The update builds only hypotheses that some global chooses, and
+    pruning drops those that no surviving global chooses, so an ended track
+    that every global chooses the same hypothesis of has one hypothesis:
+    prediction archives exactly the ended tracks of one hypothesis."""
+
+    @pytest.mark.parametrize(
+        "name,scans,budget",
+        [("scenario1", 4, None), ("scenario1", 20, 100), ("scenario3", 30, 100)],
+        ids=["scenario1-exact", "scenario1", "scenario3"],
+    )
+    def test_every_live_hypothesis_is_chosen_and_ended_ones_leave(self, name, scans, budget):
+        cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+        log = generate_scenario(cfg)[1].scans
+        config = TrackerConfig(murty_budget=budget)
+        tracker = PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode="all", config=config)
+        state = tracker.initial()
+        for k, scan in enumerate(log[:scans]):
+            if k:
+                state = tracker.predict(state)
+                tracks = state.density.tracks
+                ended = [t.id for t in tracks if len(t.hypotheses) == 1 and not t.hypotheses[0].alive_at(k)]
+                assert budget is None or ended == []
+            if scan is not None:
+                born = state.next_track_id
+                state = tracker.update(state, scan)
+                p = state.density
+                chosen = {c for g in p.global_hyps for c in g.choice}
+                unchosen = {(t.id, i) for t in p.tracks for i in range(len(t.hypotheses))} - chosen
+                # exact mode does not prune, so a new track keeps both
+                # hypotheses of its pair even when no global chooses one
+                assert all(tid >= born for tid, _ in unchosen) if budget is None else unchosen == set()
+        assert bool(state.density.archive) == (budget is not None)
 
 
 class TestPredictCurrent:
@@ -350,6 +393,22 @@ class TestUpdate:
         result = tracker.run(scans)
         assert result.final_state.density.retired == {(scans.index([[1001.0, 0.0]]), 0)}
         assert len(result.estimates) == 2
+
+    def test_scan_that_retires_nothing_keeps_the_retired_set(self):
+        cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "scenario3.json")
+        scans = generate_scenario(cfg)[1].scans
+        tracker = PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival())
+        state = tracker.update(tracker.initial(), scans[0])
+        kept = 0
+        for k in range(1, 20):
+            prior = state.density.retired
+            state = tracker.step(state, scans[k])
+            if state.density.retired != prior:
+                assert state.density.retired > prior
+            elif prior:
+                assert state.density.retired is prior
+                kept += 1
+        assert 0 < kept and len(state.density.retired) > kept
 
     def test_conjugate_structure_valid_after_each_step(self):
         tracker = scalar_setup(exact=False)
