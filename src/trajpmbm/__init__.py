@@ -1,7 +1,6 @@
 """Poisson multi-Bernoulli mixture trackers over sets of trajectories."""
 
 from .trajectory import (
-    BirthDeathPmf,
     MixtureComponent,
     TimeWindow,
     Trajectory,

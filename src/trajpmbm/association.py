@@ -59,6 +59,8 @@ class ScanTables:
     for every alive component of a hypothesis that gates j, and
     ``ppp_gated[j]`` the same for the undetected components that gate with
     j; the detection child and the new track for j condition on them.
+    ``gated_by_hyp`` holds, for each hypothesis that gates any measurement,
+    the set of the ``j`` its ``det_log`` keys name.
     """
 
     miss_log: dict  # (track, hyp) -> log miss factor
@@ -66,14 +68,7 @@ class ScanTables:
     det_liks: dict  # (track, hyp, j) -> tuple of (component index, likelihood)
     new_log: dict  # j -> log new-track weight
     ppp_gated: dict  # j -> tuple of (ppp component index, likelihood)
-
-    @cached_property
-    def gated_by_hyp(self) -> dict:
-        """(track, hyp) -> set of the measurements it gates."""
-        out: dict = {}
-        for tid, hidx, j in self.det_log:
-            out.setdefault((tid, hidx), set()).add(j)
-        return out
+    gated_by_hyp: dict  # (track, hyp) -> set of the measurements it gates
 
     @cached_property
     def unexplained(self) -> tuple:
@@ -159,6 +154,7 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
     miss_log: dict = {}
     det_log: dict = {}
     det_liks: dict = {}
+    gated_by_hyp: dict = {}
     for t in p.tracks:
         for hidx, h in enumerate(t.hypotheses):
             if h.r == 0.0 or h.density is None:
@@ -178,8 +174,11 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
                 gated_any |= mask
                 evid += c.weight * a * liks
                 comp_liks.append((idx, liks))
-            for j in np.flatnonzero(gated_any):
-                key = (t.id, hidx, int(j))
+            js = np.flatnonzero(gated_any).tolist()
+            if js:
+                gated_by_hyp[(t.id, hidx)] = set(js)
+            for j in js:
+                key = (t.id, hidx, j)
                 det_log[key] = _log(h.r * pd * evid[j])
                 det_liks[key] = tuple((idx, float(liks[j])) for idx, liks in comp_liks)
     new_log: dict = {}
@@ -195,7 +194,8 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
             ppp_gated[j].append((idx, float(liks[j])))
     for j, z in enumerate(scan):
         new_log[j] = _log(clutter_density(sensor, z) + pd * evid[j])
-    return ScanTables(miss_log, det_log, det_liks, new_log, {j: tuple(v) for j, v in ppp_gated.items()})
+    ppp_gated = {j: tuple(v) for j, v in ppp_gated.items()}
+    return ScanTables(miss_log, det_log, det_liks, new_log, ppp_gated, gated_by_hyp)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,6 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
 def _solve(matrix: np.ndarray):
     """Minimum-cost assignment of a rectangular matrix with forbidden (inf)
     entries.  Returns (mapping col->row, cost) or None when infeasible."""
-    n_rows, n_cols = matrix.shape
     try:
         rows, cols = linear_sum_assignment(matrix)
     except ValueError:
@@ -214,7 +213,7 @@ def _solve(matrix: np.ndarray):
     cost = matrix[rows, cols].sum()
     if not np.isfinite(cost):
         return None
-    mapping = np.full(n_cols, -1, dtype=int)
+    mapping = np.full(matrix.shape[1], -1, dtype=int)
     mapping[cols] = rows
     return tuple(int(r) for r in mapping), float(cost)
 
@@ -224,58 +223,45 @@ def murty_kbest(matrix: np.ndarray, M: int, max_gap=None) -> list:
 
     Classic partition-of-the-solution-space enumeration: each dequeued
     solution spawns one subproblem per assigned column, forbidding that pair
-    and forcing the earlier ones.  Forced pairs leave the subproblem matrix,
-    so deeper nodes solve smaller problems.  Ties are ordered by the mapping
+    and forcing the earlier ones.  Every subproblem keeps the full matrix: a
+    forbidden pair is an infinite entry, and a forced pair keeps its entry
+    while the rest of its row and column become infinite, so each solution
+    is already in the caller's indices.  Ties are ordered by the mapping
     tuple.  When ``max_gap`` is given, enumeration stops at the first
     solution whose cost exceeds the optimum by more than the gap.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    matrix = np.asarray(matrix, dtype=float)
-    n_rows, n_cols = matrix.shape
-    if n_cols == 0:
+    matrix = np.array(matrix, dtype=float)  # a copy: nodes are masked in place
+    if matrix.shape[1] == 0:
         return [Assignment((), 0.0)]
     first = _solve(matrix)
     if first is None:
         raise ValueError("infeasible assignment problem")
     counter = itertools.count()  # guards against incomparable payloads
-    # node: cost, full mapping, tiebreak, active matrix, row/col ids, fixed pairs, fixed cost
-    heap = [(first[1], first[0], next(counter), matrix, tuple(range(n_rows)), tuple(range(n_cols)), (), 0.0)]
+    # node: cost, mapping, tiebreak, matrix with its forced and forbidden pairs
+    heap = [(first[1], first[0], next(counter), matrix)]
     best = first[1]
     out: list = []
     while heap and len(out) < M:
-        cost, mapping, _, sub, rows, cols, fixed, fcost = heapq.heappop(heap)
+        cost, mapping, _, sub = heapq.heappop(heap)
         if max_gap is not None and cost - best > max_gap:
             break  # heap yields nondecreasing costs: nothing closer remains
         out.append(Assignment(mapping, cost))
-        sub = sub.copy()
-        rows_l, cols_l = list(rows), list(cols)
-        for col in cols:
-            row = mapping[col]
+        for col, row in enumerate(mapping):
             if row < 0:
                 continue
-            ci, ri = cols_l.index(col), rows_l.index(row)
             # spawn only when the column keeps another option once this pair
             # is forbidden; clutter-dominated columns rarely do
-            if np.isfinite(sub[:, ci]).sum() >= 2:
+            if np.isfinite(sub[:, col]).sum() >= 2:
                 child = sub.copy()
-                child[ri, ci] = INF
+                child[row, col] = INF
                 sol = _solve(child)
                 if sol is not None:
-                    full = [-1] * n_cols
-                    for c_i, r_i in enumerate(sol[0]):
-                        if r_i >= 0:
-                            full[cols_l[c_i]] = rows_l[r_i]
-                    for fc, fr in fixed:
-                        full[fc] = fr
-                    heapq.heappush(
-                        heap,
-                        (sol[1] + fcost, tuple(full), next(counter), child, tuple(rows_l), tuple(cols_l), fixed, fcost),
-                    )
-            # force this pair in later siblings: drop its row and column
-            fixed = fixed + ((col, row),)
-            fcost += sub[ri, ci]
-            sub = np.delete(np.delete(sub, ri, axis=0), ci, axis=1)
-            rows_l.pop(ri)
-            cols_l.pop(ci)
+                    heapq.heappush(heap, (sol[1], sol[0], next(counter), child))
+            # force this pair in later siblings: mask the rest of its row and column
+            keep = sub[row, col]
+            sub[row, :] = INF
+            sub[:, col] = INF
+            sub[row, col] = keep
     return out

@@ -14,7 +14,8 @@ __all__ = ["map_birth_death", "expected_sequence", "extract_set"]
 def map_birth_death(d: TrajectoryMixture) -> tuple:
     """Most probable (birth, last step) pair of a density mixture; ties break
     toward the smaller last step, then the smaller birth step."""
-    return birth_death_pmf(d).argmax()
+    pmf = birth_death_pmf(d)
+    return max(pmf, key=lambda be: (pmf[be], -be[1], -be[0]))
 
 
 def expected_sequence(d: TrajectoryMixture, beta: int, epsilon: int) -> np.ndarray:

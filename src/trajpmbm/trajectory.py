@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "TimeWindow",
     "Trajectory",
-    "BirthDeathPmf",
     "MixtureComponent",
     "TrajectoryMixture",
     "birth_death_pmf",
@@ -25,8 +24,6 @@ __all__ = [
     "materialize_mixture",
     "prune_mixture",
 ]
-
-PMF_TOL = 1e-12
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -92,34 +89,6 @@ class Trajectory:
         if not self.beta <= k <= self.epsilon:
             raise KeyError(f"step {k} outside trajectory {self.beta}..{self.epsilon}")
         return self.states[k - self.beta]
-
-
-@dataclass(frozen=True)
-class BirthDeathPmf:
-    """Probability mass function over (beta, epsilon) pairs."""
-
-    support: tuple  # ((beta, epsilon), mass) pairs, sorted
-
-    def __post_init__(self):
-        items = tuple(sorted(((int(b), int(e)), float(m)) for (b, e), m in dict(self.support).items()))
-        total = 0.0
-        for (b, e), m in items:
-            if b > e or b < 0:
-                raise ValueError(f"invalid support pair ({b}, {e})")
-            if not -PMF_TOL <= m <= 1.0 + PMF_TOL:
-                raise ValueError(f"mass {m} outside [0, 1]")
-            total += m
-        if abs(total - 1.0) > PMF_TOL:
-            raise ValueError(f"total mass {total} != 1")
-        object.__setattr__(self, "support", items)
-
-    def as_dict(self) -> dict:
-        return dict(self.support)
-
-    def argmax(self) -> tuple:
-        """Highest-mass pair; ties broken toward smaller epsilon, then smaller beta."""
-        best = max(self.support, key=lambda kv: (kv[1], -kv[0][1], -kv[0][0]))
-        return best[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,8 +182,9 @@ def epsilon_pmf_miss_update(pmf: tuple, pd: float, k: int) -> tuple:
     return out + ((k, m),) if m > 0.0 else out
 
 
-def birth_death_pmf(mix: TrajectoryMixture) -> BirthDeathPmf:
-    """Pmf over (beta, epsilon) implied by a density mixture.
+def birth_death_pmf(mix: TrajectoryMixture) -> dict:
+    """Pmf over (beta, epsilon) implied by a density mixture, as
+    ``{(beta, epsilon): mass}``.
 
     Components carrying a deferred death-time pmf spread their weight over the
     pmf's support.  Rejects intensity-kind mixtures: a pmf is only defined for
@@ -234,7 +204,7 @@ def birth_death_pmf(mix: TrajectoryMixture) -> BirthDeathPmf:
                 key = (c.b, e)
                 masses[key] = masses.get(key, 0.0) + c.weight * m
     total = sum(masses.values())
-    return BirthDeathPmf(tuple((k, m / total) for k, m in masses.items()))
+    return {k: m / total for k, m in masses.items()}
 
 
 def materialize_mixture(mix: TrajectoryMixture, alive: Optional[TimeWindow] = None) -> TrajectoryMixture:

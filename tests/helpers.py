@@ -39,7 +39,7 @@ def tracker_global_table(state: TrackerState):
             h = p.track_by_id(tid).hypotheses[hidx]
             if h.r <= 0.0 or h.density is None:
                 continue
-            pmf = birth_death_pmf(h.density).as_dict()
+            pmf = birth_death_pmf(h.density)
             num, den = 0.0, 0.0
             for c in h.density.components:
                 a = c.alive_mass(k)
@@ -115,7 +115,7 @@ def epsilon_pmf_recursive(prev: tuple, ps: float, pd: float, k: int) -> tuple:
 def epsilon_marginal(pmf) -> dict:
     """Death-time marginal of a (birth, death) pmf."""
     out: dict = {}
-    for (_, e), m in pmf.support:
+    for (_, e), m in pmf.items():
         out[e] = out.get(e, 0.0) + m
     return out
 

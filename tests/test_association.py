@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from trajpmbm import gaussseq as gs
 from trajpmbm.association import Assignment, build_cost_matrix, murty_kbest, scan_weight_tables
 from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Track
 from trajpmbm.models import Rectangle, SensorModel
+from trajpmbm.scenario import ScenarioConfig, generate_scenario
+from trajpmbm.tracker import PmbmTracker
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
 from helpers import gate
@@ -145,6 +149,60 @@ class TestMurty:
         )
         assert len(out) == min(m, len(ref))
 
+    @staticmethod
+    def tracker_layout(rng, n_tracks, n_cols, integer):
+        """A cost matrix laid out as ``build_cost_matrix`` lays it out: a row
+        per track, infinite where it gates nothing, then a new-track
+        pseudo-row per column, finite (or not) only in its own column."""
+        if integer:
+            def draw(size):
+                return rng.integers(-3, 4, size).astype(float)
+        else:
+            def draw(size):
+                return rng.normal(0.0, 2.0, size)
+        tracks = np.where(rng.random((n_tracks, n_cols)) < 0.6, draw((n_tracks, n_cols)), INF)
+        pseudo = np.full((n_cols, n_cols), INF)
+        np.fill_diagonal(pseudo, np.where(rng.random(n_cols) < 0.9, draw(n_cols), INF))
+        return np.vstack([tracks, pseudo])
+
+    def check_against_enumeration(self, mat, out, expected_costs):
+        ref = dict((m, c) for c, m in enumerate_assignments(mat))
+        assert len({a.mapping for a in out}) == len(out)
+        for a in out:
+            assert ref[a.mapping] == pytest.approx(a.cost, abs=1e-9)
+        np.testing.assert_allclose([a.cost for a in out], expected_costs, atol=1e-9)
+
+    def test_tracker_layout_matches_enumeration(self):
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            mat = self.tracker_layout(rng, int(rng.integers(0, 4)), int(rng.integers(1, 5)), trial % 2 == 0)
+            M = int(rng.integers(1, 30))
+            ref = enumerate_assignments(mat)
+            if not ref:
+                with pytest.raises(ValueError):
+                    murty_kbest(mat, M)
+                continue
+            out = murty_kbest(mat, M)
+            assert len(out) == min(M, len(ref))
+            self.check_against_enumeration(mat, out, [c for c, _ in ref[: len(out)]])
+
+    def test_max_gap_keeps_exactly_the_solutions_within_the_gap(self):
+        # integer costs put solutions exactly at the gap's edge: they stay
+        rng = np.random.default_rng(9)
+        edge_hits = 0
+        for trial in range(200):
+            mat = self.tracker_layout(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)), trial % 4 != 3)
+            ref = [c for c, _ in enumerate_assignments(mat)]
+            if not ref:
+                continue
+            gap = (0.0, 1.0, 2.0, 2.5, 4.0)[trial % 5]
+            M = int(rng.integers(1, 30))
+            within = [c for c in ref if c <= ref[0] + gap]
+            edge_hits += ref[0] + gap in within[:M]
+            out = murty_kbest(mat, M, max_gap=gap)
+            self.check_against_enumeration(mat, out, within[:M])
+        assert edge_hits > 20
+
 
 class TestCostMatrix:
     def build_fixture(self, r=0.6, clutter=0.5):
@@ -231,6 +289,32 @@ class TestCostMatrix:
         cm = build_cost_matrix(p, p.global_hyps[0], tables)
         assert cm.cols == (0,) and cm.matrix[1, 0] == INF
         assert [a.mapping for a in murty_kbest(cm.matrix, 5)] == [(0,)]
+
+
+class TestScanTables:
+    @pytest.mark.parametrize("name,scans", [("scenario3", 30), ("scenario1", 20)])
+    def test_gated_by_hyp_is_the_map_of_det_log_keys(self, monkeypatch, name, scans):
+        """On every scan the tracker runs, the recorded per-hypothesis gated
+        sets equal the ones derived from ``det_log``'s keys."""
+        seen = []
+
+        def recording(*args):
+            tables = scan_weight_tables(*args)
+            seen.append(tables)
+            return tables
+
+        monkeypatch.setattr("trajpmbm.tracker.scan_weight_tables", recording)
+        cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+        cfg = dataclasses.replace(cfg, K=scans)
+        scans = generate_scenario(cfg)[1].scans
+        PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode="all").run(scans)
+        assert len(seen) == sum(scan is not None for scan in scans)
+        for tables in seen:
+            derived: dict = {}
+            for tid, hidx, j in tables.det_log:
+                derived.setdefault((tid, hidx), set()).add(j)
+            assert tables.gated_by_hyp == derived
+        assert sum(len(t.gated_by_hyp) for t in seen) > 50
 
 
 class TestAssociationWeightsAgainstEnumeration:

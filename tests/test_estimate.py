@@ -42,6 +42,14 @@ class TestMapBirthDeath:
             best = max(mix.components, key=lambda c: c.weight)
             assert map_birth_death(mix) == (best.b, best.e)
 
+    def test_tie_breaks_toward_smaller_epsilon_then_beta(self):
+        mix = TrajectoryMixture(
+            (comp(0.4, 1, 4, np.zeros(4)), comp(0.4, 2, 3, np.zeros(2)), comp(0.2, 0, 2, np.zeros(3)))
+        )
+        assert map_birth_death(mix) == (2, 3)
+        mix = TrajectoryMixture((comp(0.5, 2, 3, np.zeros(2)), comp(0.5, 1, 3, np.zeros(3))))
+        assert map_birth_death(mix) == (1, 3)
+
 
 class TestExpectedSequence:
     def test_single_component_verbatim(self):

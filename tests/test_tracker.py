@@ -438,7 +438,7 @@ class TestEpsilonBookkeeping:
     def test_point_mass_right_after_detection(self):
         tracker, state, tid, hidx = self.run_with_misses(0)
         pmf = epsilon_bookkeeping(state, tid, hidx)
-        assert pmf.as_dict() == pytest.approx({(0, 0): 1.0})
+        assert pmf == pytest.approx({(0, 0): 1.0})
 
     def test_two_misses_match_closed_form(self):
         tracker, state, tid, hidx = self.run_with_misses(2)

@@ -7,7 +7,6 @@ from scipy.stats import multivariate_normal, norm
 from trajpmbm import gaussseq as gs
 from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Track, dump_density, load_density, validate
 from trajpmbm.trajectory import (
-    BirthDeathPmf,
     MixtureComponent,
     TimeWindow,
     Trajectory,
@@ -63,35 +62,23 @@ class TestTrajectory:
             Trajectory(5, 2, np.zeros((1, 2)))
 
 
-class TestBirthDeathPmf:
-    def test_total_mass_must_be_one(self):
-        with pytest.raises(ValueError):
-            BirthDeathPmf((((0, 1), 0.5),))
-
-    def test_argmax_tie_breaks_toward_smaller_epsilon_then_beta(self):
-        pmf = BirthDeathPmf((((1, 4), 0.4), ((2, 3), 0.4), ((0, 2), 0.2)))
-        assert pmf.argmax() == (2, 3)
-        pmf = BirthDeathPmf((((2, 3), 0.5), ((1, 3), 0.5)))
-        assert pmf.argmax() == (1, 3)
-
-
 class TestBirthDeathPmfFromMixture:
     def test_single_component(self):
         mix = TrajectoryMixture((comp(1.0, 2, 5),))
-        assert birth_death_pmf(mix).as_dict() == {(2, 5): 1.0}
+        assert birth_death_pmf(mix) == {(2, 5): 1.0}
 
     def test_two_components(self):
         mix = TrajectoryMixture((comp(0.7, 1, 3), comp(0.3, 1, 4)))
-        d = birth_death_pmf(mix).as_dict()
+        d = birth_death_pmf(mix)
         assert d == pytest.approx({(1, 3): 0.7, (1, 4): 0.3})
 
     def test_duplicate_support_sums(self):
         mix = TrajectoryMixture((comp(0.5, 2, 2), comp(0.5, 2, 2)))
-        assert birth_death_pmf(mix).as_dict() == pytest.approx({(2, 2): 1.0})
+        assert birth_death_pmf(mix) == pytest.approx({(2, 2): 1.0})
 
     def test_deferred_death_pmf_spreads_mass(self):
         mix = TrajectoryMixture((comp(1.0, 0, 2, eps_pmf=((1, 0.25), (2, 0.75))),))
-        d = birth_death_pmf(mix).as_dict()
+        d = birth_death_pmf(mix)
         assert d == pytest.approx({(0, 1): 0.25, (0, 2): 0.75})
 
     def test_rejects_intensity(self):
@@ -114,7 +101,7 @@ class TestBirthDeathPmfFromMixture:
                 b = int(rng.integers(0, 3))
                 e = b + int(rng.integers(0, 3))
                 comps.append(comp(float(w[i]), b, e))
-            total = sum(birth_death_pmf(TrajectoryMixture(tuple(comps))).as_dict().values())
+            total = sum(birth_death_pmf(TrajectoryMixture(tuple(comps))).values())
             assert abs(total - 1.0) < 1e-12
 
 
