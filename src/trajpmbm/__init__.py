@@ -6,7 +6,6 @@ from .trajectory import (
     Trajectory,
     TrajectoryMixture,
     birth_death_pmf,
-    materialize_mixture,
     prune_mixture,
 )
 from .gaussseq import InfoSeq, ModelLG, MomentSeq, make_seq
@@ -27,7 +26,7 @@ from .density import (
     PruneThresholds,
     Track,
 )
-from .marginal import AliveQuery, marginalize_pmbm
+from .marginal import AliveQuery, materialize_mixture, marginalize_pmbm
 from .tracker import PmbmTracker, TrackerConfig, TrackerState
 from .estimate import extract_set
 

@@ -54,22 +54,13 @@ class LocalHypothesis:
     ``r`` is the probability of existence; ``density`` is a
     normalized trajectory mixture (may be None when r == 0, e.g. the
     non-existence hypothesis of a new track or a pruned placeholder);
-    ``history`` holds the (scan, measurement index) pairs this hypothesis
-    has associated, at most one per scan, in scan order; ``meas_history``
-    returns them as a set.
+    ``history`` is the tuple of (scan, measurement index) pairs this
+    hypothesis has associated, at most one per scan, in scan order.
     """
 
     r: float
     density: Optional[TrajectoryMixture]
     history: tuple  # 26 pairs take 248 bytes as a tuple, 1,240 as a frozenset
-
-    def __post_init__(self):
-        if type(self.history) is not tuple:  # a set of pairs: stored sorted
-            object.__setattr__(self, "history", tuple(sorted(self.history)))
-
-    @property
-    def meas_history(self) -> frozenset:
-        return frozenset(self.history)
 
     def alive_at(self, k: int) -> bool:
         """Whether the hypothesis has a trajectory alive at scan k."""
@@ -322,8 +313,9 @@ def validate(p: PmbmDensity) -> None:
         _require(len(track.hypotheses) > 0, "track {} without hypotheses", track.id)
         for h in track.hypotheses:
             _require(0.0 <= h.r <= 1.0, "existence probability {} outside [0, 1]", h.r)
+            _require(type(h.history) is tuple, "history of track {} is a {}", track.id, type(h.history).__name__)
             scans = [k for k, _ in h.history]
-            _require(len(scans) == len(set(scans)), "more than one association in a single scan")
+            _require(all(a < b for a, b in zip(scans, scans[1:])), "history scans {} not increasing", scans)
             _require(h.r == 0.0 or h.density is not None, "existing hypothesis must carry a density")
             if h.density is not None:
                 _validate_mixture(h.density, "density")
@@ -421,7 +413,8 @@ def load_density(d: dict) -> PmbmDensity:
 
     def hyp(hd: dict) -> LocalHypothesis:
         density = None if hd["components"] is None else TrajectoryMixture(tuple(comp(c) for c in hd["components"]))
-        return LocalHypothesis(float(hd["r"]), density, frozenset((int(k), int(j)) for k, j in hd["meas_history"]))
+        history = tuple(sorted((int(k), int(j)) for k, j in hd["meas_history"]))
+        return LocalHypothesis(float(hd["r"]), density, history)
 
     try:
         p = PmbmDensity(

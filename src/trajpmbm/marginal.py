@@ -10,18 +10,15 @@ windows are clamped, and state sequences are marginalized.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from . import gaussseq
 from .density import ArchiveBatch, LocalHypothesis, PmbmDensity, Track
-from .trajectory import (
-    MixtureComponent,
-    TimeWindow,
-    TrajectoryMixture,
-    materialize_mixture,
-)
+from .trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
 __all__ = [
     "AliveQuery",
+    "materialize_mixture",
     "marginalize_bernoulli",
     "marginalize_ppp",
     "marginalize_pmbm",
@@ -51,6 +48,34 @@ class AliveQuery:
     @property
     def alive(self) -> TimeWindow:
         return TimeWindow(self.eta, self.zeta)
+
+
+def materialize_mixture(mix: TrajectoryMixture, alive: Optional[TimeWindow] = None) -> TrajectoryMixture:
+    """Expand deferred death-time pmfs into explicit (b, e) components.
+
+    Each deferred component (w, seq over b..e, pmf) becomes one component per
+    death time eps with weight w * pmf[eps] and the sequence marginalized to
+    b..eps.  Explicit components pass through unchanged.  When ``alive`` is
+    given, only the components whose (b, e) window intersects it are kept
+    (death times outside it are never marginalized), and the result is an
+    intensity mixture since its weights no longer sum to one.
+    """
+
+    def kept(b: int, e: int) -> bool:
+        return alive is None or alive.intersects(TimeWindow(b, e))
+
+    out = []
+    for c in mix.components:
+        if c.eps_pmf is None:
+            if kept(c.b, c.e):
+                out.append(c)
+            continue
+        for e, m in c.eps_pmf:
+            if m <= 0.0 or not kept(c.b, e):
+                continue
+            seq = c.seq if e == c.e else gaussseq.marginalize_steps(c.seq, TimeWindow(c.b, e))
+            out.append(MixtureComponent(c.weight * m, seq))
+    return TrajectoryMixture(tuple(out), mix.kind if alive is None else "intensity")
 
 
 def _clamp_component(c: MixtureComponent, q: AliveQuery) -> MixtureComponent:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-__all__ = ["MetricRow", "ospa2", "gospa_step", "write_metric_csv", "read_metric_csv"]
+__all__ = ["MetricRow", "ospa2", "gospa_step", "write_metric_csv"]
 
 POSITION_DIMS = 2  # Euclidean base distance on the leading position entries
 
@@ -131,20 +131,3 @@ def write_metric_csv(path, rows) -> None:
         for r in rows:
             writer.writerow([r.k, repr(r.loc), repr(r.miss), repr(r.false), repr(r.card), repr(r.total)])
 
-
-def read_metric_csv(path):
-    out = []
-    with open(path) as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            out.append(
-                MetricRow(
-                    int(rec["k"]),
-                    float(rec["loc"]),
-                    float(rec["miss"]),
-                    float(rec["false"]),
-                    float(rec["card"]),
-                    float(rec["total"]),
-                )
-            )
-    return out

@@ -79,11 +79,6 @@ class BirthModel:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
 
-    @property
-    def rate(self) -> float:
-        """Total expected births per time step."""
-        return sum(c.weight for c in self.components)
-
 
 @dataclass(frozen=True)
 class SensorModel:

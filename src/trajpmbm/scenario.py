@@ -6,13 +6,19 @@ truth mode: either fully simulated (Poisson births, survival draws) or
 scripted birth/death times with sampled initial states.  Everything is
 deterministic given the seed.
 
+A measurement log is a tuple of scans, one per step: a scan is a tuple of
+float measurement arrays, or None for a step with no data (distinct from an
+empty scan).
+
 File formats:
 
 * measurement log -- JSONL, one record per step:
   ``{"k": int, "scan": [[z...], ...]}``; ``"scan": null`` marks a step with
-  no data (distinct from an empty scan).
+  no data.
 * trajectory sets (truth and estimates) -- JSONL, one record per step:
   ``{"k": int, "trajectories": [{"beta", "epsilon", "states"}, ...]}``.
+
+The readers raise ValueError on a malformed record or a gap in the steps.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .trajectory import Trajectory
 
 __all__ = [
     "ScenarioConfig",
-    "MeasurementLog",
     "generate_scenario",
     "truth_at_step",
     "write_measurement_log",
@@ -82,78 +87,38 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        region = Rectangle(**d["region"])
-        birth = BirthModel(
-            tuple(BirthComponent(c["weight"], np.array(c["mean"]), np.array(c["cov"])) for c in d["birth"])
-        )
-        mode = d.get("truth_mode", "simulated")
-        births = deaths = None
-        if isinstance(mode, dict) and "scripted" in mode:
-            births = tuple(mode["scripted"]["births"])
-            deaths = tuple(mode["scripted"]["deaths"])
-        elif mode != "simulated":
-            raise ValueError(f"unknown truth mode {mode!r}")
-        return cls(
-            K=int(d["K"]),
-            sigma_v=float(d["sigma_v"]),
-            sigma_r=float(d["sigma_r"]),
-            ps=float(d["ps"]),
-            pd=float(d["pd"]),
-            mu_fa=float(d["mu_fa"]),
-            region=region,
-            birth=birth,
-            seed=int(d.get("seed", 0)),
-            scripted_births=births,
-            scripted_deaths=deaths,
-        )
+        """Raises ValueError when an entry is missing or of the wrong type."""
+        try:
+            region = Rectangle(**d["region"])
+            birth = BirthModel(
+                tuple(BirthComponent(c["weight"], np.array(c["mean"]), np.array(c["cov"])) for c in d["birth"])
+            )
+            mode = d.get("truth_mode", "simulated")
+            births = deaths = None
+            if isinstance(mode, dict) and "scripted" in mode:
+                births = tuple(mode["scripted"]["births"])
+                deaths = tuple(mode["scripted"]["deaths"])
+            elif mode != "simulated":
+                raise ValueError(f"unknown truth mode {mode!r}")
+            return cls(
+                K=int(d["K"]),
+                sigma_v=float(d["sigma_v"]),
+                sigma_r=float(d["sigma_r"]),
+                ps=float(d["ps"]),
+                pd=float(d["pd"]),
+                mu_fa=float(d["mu_fa"]),
+                region=region,
+                birth=birth,
+                seed=int(d.get("seed", 0)),
+                scripted_births=births,
+                scripted_deaths=deaths,
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed scenario config: {exc!r}") from exc
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def to_dict(self) -> dict:
-        mode = "simulated"
-        if self.scripted:
-            mode = {"scripted": {"births": list(self.scripted_births), "deaths": list(self.scripted_deaths)}}
-        return {
-            "K": self.K,
-            "sigma_v": self.sigma_v,
-            "sigma_r": self.sigma_r,
-            "ps": self.ps,
-            "pd": self.pd,
-            "mu_fa": self.mu_fa,
-            "region": {
-                "xmin": self.region.xmin,
-                "xmax": self.region.xmax,
-                "ymin": self.region.ymin,
-                "ymax": self.region.ymax,
-            },
-            "birth": [
-                {"weight": c.weight, "mean": np.asarray(c.mean).tolist(), "cov": np.asarray(c.cov).tolist()}
-                for c in self.birth.components
-            ],
-            "seed": self.seed,
-            "truth_mode": mode,
-        }
-
-
-@dataclass(frozen=True)
-class MeasurementLog:
-    """Per-step detection lists; None marks a step without data."""
-
-    scans: tuple
-
-    def __post_init__(self):
-        scans = tuple(
-            None if s is None else tuple(np.asarray(z, dtype=float) for z in s) for s in self.scans
-        )
-        object.__setattr__(self, "scans", scans)
-
-    def __len__(self) -> int:
-        return len(self.scans)
-
-    def __iter__(self):
-        return iter(self.scans)
 
 
 def _sample_birth(birth: BirthModel, rng: np.random.Generator) -> np.ndarray:
@@ -232,7 +197,7 @@ def generate_scenario(cfg: ScenarioConfig, seed: Optional[int] = None):
             key=lambda t: (t.beta, t.epsilon, tuple(t.states[0])),
         )
     )
-    return truth, MeasurementLog(tuple(scans))
+    return truth, tuple(scans)
 
 
 def truth_at_step(truth, k: int):
@@ -252,28 +217,38 @@ def truth_at_step(truth, k: int):
 # ---------------------------------------------------------------------------
 
 
-def write_measurement_log(path, log: MeasurementLog) -> None:
+def write_measurement_log(path, log) -> None:
     with open(path, "w") as fh:
         for k, scan in enumerate(log):
             rec = {"k": k, "scan": None if scan is None else [np.asarray(z).tolist() for z in scan]}
             fh.write(json.dumps(rec) + "\n")
 
 
-def read_measurement_log(path) -> MeasurementLog:
-    recs = {}
+def _records(path, what: str, read) -> tuple:
+    """``read(record)`` of each JSONL record of ``path``, in step order;
+    raises ValueError on a malformed record or a step missing from 0 on."""
+    out = {}
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             d = json.loads(line)
-            recs[int(d["k"])] = d["scan"]
-    if recs and sorted(recs) != list(range(max(recs) + 1)):
-        raise ValueError("measurement log steps are not contiguous from 0")
-    scans = tuple(
-        None if recs[k] is None else tuple(np.array(z, dtype=float) for z in recs[k])
-        for k in range(len(recs))
+            try:
+                out[int(d["k"])] = read(d)
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"malformed {what} record on line {n}: {exc!r}") from exc
+    missing = sorted(set(range(len(out))) - set(out))
+    if missing:
+        raise ValueError(f"{what} has no record for step {missing[0]}")
+    return tuple(out[k] for k in range(len(out)))
+
+
+def read_measurement_log(path) -> tuple:
+    return _records(
+        path,
+        "measurement log",
+        lambda d: None if d["scan"] is None else tuple(np.array(z, dtype=float) for z in d["scan"]),
     )
-    return MeasurementLog(scans)
 
 
 def _traj_dict(t: Trajectory) -> dict:
@@ -288,14 +263,10 @@ def write_trajectory_sets(path, sets) -> None:
 
 
 def read_trajectory_sets(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            out[int(d["k"])] = tuple(
-                Trajectory(td["beta"], td["epsilon"], np.array(td["states"], dtype=float))
-                for td in d["trajectories"]
-            )
-    return tuple(out[k] for k in range(len(out)))
+    return _records(
+        path,
+        "trajectory set",
+        lambda d: tuple(
+            Trajectory(td["beta"], td["epsilon"], np.array(td["states"], dtype=float)) for td in d["trajectories"]
+        ),
+    )

@@ -43,7 +43,6 @@ from .density import (
     archive_ended,
     normalize,
     prune,
-    validate,
 )
 from .models import BirthModel, SensorModel, SurvivalModel, birth_intensity_at
 from .trajectory import TimeWindow, TrajectoryMixture
@@ -64,7 +63,6 @@ class TrackerConfig:
     thresholds: PruneThresholds = field(default_factory=PruneThresholds)
     backend: str = "info"  # moment | info | lscan
     L: int = 1
-    validate_every_step: bool = False
 
     def __post_init__(self):
         if self.murty_budget is not None and self.murty_budget < 1:
@@ -301,18 +299,9 @@ class PmbmTracker:
         density = normalize(density)
         if not exact:
             density = prune(density, self.config.thresholds)
-        if self.config.validate_every_step:
-            validate(density)
         return TrackerState(density, k, s.next_track_id + m)
 
     # -- driving ------------------------------------------------------------
-
-    def step(self, s: TrackerState, scan) -> TrackerState:
-        """Predict to the next scan time and update when data is present."""
-        s = self.predict(s)
-        if scan is not None:
-            s = self.update(s, scan)
-        return s
 
     def estimate(self, s: TrackerState, r_e: Optional[float] = None):
         """Trajectory set estimate; ``r_e`` defaults to 1 in all-trajectories

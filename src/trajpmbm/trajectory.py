@@ -21,7 +21,6 @@ __all__ = [
     "birth_death_pmf",
     "epsilon_pmf_predict",
     "epsilon_pmf_miss_update",
-    "materialize_mixture",
     "prune_mixture",
 ]
 
@@ -149,9 +148,6 @@ class TrajectoryMixture:
     def total_weight(self) -> float:
         return sum(c.weight for c in self.components)
 
-    def is_empty(self) -> bool:
-        return len(self.components) == 0
-
 
 def epsilon_pmf_predict(pmf: tuple, ps: float, k: int) -> tuple:
     """One survival split: the mass at the previous scan, the pmf's last
@@ -192,7 +188,7 @@ def birth_death_pmf(mix: TrajectoryMixture) -> dict:
     """
     if mix.kind != "density":
         raise ValueError("birth/death pmf undefined for an intensity")
-    if mix.is_empty():
+    if not mix.components:
         raise ValueError("empty mixture")
     masses: dict = {}
     for c in mix.components:
@@ -205,35 +201,6 @@ def birth_death_pmf(mix: TrajectoryMixture) -> dict:
                 masses[key] = masses.get(key, 0.0) + c.weight * m
     total = sum(masses.values())
     return {k: m / total for k, m in masses.items()}
-
-
-def materialize_mixture(mix: TrajectoryMixture, alive: Optional[TimeWindow] = None) -> TrajectoryMixture:
-    """Expand deferred death-time pmfs into explicit (b, e) components.
-
-    Each deferred component (w, seq over b..e, pmf) becomes one component per
-    death time eps with weight w * pmf[eps] and the sequence marginalized to
-    b..eps.  Explicit components pass through unchanged.  When ``alive`` is
-    given, only the components whose (b, e) window intersects it are kept
-    (death times outside it are never marginalized), and the result is an
-    intensity mixture since its weights no longer sum to one.
-    """
-    from . import gaussseq  # local import: gaussseq depends on this module
-
-    def kept(b: int, e: int) -> bool:
-        return alive is None or alive.intersects(TimeWindow(b, e))
-
-    out = []
-    for c in mix.components:
-        if c.eps_pmf is None:
-            if kept(c.b, c.e):
-                out.append(c)
-            continue
-        for e, m in c.eps_pmf:
-            if m <= 0.0 or not kept(c.b, e):
-                continue
-            seq = c.seq if e == c.e else gaussseq.marginalize_steps(c.seq, TimeWindow(c.b, e))
-            out.append(MixtureComponent(c.weight * m, seq))
-    return TrajectoryMixture(tuple(out), mix.kind if alive is None else "intensity")
 
 
 def prune_mixture(mix: TrajectoryMixture, threshold: float = 1e-3) -> TrajectoryMixture:

@@ -3,13 +3,23 @@ and small views of library values that only tests need."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from trajpmbm import gaussseq as gs
-from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Track, TrajectoryMixture
+from trajpmbm.density import (
+    GlobalHypothesis,
+    LocalHypothesis,
+    PmbmDensity,
+    Track,
+    TrajectoryMixture,
+    dump_density,
+    load_density,
+    validate,
+)
 from trajpmbm.models import BirthComponent, BirthModel, Rectangle, SensorModel, SurvivalModel
 from trajpmbm.tracker import PmbmTracker, TrackerConfig, TrackerState
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, birth_death_pmf, epsilon_pmf_miss_update, epsilon_pmf_predict
@@ -26,6 +36,23 @@ def scalar_setup(ps=0.9, pd=0.9, clutter_rate=1.0, birth_w=0.3, mode="all", back
     sensor = SensorModel(pd=pd, clutter_rate=clutter_rate, region=SCALAR_REGION, gate_prob=1.0)
     cfg = TrackerConfig(murty_budget=None if exact else 100, backend=backend, **config)
     return PmbmTracker(model, birth, sensor, SurvivalModel(ps), mode=mode, config=cfg)
+
+
+def validated_run(tracker, scans, reload_at=None):
+    """The state after each step of ``tracker.run(scans)``, each checked by
+    ``density.validate``; with ``reload_at``, the run goes on from the JSON
+    round trip of that step's posterior."""
+    state = tracker.initial()
+    for k, scan in enumerate(scans):
+        if k:
+            state = tracker.predict(state)
+        if scan is not None:
+            state = tracker.update(state, scan)
+        if k == reload_at:
+            reloaded = load_density(json.loads(json.dumps(dump_density(state.density))))
+            state = TrackerState(reloaded, state.k, state.next_track_id)
+        validate(state.density)
+        yield state
 
 
 def tracker_global_table(state: TrackerState):
@@ -48,8 +75,25 @@ def tracker_global_table(state: TrackerState):
                     num = num + c.weight * a * m
                     den += c.weight * a
             mean = num / den if den > 0 else None
-            info[h.meas_history] = (h.r, mean, pmf)
+            info[frozenset(h.history)] = (h.r, mean, pmf)
         out[frozenset(info)] = (math.exp(g.log_weight), info)
+    return out
+
+
+def restricted_global_table(p: PmbmDensity):
+    """The view of :func:`tracker_global_table` for a window answer, without
+    means: per global, (weight, {history: (r, None, (b, e) pmf)}) over the
+    hypotheses that still exist.  Globals that restriction makes equal add
+    up their weights."""
+    out = {}
+    for g in p.global_hyps:
+        info = {}
+        for tid, hidx in g.choice:
+            h = p.track_by_id(tid).hypotheses[hidx]
+            if h.r > 0.0:
+                info[frozenset(h.history)] = (h.r, None, birth_death_pmf(h.density))
+        w, _ = out.get(frozenset(info), (0.0, None))
+        out[frozenset(info)] = (w + math.exp(g.log_weight), info)
     return out
 
 

@@ -463,6 +463,31 @@ class OracleTracker:
             out[key] = (math.exp(g.logw), info)
         return out
 
+    def restricted_table(self, alpha: int, gamma: int, eta: int, zeta: int):
+        """The window answer for the states in [alpha, gamma] of the
+        trajectories alive somewhere in [eta, zeta], read off the explicit
+        components: a component is kept when its (b, e) meets [eta, zeta],
+        r scales by the kept mass, and the kept windows are clamped to
+        [alpha, gamma].  Per global, (weight, {history: (r, None, (b, e)
+        pmf)}) over the Bernoullis that still exist; globals that the
+        restriction makes equal add up their weights."""
+        out = {}
+        for g in self.globals:
+            info = {}
+            for bern in g.tracks.values():
+                kept = [c for c in bern.comps if c.b <= zeta and eta <= c.e]
+                mass = sum(c.w for c in kept)
+                if bern.r <= 0 or mass <= 0:
+                    continue
+                pmf = {}
+                for c in kept:
+                    key = (max(c.b, alpha), min(c.e, gamma))
+                    pmf[key] = pmf.get(key, 0.0) + c.w / mass
+                info[bern.history] = (min(bern.r * mass, 1.0), None, pmf)
+            w, _ = out.get(frozenset(info), (0.0, None))
+            out[frozenset(info)] = (w + math.exp(g.logw), info)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # point-target PMBM filter oracle

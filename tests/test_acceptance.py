@@ -45,7 +45,14 @@ from trajpmbm.tracker import PmbmTracker, TrackerConfig
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
 from conftest import run_pipeline, random_spd
-from helpers import SCALAR_REGION, assert_tables_match, epsilon_pmf_recursive, scalar_setup, tracker_global_table
+from helpers import (
+    SCALAR_REGION,
+    assert_tables_match,
+    epsilon_pmf_recursive,
+    scalar_setup,
+    tracker_global_table,
+    validated_run,
+)
 from oracles import OracleTracker, PointPmbmOracle, enumerate_assignments, epsilon_pmf_closed
 
 
@@ -211,7 +218,7 @@ def test_criterion_5_commutation():
                 if h.r <= 0.0:
                     continue
                 mean = sum(c.weight * gs.mean_sequence(c.seq) for c in h.density.components)
-                info[h.meas_history] = (h.r, mean)
+                info[frozenset(h.history)] = (h.r, mean)
             got[frozenset(info)] = (math.exp(g.log_weight), info)
         ref = point.global_table()
         assert set(got) == set(ref)
@@ -282,7 +289,7 @@ def test_criterion_6_marginalization_surrogate():
     hyp = LocalHypothesis(
         0.8,
         TrajectoryMixture((MixtureComponent(0.5, early), MixtureComponent(0.5, late))),
-        frozenset({(0, 0)}),
+        ((0, 0),),
     )
     out = marginalize_bernoulli(hyp, AliveQuery(0, 6, 4, 6))
     assert out.r == 0.8 * 0.5
@@ -291,7 +298,7 @@ def test_criterion_6_marginalization_surrogate():
     # Bernoulli restriction against grid integration
     comp_a = MixtureComponent(0.6, _scalar_chain(1, 3, {0: 0.5, 2: -1.0}))  # window (0, 3)
     comp_b = MixtureComponent(0.4, gs.MomentSeq(TimeWindow(1, 1), [2.0], [[1.5]]))
-    bern = LocalHypothesis(0.8, TrajectoryMixture((comp_a, comp_b)), frozenset({(0, 0)}))
+    bern = LocalHypothesis(0.8, TrajectoryMixture((comp_a, comp_b)), ((0, 0),))
     q = AliveQuery(0, 2, 2, 2)
     restricted = marginalize_bernoulli(bern, q)
     assert restricted.r == pytest.approx(0.8 * 0.6, abs=1e-15)
@@ -319,13 +326,13 @@ def test_criterion_6_marginalization_surrogate():
     t1 = Track(
         0,
         (
-            LocalHypothesis(0.9, TrajectoryMixture((MixtureComponent(1.0, comp_a.seq),)), frozenset({(0, 0)})),
-            LocalHypothesis(0.6, TrajectoryMixture((MixtureComponent(1.0, _scalar_chain(3, 3, {1: 1.0})),)), frozenset({(1, 0)})),
+            LocalHypothesis(0.9, TrajectoryMixture((MixtureComponent(1.0, comp_a.seq),)), ((0, 0),)),
+            LocalHypothesis(0.6, TrajectoryMixture((MixtureComponent(1.0, _scalar_chain(3, 3, {1: 1.0})),)), ((1, 0),)),
         ),
     )
     t2 = Track(
         1,
-        (LocalHypothesis(0.5, TrajectoryMixture((MixtureComponent(0.5, _scalar_chain(4, 3, {0: -0.7})), MixtureComponent(0.5, comp_b.seq))), frozenset({(2, 0)})),),
+        (LocalHypothesis(0.5, TrajectoryMixture((MixtureComponent(0.5, _scalar_chain(4, 3, {0: -0.7})), MixtureComponent(0.5, comp_b.seq))), ((2, 0),)),),
     )
     p = PmbmDensity(
         ppp=TrajectoryMixture((), "intensity"),
@@ -487,10 +494,11 @@ def test_criterion_8_sanity():
             cfg.sensor(),
             cfg.survival(),
             mode="all",
-            config=TrackerConfig(murty_budget=50, backend="info", validate_every_step=True),
+            config=TrackerConfig(murty_budget=50, backend="info"),
         )
-        result = tracker.run(log)
-        n_est = len(result.estimates[-1])
+        for state in validated_run(tracker, log):
+            pass
+        n_est = len(tracker.estimate(state))
         if abs(n_est - len(truth)) <= 0.2 * len(truth):
             hits += 1
     print(f"    final-step cardinality within 20% in {hits}/20 runs")

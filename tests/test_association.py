@@ -209,7 +209,7 @@ class TestCostMatrix:
         model = gs.ModelLG(F=[[1.0]], Q=[[1.0]], H=[[1.0]], R=[[1.0]])
         sensor = SensorModel(pd=0.8, clutter_rate=clutter, region=Rectangle(-10, 10, -1, 1), gate_prob=1.0)
         seq = gs.MomentSeq(TimeWindow(0, 1), [0.0, 0.0], [[1.0, 1.0], [1.0, 2.0]])
-        hyp = LocalHypothesis(r, TrajectoryMixture((MixtureComponent(1.0, seq),)), frozenset({(0, 0)}))
+        hyp = LocalHypothesis(r, TrajectoryMixture((MixtureComponent(1.0, seq),)), ((0, 0),))
         ppp = TrajectoryMixture(
             (MixtureComponent(0.4, gs.MomentSeq(TimeWindow(1, 1), [0.0], [[4.0]])),), "intensity"
         )
@@ -306,7 +306,7 @@ class TestScanTables:
         monkeypatch.setattr("trajpmbm.tracker.scan_weight_tables", recording)
         cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
         cfg = dataclasses.replace(cfg, K=scans)
-        scans = generate_scenario(cfg)[1].scans
+        scans = generate_scenario(cfg)[1]
         PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode="all").run(scans)
         assert len(seen) == sum(scan is not None for scan in scans)
         for tables in seen:
@@ -331,7 +331,7 @@ class TestAssociationWeightsAgainstEnumeration:
             hyp = LocalHypothesis(
                 float(rng.uniform(0.3, 0.95)),
                 TrajectoryMixture((MixtureComponent(1.0, seq),)),
-                frozenset({(0, tid)}),
+                ((0, tid),),
             )
             tracks.append(Track(tid, (hyp,)))
         ppp = TrajectoryMixture(
@@ -387,7 +387,7 @@ class TestDetectionChild:
             MixtureComponent(0.3, gs.MomentSeq(TimeWindow(0, 1), [-1.0, -1.0], [[1.0, 0.8], [0.8, 1.6]])),
             MixtureComponent(0.7, gs.MomentSeq(TimeWindow(0, 1), [1.5, 2.0], [[2.0, 0.5], [0.5, 3.0]])),
         )
-        h = LocalHypothesis(0.6, TrajectoryMixture(comps), frozenset({(0, 0)}))
+        h = LocalHypothesis(0.6, TrajectoryMixture(comps), ((0, 0),))
         p = PmbmDensity(
             TrajectoryMixture((), "intensity"),
             (Track(0, (h,)),),

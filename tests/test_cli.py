@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -11,8 +12,20 @@ from trajpmbm.cli import main
 from trajpmbm.density import dump_density, load_density, validate
 from trajpmbm.gaussseq import InfoSeq
 from trajpmbm.marginal import AliveQuery, marginalize_pmbm
-from trajpmbm.metrics import read_metric_csv
 from trajpmbm.scenario import read_measurement_log, read_trajectory_sets
+
+
+def metric_rows(path) -> list:
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def pmbm(*args) -> subprocess.CompletedProcess:
+    """The ``pmbm`` command in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cmd = [sys.executable, "-m", "trajpmbm.cli", *args]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
 
 
 @pytest.fixture
@@ -96,9 +109,9 @@ def test_full_pipeline(tmp_path, config_path, capsys):
         )
         == 0
     )
-    rows = read_metric_csv(out_csv)
+    rows = metric_rows(out_csv)
     assert len(rows) == 8
-    assert all(0.0 <= r.total <= 20.0 for r in rows)
+    assert all(0.0 <= float(r["total"]) <= 20.0 for r in rows)
 
     density = load_density(json.loads(dump.read_text()))
     validate(density)
@@ -161,14 +174,35 @@ def test_track_rejects_a_budget_below_one(tmp_path, config_path):
 def test_malformed_dump_is_one_error_line_not_a_traceback(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     args = ["marginalize", "--dump", str(bad), "--alpha", "0", "--gamma", "0", "--eta", "0", "--zeta", "0"]
-    cmd = [sys.executable, "-m", "trajpmbm.cli", *args, "--out", str(tmp_path / "out.json")]
-    out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    out = pmbm(*args, "--out", str(tmp_path / "out.json"))
     assert out.returncode != 0 and "Traceback" not in out.stderr
     assert out.stderr.startswith("error: malformed density dump") and out.stderr.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,text,names",
+    [
+        ("simulate", '{"K": 5}', "region"),
+        ("track", '{"k": 0}\n', "scan"),
+        ("evaluate", '{"k": 0, "trajectories": []}\n{"k": 2, "trajectories": []}\n', "step 1"),
+        ("evaluate", '{"k": 0, "trajectories": [{"beta": 0, "states": [[0.0, 0.0, 0.0, 0.0]]}]}\n', "epsilon"),
+    ],
+    ids=["config-without-region", "record-without-scan", "gap-in-k", "trajectory-without-epsilon"],
+)
+def test_malformed_input_is_one_error_line_not_a_traceback(tmp_path, config_path, command, text, names):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out_dir = str(tmp_path / "out")
+    args = {
+        "simulate": ["--config", str(bad), "--out", out_dir],
+        "track": ["--scenario", str(config_path), "--measurements", str(bad), "--out", out_dir],
+        "evaluate": ["--est", str(bad), "--truth", str(bad)],
+    }[command]
+    out = pmbm(command, *args)
+    assert out.returncode == 1 and "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1 and names in out.stderr
 
 
 def test_simulate_is_deterministic(tmp_path, config_path):
@@ -233,5 +267,5 @@ def test_mc_writes_aggregate(tmp_path, config_path, capsys):
         )
         == 0
     )
-    rows = read_metric_csv(out_csv)
+    rows = metric_rows(out_csv)
     assert len(rows) == 8

@@ -41,7 +41,7 @@ def unit_density(b=0, e=0, mean=None):
 
 def hyp(r, history=(), b=0, e=0):
     dens = unit_density(b, e) if r > 0 else None
-    return LocalHypothesis(r, dens, frozenset(history))
+    return LocalHypothesis(r, dens, tuple(sorted(history)))
 
 
 def fixture_density(hyps_by_track, globals_, k=0, record=()):
@@ -99,7 +99,7 @@ class TestPrune:
         track = out.track_by_id(0)
         assert track.hypotheses[0].r == 0.0
         assert track.hypotheses[0].density is None
-        assert track.hypotheses[0].meas_history == frozenset({(0, 0)})
+        assert track.hypotheses[0].history == ((0, 0),)
         assert track.hypotheses[1].r == pytest.approx(0.9)
         validate(out)
 
@@ -219,6 +219,24 @@ class TestValidate:
         with pytest.raises(AssertionError):
             validate(normalize(p))
 
+    @pytest.mark.parametrize("form", [frozenset, lambda hist: hist[::-1]], ids=["set", "reversed"])
+    def test_history_must_be_a_tuple_in_scan_order(self, form):
+        # checked for live and archived hypotheses alike
+        p = scenario1_run(scans=12)[2].density
+        validate(p)
+
+        def bad(hyps):
+            return (replace(hyps[0], history=form(hyps[0].history)),) + hyps[1:]
+
+        t = next(t for t in p.tracks if len(t.hypotheses[0].history) > 1)
+        live = replace(p, tracks=tuple(Track(t.id, bad(t.hypotheses)) if u is t else u for u in p.tracks))
+        i, b = next((i, b) for i, b in enumerate(p.archive) if len(b.hypotheses[0].history) > 1)
+        batch = ArchiveBatch.of(b.ids, bad(b.hypotheses), b.scan)
+        archived = replace(p, archive=p.archive[:i] + (batch,) + p.archive[i + 1 :])
+        for q in (live, archived):
+            with pytest.raises(AssertionError, match="history"):
+                validate(q)
+
     def test_checks_run_under_optimize_flag(self):
         # python -O strips assert statements; validate must still check
         code = (
@@ -248,13 +266,13 @@ def dump_fixture():
                 ),
             )
         ),
-        frozenset({(1, 0)}),
+        ((1, 0),),
     )
     return PmbmDensity(
         ppp=TrajectoryMixture(
             (MixtureComponent(0.3, gs.MomentSeq(TimeWindow(2, 2), [0.0], [[4.0]])),), "intensity"
         ),
-        tracks=(Track(3, (LocalHypothesis(0.0, None, frozenset()),)), Track(7, (h,))),
+        tracks=(Track(3, (LocalHypothesis(0.0, None, ()),)), Track(7, (h,))),
         global_hyps=(GlobalHypothesis(0.0, ((3, 0), (7, 0))),),
         window=TimeWindow(0, 2),
         mode="all",
@@ -273,7 +291,7 @@ class TestDumpRoundTrip:
         assert q.mode == p.mode and q.window == p.window
         assert q.measurement_record == p.measurement_record
         assert q.track_by_id(7).hypotheses[0].r == pytest.approx(0.8)
-        assert q.track_by_id(7).hypotheses[0].meas_history == frozenset({(1, 0)})
+        assert q.track_by_id(7).hypotheses[0].history == ((1, 0),)
         comp = q.track_by_id(7).hypotheses[0].density.components[0]
         assert comp.eps_pmf == ((1, 0.25), (2, 0.75))
         np.testing.assert_allclose(np.asarray(comp.seq.mean), [1.0, 2.0, 3.0])
@@ -450,7 +468,7 @@ def _dense_longer_than_L(cd):
 class TestLScanDump:
     def test_resumed_run_matches_the_uninterrupted_one(self):
         cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "scenario1.json")
-        scans = generate_scenario(cfg)[1].scans
+        scans = generate_scenario(cfg)[1]
         tracker = PmbmTracker(
             cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode="all", config=TrackerConfig(backend="lscan", L=3)
         )
@@ -461,7 +479,7 @@ class TestLScanDump:
         for start in (state, TrackerState(reloaded, state.k, state.next_track_id)):
             s, estimates = start, []
             for k in range(20, 30):
-                s = tracker.step(s, scans[k])
+                s = tracker.update(tracker.predict(s), scans[k])
                 estimates.append(tracker.estimate(s))
             runs.append((repr(estimates), json.dumps(dump_density(s.density))))
         assert runs[0] == runs[1]
@@ -516,7 +534,7 @@ def scenario1_run(backend="info", L=1, scans=20):
     ``configs/scenario1.json``, whose archive by then holds hundreds of
     tracks."""
     cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "scenario1.json")
-    log = generate_scenario(cfg)[1].scans
+    log = generate_scenario(cfg)[1]
     tracker = PmbmTracker(
         cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode="all", config=TrackerConfig(backend=backend, L=L)
     )
@@ -537,7 +555,7 @@ class TestArchive:
         for start in (state, TrackerState(reloaded, state.k, state.next_track_id)):
             s, estimates = start, []
             for k in range(20, 30):
-                s = tracker.step(s, scans[k])
+                s = tracker.update(tracker.predict(s), scans[k])
                 estimates.append(tracker.estimate(s))
             runs.append((exact_estimates(estimates), json.dumps(dump_density(s.density))))
         assert runs[0] == runs[1]
@@ -629,10 +647,3 @@ class TestOneScanShares:
             assert pmfs.setdefault(c.eps_pmf, c.eps_pmf) is c.eps_pmf
         assert len(pmfs) < len(alive)
         assert all(type(h.history) is tuple and list(h.history) == sorted(h.history) for h in hyps)
-
-    def test_history_given_as_a_set_is_stored_as_a_sorted_tuple(self):
-        h = LocalHypothesis(0.0, None, frozenset({(3, 1), (1, 0)}))
-        assert h.history == ((1, 0), (3, 1)) and h.meas_history == frozenset({(1, 0), (3, 1)})
-        assert LocalHypothesis(0.0, None, ((2, 0),)).history == ((2, 0),)
-        d = dump_density(scenario1_run(scans=8)[2].density)
-        assert json.dumps(dump_density(load_density(json.loads(json.dumps(d))))) == json.dumps(d)

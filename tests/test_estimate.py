@@ -87,12 +87,12 @@ class TestExpectedSequence:
 
 class TestExtractSet:
     def two_track_fixture(self, r0=1.0, r1=1.0, w=(0.7, 0.3)):
-        t0 = Track(0, (LocalHypothesis(r0, TrajectoryMixture((comp(1.0, 0, 1, [1.0, 2.0]),)), frozenset({(0, 0)})),))
+        t0 = Track(0, (LocalHypothesis(r0, TrajectoryMixture((comp(1.0, 0, 1, [1.0, 2.0]),)), ((0, 0),)),))
         t1 = Track(
             1,
             (
-                LocalHypothesis(r1, TrajectoryMixture((comp(1.0, 1, 1, [5.0]),)), frozenset({(1, 0)})),
-                LocalHypothesis(0.4, TrajectoryMixture((comp(1.0, 1, 1, [9.0]),)), frozenset({(1, 1)})),
+                LocalHypothesis(r1, TrajectoryMixture((comp(1.0, 1, 1, [5.0]),)), ((1, 0),)),
+                LocalHypothesis(0.4, TrajectoryMixture((comp(1.0, 1, 1, [9.0]),)), ((1, 1),)),
             ),
         )
         globals_ = (

@@ -494,7 +494,7 @@ class TestBandSharing:
             gs.predict_seq(gs.make_seq("info", TimeWindow(0, 0), m, np.eye(4)), cv_model)
             for m in (np.zeros(4), np.ones(4))
         ]
-        h = LocalHypothesis(1.0, TrajectoryMixture(tuple(MixtureComponent(0.5, s) for s in seqs)), frozenset())
+        h = LocalHypothesis(1.0, TrajectoryMixture(tuple(MixtureComponent(0.5, s) for s in seqs)), ())
         child = bernoulli.detect_update(h, cv_model, [0.5, 0.5], (1, 0), ((0, 0.2), (1, 0.1)))
         a, b = (c.seq for c in child.density.components)
         assert a.head is b.head and a.last is not b.last

@@ -1,9 +1,10 @@
+import csv
 import itertools
 
 import numpy as np
 import pytest
 
-from trajpmbm.metrics import gospa_step, ospa2, read_metric_csv, trajectory_distance, write_metric_csv
+from trajpmbm.metrics import MetricRow, gospa_step, ospa2, trajectory_distance, write_metric_csv
 from trajpmbm.trajectory import Trajectory
 
 
@@ -119,5 +120,6 @@ class TestCsv:
         rows = [gospa_step([np.array([0.1, 0.2])], [np.array([0.3, -0.4])], c=7.0, k=k) for k in range(3)]
         path = tmp_path / "m.csv"
         write_metric_csv(path, rows)
-        back = read_metric_csv(path)
+        with open(path) as fh:
+            back = [MetricRow(**{key: float(v) for key, v in rec.items()}) for rec in csv.DictReader(fh)]
         assert back == rows

@@ -5,7 +5,6 @@ import pytest
 
 from trajpmbm.models import BirthComponent, BirthModel, Rectangle
 from trajpmbm.scenario import (
-    MeasurementLog,
     ScenarioConfig,
     generate_scenario,
     read_measurement_log,
@@ -95,18 +94,20 @@ class TestTruthAtStep:
 
 class TestIO:
     def test_measurement_log_roundtrip(self, tmp_path):
-        log = MeasurementLog((
+        log = (
             (np.array([1.0, 2.0]),),
             None,
             (),
             (np.array([3.0, 4.0]), np.array([5.0, 6.0])),
-        ))
+        )
         path = tmp_path / "log.jsonl"
         write_measurement_log(path, log)
         back = read_measurement_log(path)
-        assert back.scans[1] is None
-        assert back.scans[2] == ()
-        np.testing.assert_allclose(back.scans[3][1], [5.0, 6.0])
+        assert len(back) == 4
+        assert back[1] is None
+        assert back[2] == ()
+        np.testing.assert_allclose(back[3][1], [5.0, 6.0])
+        assert all(z.dtype == float for scan in back if scan for z in scan)
 
     def test_trajectory_sets_roundtrip(self, tmp_path):
         cfg = small_cfg(scripted_births=(0,), scripted_deaths=(9,))
@@ -121,7 +122,22 @@ class TestIO:
     def test_config_json_roundtrip(self, tmp_path):
         cfg = small_cfg(scripted_births=(1, 2), scripted_deaths=(8, 9))
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(
+            json.dumps(
+                {
+                    "K": 10,
+                    "sigma_v": 0.5,
+                    "sigma_r": 1.0,
+                    "ps": 0.95,
+                    "pd": 0.9,
+                    "mu_fa": 1.0,
+                    "region": {"xmin": -50.0, "xmax": 50.0, "ymin": -50.0, "ymax": 50.0},
+                    "birth": [{"weight": 0.2, "mean": [0.0] * 4, "cov": np.diag([25.0, 25.0, 1.0, 1.0]).tolist()}],
+                    "seed": 5,
+                    "truth_mode": {"scripted": {"births": [1, 2], "deaths": [8, 9]}},
+                }
+            )
+        )
         back = ScenarioConfig.from_json(path)
         assert back.K == cfg.K and back.scripted_births == (1, 2)
         assert back.region == cfg.region
@@ -134,3 +150,23 @@ class TestIO:
         path.write_text('{"k": 0, "scan": []}\n{"k": 2, "scan": []}\n')
         with pytest.raises(ValueError):
             read_measurement_log(path)
+
+    @pytest.mark.parametrize(
+        "read,text,match",
+        [
+            (read_measurement_log, '{"k": 0}\n', "line 1: KeyError\\('scan'\\)"),
+            (read_measurement_log, '{"k": 1, "scan": []}\n', "no record for step 0"),
+            (read_trajectory_sets, '{"k": 0, "trajectories": []}\n{"k": 2, "trajectories": []}\n', "step 1"),
+            (read_trajectory_sets, '{"k": 0, "trajectories": [{"beta": 0, "states": [[0.0]]}]}\n', "epsilon"),
+        ],
+        ids=["no-scan", "no-step-0", "gap", "no-epsilon"],
+    )
+    def test_malformed_record_rejected(self, tmp_path, read, text, match):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read(path)
+
+    def test_config_without_a_key_rejected(self):
+        with pytest.raises(ValueError, match="region"):
+            ScenarioConfig.from_dict({"K": 5})

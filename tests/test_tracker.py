@@ -22,7 +22,7 @@ from trajpmbm.density import (
     prune,
     validate,
 )
-from trajpmbm.marginal import AliveQuery, marginalize_pmbm
+from trajpmbm.marginal import AliveQuery, marginalize_pmbm, materialize_mixture
 from trajpmbm.models import (
     BirthComponent,
     BirthModel,
@@ -39,7 +39,6 @@ from trajpmbm.trajectory import (
     TimeWindow,
     TrajectoryMixture,
     birth_death_pmf,
-    materialize_mixture,
 )
 
 from helpers import (
@@ -47,13 +46,15 @@ from helpers import (
     assert_tables_match,
     epsilon_bookkeeping,
     epsilon_marginal,
+    restricted_global_table,
     scalar_setup,
     tracker_global_table,
+    validated_run,
 )
 from oracles import OracleTracker, PointPmbmOracle, epsilon_pmf_closed, predictive_likelihood
 
 
-def single_track_state(tracker, r, k, mean, var, history=frozenset({(0, 0)})):
+def single_track_state(tracker, r, k, mean, var, history=((0, 0),)):
     """Tracker state with one track and a fresh birth intensity at step k."""
     seq = gs.make_seq(tracker.config.backend, TimeWindow(0, k), mean, var)
     hyp = LocalHypothesis(r, TrajectoryMixture((MixtureComponent(1.0, seq),)), history)
@@ -89,7 +90,7 @@ class TestPredictAll:
         tracker = scalar_setup(mode="all")
         seq = gs.make_seq("moment", TimeWindow(0, 1), [0.0, 0.0], np.eye(2))
         comp = MixtureComponent(1.0, seq, ((0, 0.6), (1, 0.4)))
-        hyp = LocalHypothesis(0.7, TrajectoryMixture((comp,)), frozenset({(0, 0)}))
+        hyp = LocalHypothesis(0.7, TrajectoryMixture((comp,)), ((0, 0),))
         density = PmbmDensity(
             ppp=TrajectoryMixture((), "intensity"),
             tracks=(Track(0, (hyp,)),),
@@ -182,7 +183,7 @@ class TestTruncation:
         seq = gs.make_seq(tracker.config.backend, TimeWindow(0, 1), [0.0, 1.0], np.eye(2))
         # both hypotheses ended at scan 1: frozen from scan 2 on
         hyps = tuple(
-            LocalHypothesis(r, TrajectoryMixture((MixtureComponent(1.0, seq),)), frozenset({(j, 0)}))
+            LocalHypothesis(r, TrajectoryMixture((MixtureComponent(1.0, seq),)), ((j, 0),))
             for r, j in ((0.6, 0), (0.9, 1))
         )
         disagree = PmbmDensity(
@@ -216,7 +217,7 @@ class TestTruncation:
         assert out.tracks == () and out.global_hyps[0].choice == ()
         assert [(b.ids, b.rs, b.scan) for b in out.archive] == [((0,), (0.9,), 4)]
         (h,) = out.archive[0].hypotheses
-        assert (h.r, h.meas_history, h.density.components[0].e) == (0.9, frozenset({(1, 0)}), 1)
+        assert (h.r, h.history, h.density.components[0].e) == (0.9, ((1, 0),), 1)
 
     def test_surviving_mass_below_threshold_ends_at_previous_scan(self):
         tracker = scalar_setup(ps=0.9, mode="all", exact=False)
@@ -253,7 +254,7 @@ class TestOneHypothesisRule:
     )
     def test_every_live_hypothesis_is_chosen_and_ended_ones_leave(self, name, scans, budget):
         cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
-        log = generate_scenario(cfg)[1].scans
+        log = generate_scenario(cfg)[1]
         config = TrackerConfig(murty_budget=budget)
         tracker = PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode="all", config=config)
         state = tracker.initial()
@@ -322,7 +323,7 @@ class TestUpdate:
     def test_miss_passes_a_hypothesis_with_no_alive_mass_through(self):
         seq = gs.make_seq("info", TimeWindow(0, 1), [0.0, 0.0], np.eye(2))
         comps = (MixtureComponent(0.4, seq, ((1, 1.0),)), MixtureComponent(0.6, seq))
-        h = LocalHypothesis(0.7, TrajectoryMixture(comps), frozenset({(0, 0)}))
+        h = LocalHypothesis(0.7, TrajectoryMixture(comps), ((0, 0),))
         assert bernoulli.miss_update(h, 0.9, 2) is h  # every trajectory ended at 1
         assert bernoulli.miss_update(h, 0.9, 1) is not h
 
@@ -332,7 +333,7 @@ class TestUpdate:
         new_track = out.density.track_by_id(0)
         exist = max(new_track.hypotheses, key=lambda h: h.r)
         assert exist.r == pytest.approx(1.0)
-        assert exist.meas_history == frozenset({(0, 0)})
+        assert exist.history == ((0, 0),)
 
     def test_single_track_single_measurement_enumeration(self):
         tracker = scalar_setup(pd=0.8, clutter_rate=0.5, mode="current")
@@ -387,22 +388,21 @@ class TestUpdate:
         # start on it: the run goes on, the measurement is retired, and
         # validate() (every step) still finds every measurement covered
         cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "scenario3.json")
-        cfg_t = TrackerConfig(validate_every_step=True)
-        tracker = PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), config=cfg_t)
+        tracker = PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival())
         scans = [[[1001.0, 0.0]], [[0.0, 0.0]]][::order]
-        result = tracker.run(scans)
-        assert result.final_state.density.retired == {(scans.index([[1001.0, 0.0]]), 0)}
-        assert len(result.estimates) == 2
+        states = list(validated_run(tracker, scans))
+        assert states[-1].density.retired == {(scans.index([[1001.0, 0.0]]), 0)}
+        assert len([tracker.estimate(s) for s in states]) == 2
 
     def test_scan_that_retires_nothing_keeps_the_retired_set(self):
         cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "scenario3.json")
-        scans = generate_scenario(cfg)[1].scans
+        scans = generate_scenario(cfg)[1]
         tracker = PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival())
         state = tracker.update(tracker.initial(), scans[0])
         kept = 0
         for k in range(1, 20):
             prior = state.density.retired
-            state = tracker.step(state, scans[k])
+            state = tracker.update(tracker.predict(state), scans[k])
             if state.density.retired != prior:
                 assert state.density.retired > prior
             elif prior:
@@ -508,24 +508,28 @@ class TestOracleEquivalence:
         """Exact mode matches the reference enumeration on random scalar
         scenarios with no-data steps, every scan's posterior passes
         validate(), and a posterior reloaded from its JSON dump at a drawn
-        scan still matches at that scan and every later one."""
-        tracker = scalar_setup(ps, pd, clutter_rate, birth_w, mode, backend, L=L, validate_every_step=True)
+        scan still matches at that scan and every later one.  A window
+        query drawn after the last scan answers a valid posterior that
+        round-trips through its JSON dump and matches the same restriction
+        of the reference's explicit components."""
+        tracker = scalar_setup(ps, pd, clutter_rate, birth_w, mode, backend, L=L)
         oracle = OracleTracker(
             tracker.model, [(birth_w, [0.0], [[4.0]])], ps, pd, clutter_rate / SCALAR_REGION.volume, mode
         )
         reload_at = data.draw(st.integers(0, len(scans) - 1), label="reload_at")
-        state = tracker.initial()
-        for k, scan in enumerate(scans):
+        for k, (scan, state) in enumerate(zip(scans, validated_run(tracker, scans, reload_at))):
             if k:
-                state = tracker.predict(state)
                 oracle.predict()
             if scan is not None:
-                state = tracker.update(state, scan)
                 oracle.update(scan)
-            if k == reload_at:
-                reloaded = load_density(json.loads(json.dumps(dump_density(state.density))))
-                state = TrackerState(reloaded, state.k, state.next_track_id)
             assert_tables_match(tracker_global_table(state), oracle.global_table())
+        query = data.draw(st.lists(st.integers(0, state.k), min_size=4, max_size=4), label="query")
+        alpha, eta, zeta, gamma = sorted(query)
+        answer = marginalize_pmbm(state.density, AliveQuery(alpha, gamma, eta, zeta))
+        validate(answer)
+        text = json.dumps(dump_density(answer))
+        assert json.dumps(dump_density(load_density(json.loads(text)))) == text
+        assert_tables_match(restricted_global_table(answer), oracle.restricted_table(alpha, gamma, eta, zeta))
 
     def test_no_data_steps(self):
         tracker = scalar_setup(ps=0.9, pd=0.8, clutter_rate=0.5, mode="all")
@@ -568,7 +572,7 @@ class TestCommutation:
                     if h.r <= 0.0:
                         continue
                     mean = sum(c.weight * gs.mean_sequence(c.seq) for c in h.density.components)
-                    info[h.meas_history] = (h.r, mean)
+                    info[frozenset(h.history)] = (h.r, mean)
                 got[frozenset(info)] = (math.exp(g.log_weight), info)
             ref = point.global_table()
             assert set(got) == set(ref)

@@ -6,13 +6,13 @@ from scipy.stats import multivariate_normal, norm
 
 from trajpmbm import gaussseq as gs
 from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Track, dump_density, load_density, validate
+from trajpmbm.marginal import materialize_mixture
 from trajpmbm.trajectory import (
     MixtureComponent,
     TimeWindow,
     Trajectory,
     TrajectoryMixture,
     birth_death_pmf,
-    materialize_mixture,
     prune_mixture,
 )
 
@@ -108,7 +108,7 @@ class TestBirthDeathPmfFromMixture:
 class TestMixture:
     def test_density_weights_must_normalize(self):
         # the constructor only stores; validate() and load_density check
-        h = LocalHypothesis(0.5, TrajectoryMixture((comp(0.5, 0, 0),)), frozenset())
+        h = LocalHypothesis(0.5, TrajectoryMixture((comp(0.5, 0, 0),)), ())
         p = PmbmDensity(
             TrajectoryMixture((), "intensity"), (Track(0, (h,)),), (GlobalHypothesis(0.0, ((0, 0),)),), TimeWindow(0, 0), "all"
         )
