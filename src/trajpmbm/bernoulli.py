@@ -42,7 +42,7 @@ def predict_component(
     alive = c.alive_mass(k - 1)
     if alive <= 0.0:
         return c
-    pmf = epsilon_pmf_predict(((c.e, 1.0),) if c.eps_pmf is None else c.eps_pmf, ps, k)
+    pmf = epsilon_pmf_predict(c.death_pmf, ps, k)
     pmf = pmf if shared is None else shared.setdefault(pmf, pmf)
     if pmf[-1][0] == k:
         seq = gaussseq.predict_seq(c.seq, model)

@@ -84,8 +84,8 @@ def cmd_track(args) -> int:
 def cmd_evaluate(args) -> int:
     est = read_trajectory_sets(args.est)
     truth_sets = read_trajectory_sets(args.truth)
-    if len(est) != len(truth_sets):
-        raise SystemExit("estimate and truth logs differ in length")
+    if not truth_sets or len(est) != len(truth_sets):
+        raise ValueError(f"estimate and truth logs need equal, nonzero lengths, got {len(est)} and {len(truth_sets)}")
     # the last record holds every true trajectory with its full extent
     truth = truth_sets[-1]
     rows = evaluate_run(est, truth, metric=args.metric, c=args.c, p=args.p, q=args.q, w=args.w)
@@ -198,10 +198,11 @@ def main(argv=None) -> int:
 
 def run(argv=None) -> int:
     """The ``pmbm`` command: ``main``, reporting a ValueError (malformed
-    input, an invalid setting) as one ``error:`` line and exit status 1."""
+    input, an invalid setting) or an OSError (an unreadable file) as one
+    ``error:`` line and exit status 1."""
     try:
         return main(argv)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,14 +3,14 @@
 Restricting a posterior over trajectories on steps 0..k to the states inside
 a window [alpha, gamma], keeping only trajectories alive somewhere in
 [eta, zeta], yields another PMBM density whose parameters follow in closed
-form: components that never touch the alive interval are discarded, (b, e)
-windows are clamped, and state sequences are marginalized.
+form.  Each (component, death time eps) piece of a mixture is read once:
+a piece whose b..eps never touches the alive interval is dropped, and every
+other one is marginalized in one step to max(b, alpha)..min(eps, gamma).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from . import gaussseq
 from .density import ArchiveBatch, LocalHypothesis, PmbmDensity, Track
@@ -45,62 +45,40 @@ class AliveQuery:
     def keep(self) -> TimeWindow:
         return TimeWindow(self.alpha, self.gamma)
 
-    @property
-    def alive(self) -> TimeWindow:
-        return TimeWindow(self.eta, self.zeta)
 
+def materialize_mixture(mix: TrajectoryMixture, q: AliveQuery) -> TrajectoryMixture:
+    """The pieces of ``mix`` alive in the query's interval, restricted to its
+    state window.
 
-def materialize_mixture(mix: TrajectoryMixture, alive: Optional[TimeWindow] = None) -> TrajectoryMixture:
-    """Expand deferred death-time pmfs into explicit (b, e) components.
-
-    Each deferred component (w, seq over b..e, pmf) becomes one component per
-    death time eps with weight w * pmf[eps] and the sequence marginalized to
-    b..eps.  Explicit components pass through unchanged.  When ``alive`` is
-    given, only the components whose (b, e) window intersects it are kept
-    (death times outside it are never marginalized), and the result is an
-    intensity mixture since its weights no longer sum to one.
+    Each (component, death time eps) piece, a ``death_pmf`` entry of mass
+    m, whose steps b..eps meet [eta, zeta] becomes one component of weight
+    w * m with the sequence marginalized to max(b, alpha)..min(eps, gamma);
+    the other pieces are dropped unmarginalized.  The result is an intensity
+    mixture since its weights no longer sum to one.
     """
-
-    def kept(b: int, e: int) -> bool:
-        return alive is None or alive.intersects(TimeWindow(b, e))
-
     out = []
     for c in mix.components:
-        if c.eps_pmf is None:
-            if kept(c.b, c.e):
-                out.append(c)
-            continue
-        for e, m in c.eps_pmf:
-            if m <= 0.0 or not kept(c.b, e):
-                continue
-            seq = c.seq if e == c.e else gaussseq.marginalize_steps(c.seq, TimeWindow(c.b, e))
-            out.append(MixtureComponent(c.weight * m, seq))
-    return TrajectoryMixture(tuple(out), mix.kind if alive is None else "intensity")
-
-
-def _clamp_component(c: MixtureComponent, q: AliveQuery) -> MixtureComponent:
-    b = max(c.b, q.alpha)
-    e = min(c.e, q.gamma)
-    seq = gaussseq.marginalize_steps(c.seq, TimeWindow(b, e))
-    return MixtureComponent(c.weight, seq)
+        for e, m in c.death_pmf:
+            if m > 0.0 and c.b <= q.zeta and q.eta <= e:  # b..e meets [eta, zeta]
+                keep = TimeWindow(max(c.b, q.alpha), min(e, q.gamma))
+                out.append(MixtureComponent(c.weight * m, gaussseq.marginalize_steps(c.seq, keep)))
+    return TrajectoryMixture(tuple(out), "intensity")
 
 
 def marginalize_bernoulli(h: LocalHypothesis, q: AliveQuery) -> LocalHypothesis:
     """Bernoulli restricted to the query window.
 
     Existence scales by the probability that the trajectory intersects the
-    alive interval; surviving components are clamped and renormalized.
+    alive interval; the restricted pieces are renormalized.
     """
     if h.r == 0.0 or h.density is None:
         return LocalHypothesis(0.0, None, h.history)
-    alive = materialize_mixture(h.density, q.alive).components
+    alive = materialize_mixture(h.density, q).components
     alive_mass = sum(c.weight for c in alive)
     r = min(h.r * alive_mass, 1.0)  # the summed masses may round above one
     if alive_mass <= 0.0:
         return LocalHypothesis(0.0, None, h.history)
-    comps = tuple(
-        replace(_clamp_component(c, q), weight=c.weight / alive_mass) for c in alive
-    )
+    comps = tuple(MixtureComponent(c.weight / alive_mass, c.seq) for c in alive)
     return LocalHypothesis(r, TrajectoryMixture(comps), h.history)
 
 
@@ -109,8 +87,7 @@ def marginalize_ppp(ppp: TrajectoryMixture, q: AliveQuery) -> TrajectoryMixture:
     surviving components are unchanged)."""
     if ppp.kind != "intensity":
         raise ValueError("expected an intensity mixture")
-    comps = tuple(_clamp_component(c, q) for c in materialize_mixture(ppp, q.alive).components)
-    return TrajectoryMixture(comps, "intensity")
+    return materialize_mixture(ppp, q)
 
 
 def marginalize_pmbm(p: PmbmDensity, q: AliveQuery) -> PmbmDensity:

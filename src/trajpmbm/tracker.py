@@ -190,10 +190,16 @@ class PmbmTracker:
 
         An empty scan is informative (it applies the missed-detection
         update); use ``scan=None`` in :meth:`run` logs for steps with no data.
+        A measurement that is not a finite vector of the sensor's dimension
+        raises ValueError.
         """
         if scan is None:
             raise ValueError("update requires a scan; skip the step for missing data")
         scan = [np.asarray(z, dtype=float).reshape(-1) for z in scan]
+        nz = self.model.nz
+        for j, z in enumerate(scan):
+            if z.size != nz:
+                raise ValueError(f"scan {s.k}: measurement {j} has {z.size} coordinates, the sensor measures {nz}")
         if any(not np.all(np.isfinite(z)) for z in scan):
             raise ValueError("scan contains non-finite coordinates")
         p = s.density

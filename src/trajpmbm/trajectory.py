@@ -46,14 +46,8 @@ class TimeWindow:
     def length(self) -> int:
         return self.gamma - self.alpha + 1
 
-    def steps(self) -> range:
-        return range(self.alpha, self.gamma + 1)
-
     def contains(self, other: "TimeWindow") -> bool:
         return self.alpha <= other.alpha and other.gamma <= self.gamma
-
-    def intersects(self, other: "TimeWindow") -> bool:
-        return self.alpha <= other.gamma and other.alpha <= self.gamma
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,13 +89,13 @@ class MixtureComponent:
     """One mixture component: weight, a state-sequence density, and optionally
     a deferred death-time pmf.
 
-    The sequence density spans steps b..e.  When ``eps_pmf`` is set, the
-    component compactly stands for the sub-mixture over death times: each
+    The sequence density spans steps b..e.  The component compactly stands
+    for the sub-mixture over death times that ``death_pmf`` lists: each
     (eps, mass) pair places its mass on the trajectory ending at eps, whose
-    sequence density is the marginal of ``seq`` over the discarded tail
-    steps.  A ``None`` pmf is a point mass at e.  ``eps_pmf`` is stored as
-    given, a tuple of (int eps, float mass) pairs sorted by unique eps in
-    b..e with positive masses summing to one; ``density.validate`` checks it.
+    sequence density is the marginal of ``seq`` over b..eps.  ``eps_pmf``
+    is stored as given, a tuple of (int eps, float mass) pairs sorted by
+    unique eps in b..e with positive masses summing to one, which
+    ``density.validate`` checks; ``None`` stands for the point mass at e.
     """
 
     weight: float
@@ -119,10 +113,17 @@ class MixtureComponent:
     def e(self) -> int:
         return self.seq.window.gamma
 
+    @property
+    def death_pmf(self) -> tuple:
+        """The death-time pmf as (eps, mass) pairs: ``eps_pmf``, or the
+        point mass at e when that is None."""
+        return ((self.e, 1.0),) if self.eps_pmf is None else self.eps_pmf
+
     def alive_mass(self, k: int) -> float:
         """Probability that the trajectory is still alive at step k: the pmf
         mass at exactly k, found from the pmf's end (k is usually its last
-        death time)."""
+        death time).  The hot path reads a None pmf itself rather than build
+        ``death_pmf``."""
         if self.eps_pmf is None:
             return 1.0 if self.e == k else 0.0
         for e, m in reversed(self.eps_pmf):
@@ -182,9 +183,8 @@ def birth_death_pmf(mix: TrajectoryMixture) -> dict:
     """Pmf over (beta, epsilon) implied by a density mixture, as
     ``{(beta, epsilon): mass}``.
 
-    Components carrying a deferred death-time pmf spread their weight over the
-    pmf's support.  Rejects intensity-kind mixtures: a pmf is only defined for
-    normalized densities.
+    Each component spreads its weight over its death-time pmf.  Rejects
+    intensity-kind mixtures: a pmf is only defined for normalized densities.
     """
     if mix.kind != "density":
         raise ValueError("birth/death pmf undefined for an intensity")
@@ -192,13 +192,9 @@ def birth_death_pmf(mix: TrajectoryMixture) -> dict:
         raise ValueError("empty mixture")
     masses: dict = {}
     for c in mix.components:
-        if c.eps_pmf is None:
-            key = (c.b, c.e)
-            masses[key] = masses.get(key, 0.0) + c.weight
-        else:
-            for e, m in c.eps_pmf:
-                key = (c.b, e)
-                masses[key] = masses.get(key, 0.0) + c.weight * m
+        for e, m in c.death_pmf:
+            key = (c.b, e)
+            masses[key] = masses.get(key, 0.0) + c.weight * m
     total = sum(masses.values())
     return {k: m / total for k, m in masses.items()}
 

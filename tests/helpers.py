@@ -24,6 +24,8 @@ from trajpmbm.models import BirthComponent, BirthModel, Rectangle, SensorModel, 
 from trajpmbm.tracker import PmbmTracker, TrackerConfig, TrackerState
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, birth_death_pmf, epsilon_pmf_miss_update, epsilon_pmf_predict
 
+from oracles import window_moments
+
 SCALAR_REGION = Rectangle(-50.0, 50.0, -1.0, 1.0)
 
 
@@ -80,18 +82,28 @@ def tracker_global_table(state: TrackerState):
     return out
 
 
-def restricted_global_table(p: PmbmDensity):
-    """The view of :func:`tracker_global_table` for a window answer, without
-    means: per global, (weight, {history: (r, None, (b, e) pmf)}) over the
-    hypotheses that still exist.  Globals that restriction makes equal add
-    up their weights."""
+def restricted_global_table(p: PmbmDensity, moments: bool = False):
+    """The view of :func:`tracker_global_table` for a window answer: per
+    global, (weight, {history: (r, moments, (b, e) pmf)}) over the
+    hypotheses that still exist, ``moments`` being None or, with
+    ``moments``, the :func:`oracles.window_moments` of the answer's
+    pieces.  Globals that restriction makes equal add up their weights."""
+
+    def piece_moments(mix):
+        pieces = []
+        for c in mix.components:
+            s = gs.to_moment(c.seq)
+            pieces.append(((c.b, c.e), c.weight, s.mean, s.cov))
+        return window_moments(pieces)
+
     out = {}
     for g in p.global_hyps:
         info = {}
         for tid, hidx in g.choice:
             h = p.track_by_id(tid).hypotheses[hidx]
             if h.r > 0.0:
-                info[frozenset(h.history)] = (h.r, None, birth_death_pmf(h.density))
+                found = piece_moments(h.density) if moments else None
+                info[frozenset(h.history)] = (h.r, found, birth_death_pmf(h.density))
         w, _ = out.get(frozenset(info), (0.0, None))
         out[frozenset(info)] = (w + math.exp(g.log_weight), info)
     return out
@@ -110,6 +122,10 @@ def assert_tables_match(actual, expected, tol=1e-9):
             assert r_a == pytest.approx(r_e, abs=tol)
             if mean_e is None:
                 assert mean_a is None
+            elif isinstance(mean_e, dict):  # window answers: moments per (b, e)
+                assert set(mean_a) == set(mean_e)
+                for be in mean_e:
+                    np.testing.assert_allclose(mean_a[be], mean_e[be], atol=tol)
             else:
                 np.testing.assert_allclose(mean_a, mean_e, atol=tol)
             assert set(pmf_a) == set(pmf_e)

@@ -274,6 +274,17 @@ def trajectory_set_integral(f, max_cardinality: int, surrogate: GridSurrogate) -
 # ---------------------------------------------------------------------------
 
 
+def window_moments(pieces) -> dict:
+    """Per (b, e) key, the weight-averaged mean and second moment
+    E[x x^T] of ``pieces``, (key, weight, mean, cov) tuples, side by side
+    in one array [mean | second moment]."""
+    acc = {}
+    for key, w, mean, cov in pieces:
+        w0, m0, s0 = acc.get(key, (0.0, 0.0, 0.0))
+        acc[key] = (w0 + w, m0 + w * mean, s0 + w * (cov + np.outer(mean, mean)))
+    return {key: np.column_stack([m / w, s / w]) for key, (w, m, s) in acc.items()}
+
+
 @dataclass
 class OComp:
     w: float
@@ -463,14 +474,17 @@ class OracleTracker:
             out[key] = (math.exp(g.logw), info)
         return out
 
-    def restricted_table(self, alpha: int, gamma: int, eta: int, zeta: int):
+    def restricted_table(self, alpha: int, gamma: int, eta: int, zeta: int, moments: bool = False):
         """The window answer for the states in [alpha, gamma] of the
         trajectories alive somewhere in [eta, zeta], read off the explicit
         components: a component is kept when its (b, e) meets [eta, zeta],
         r scales by the kept mass, and the kept windows are clamped to
-        [alpha, gamma].  Per global, (weight, {history: (r, None, (b, e)
-        pmf)}) over the Bernoullis that still exist; globals that the
+        [alpha, gamma], its joint Gaussian sliced to them.  Per global,
+        (weight, {history: (r, moments, (b, e) pmf)}) over the Bernoullis
+        that still exist, ``moments`` being None or, with ``moments``, the
+        :func:`window_moments` of the sliced components; globals that the
         restriction makes equal add up their weights."""
+        nx = self.F.shape[0]
         out = {}
         for g in self.globals:
             info = {}
@@ -479,11 +493,13 @@ class OracleTracker:
                 mass = sum(c.w for c in kept)
                 if bern.r <= 0 or mass <= 0:
                     continue
-                pmf = {}
+                pmf, pieces = {}, []
                 for c in kept:
                     key = (max(c.b, alpha), min(c.e, gamma))
                     pmf[key] = pmf.get(key, 0.0) + c.w / mass
-                info[bern.history] = (min(bern.r * mass, 1.0), None, pmf)
+                    i0, i1 = (key[0] - c.b) * nx, (key[1] - c.b + 1) * nx
+                    pieces.append((key, c.w, c.mean[i0:i1], c.cov[i0:i1, i0:i1]))
+                info[bern.history] = (min(bern.r * mass, 1.0), window_moments(pieces) if moments else None, pmf)
             w, _ = out.get(frozenset(info), (0.0, None))
             out[frozenset(info)] = (w + math.exp(g.logw), info)
         return out

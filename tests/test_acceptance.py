@@ -253,7 +253,7 @@ def _scalar_chain(seed, n_steps, meas):
 def _grid_marginal(seq, keep, states):
     """Riemann marginalization of a moment sequence onto kept steps."""
     nu = seq.window.length
-    keep_idx = [k - seq.window.alpha for k in keep.steps()]
+    keep_idx = [k - seq.window.alpha for k in range(keep.alpha, keep.gamma + 1)]
     drop_idx = [i for i in range(nu) if i not in keep_idx]
     mean, cov = np.asarray(seq.mean), np.asarray(seq.cov)
     if not drop_idx:

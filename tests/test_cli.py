@@ -181,24 +181,47 @@ def test_malformed_dump_is_one_error_line_not_a_traceback(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+RECORD = '{"k": 0, "trajectories": []}\n'
+
+
 @pytest.mark.parametrize(
-    "command,text,names",
+    "command,text,truth,names",
     [
-        ("simulate", '{"K": 5}', "region"),
-        ("track", '{"k": 0}\n', "scan"),
-        ("evaluate", '{"k": 0, "trajectories": []}\n{"k": 2, "trajectories": []}\n', "step 1"),
-        ("evaluate", '{"k": 0, "trajectories": [{"beta": 0, "states": [[0.0, 0.0, 0.0, 0.0]]}]}\n', "epsilon"),
+        ("simulate", '{"K": 5}', None, "region"),
+        ("track", '{"k": 0}\n', None, "scan"),
+        ("evaluate", RECORD + '{"k": 2, "trajectories": []}\n', None, "step 1"),
+        ("evaluate", '{"k": 0, "trajectories": [{"beta": 0, "states": [[0.0, 0.0, 0.0, 0.0]]}]}\n', None, "epsilon"),
+        ("track", None, None, "No such file"),
+        ("evaluate", "", None, "0 and 0"),
+        ("evaluate", RECORD, RECORD + '{"k": 1, "trajectories": []}\n', "1 and 2"),
+        ("track", '{"k": 0, "scan": [[1.0, 2.0], [3.0]]}\n', None, "scan 0: measurement 1 has 1 coordinates"),
     ],
-    ids=["config-without-region", "record-without-scan", "gap-in-k", "trajectory-without-epsilon"],
+    ids=[
+        "config-without-region",
+        "record-without-scan",
+        "gap-in-k",
+        "trajectory-without-epsilon",
+        "missing-file",
+        "empty-logs",
+        "logs-of-unequal-length",
+        "measurement-of-wrong-dimension",
+    ],
 )
-def test_malformed_input_is_one_error_line_not_a_traceback(tmp_path, config_path, command, text, names):
+def test_malformed_input_is_one_error_line_not_a_traceback(tmp_path, config_path, command, text, truth, names):
+    """``text`` is the input file (None: it does not exist); ``truth`` is
+    the truth log of ``evaluate`` when it differs from that file."""
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    if text is not None:
+        bad.write_text(text)
+    other = bad
+    if truth is not None:
+        other = tmp_path / "truth.json"
+        other.write_text(truth)
     out_dir = str(tmp_path / "out")
     args = {
         "simulate": ["--config", str(bad), "--out", out_dir],
         "track": ["--scenario", str(config_path), "--measurements", str(bad), "--out", out_dir],
-        "evaluate": ["--est", str(bad), "--truth", str(bad)],
+        "evaluate": ["--est", str(bad), "--truth", str(other)],
     }[command]
     out = pmbm(command, *args)
     assert out.returncode == 1 and "Traceback" not in out.stderr

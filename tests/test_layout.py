@@ -1,9 +1,12 @@
 """The library holds only what its runs call.
 
-Every top-level function and class of ``trajpmbm``, and every public method,
-must be referenced by name somewhere in the library or in ``benchmarks/``.
-A re-export in the package ``__init__`` does not count, and neither does a
-module's ``__all__``: code that only tests use lives under ``tests/``.
+Every top-level function and class of ``trajpmbm`` must be referenced by
+name somewhere in the library or in ``benchmarks/``, and every public method
+must be read as an attribute in the library or named by a string in
+``benchmarks/`` (the tracer replaces methods by attribute name): a local
+variable that shares a method's name does not count.  A re-export in the
+package ``__init__`` does not count, and neither does a module's
+``__all__``: code that only tests use lives under ``tests/``.
 """
 
 from __future__ import annotations
@@ -17,45 +20,47 @@ BENCHMARKS = ROOT / "benchmarks"
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, name) of each top-level function and class, and of
-    each public method of a top-level class."""
+    """(qualified name, name, is a method) of each top-level function and
+    class, and of each public method of a top-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.name
+            yield node.name, node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, True
 
 
-def _references(tree: ast.Module, strings: bool) -> set:
-    """Names read in ``tree``: identifiers, attributes and, with
-    ``strings``, string constants (``benchmarks/tracing.py`` replaces
-    functions by attribute name; a module's ``__all__`` is strings too)."""
-    out = set()
+def _references(tree: ast.Module) -> tuple:
+    """(identifiers, attribute names, string constants) read in ``tree``."""
+    names, attrs, strings = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-    return out
+            attrs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.add(node.value)
+    return names, attrs, strings
 
 
 def unreferenced() -> list:
     trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = set()
+    used, methods = set(), set()  # what names a definition, what names a public method
     for path, tree in trees.items():
-        if path.name != "__init__.py":
-            used |= _references(tree, strings=False)
+        if path.name != "__init__.py":  # its strings are ``__all__``: not counted
+            names, attrs, _ = _references(tree)
+            used |= names | attrs
+            methods |= attrs
     for path in sorted(BENCHMARKS.glob("*.py")):
-        used |= _references(ast.parse(path.read_text()), strings=True)
+        names, attrs, strings = _references(ast.parse(path.read_text()))
+        used |= names | attrs | strings
+        methods |= strings
     return [
         f"{path.stem}.{qualname}"
         for path, tree in trees.items()
-        for qualname, name in _definitions(tree)
-        if name not in used
+        for qualname, name, method in _definitions(tree)
+        if name not in (methods if method else used)
     ]
 
 

@@ -22,7 +22,7 @@ from trajpmbm.density import (
     prune,
     validate,
 )
-from trajpmbm.marginal import AliveQuery, marginalize_pmbm, materialize_mixture
+from trajpmbm.marginal import AliveQuery, marginalize_pmbm
 from trajpmbm.models import (
     BirthComponent,
     BirthModel,
@@ -75,16 +75,13 @@ class TestPredictAll:
         out = tracker.predict(state)
         h = out.density.track_by_id(0).hypotheses[0]
         assert h.r == pytest.approx(0.8)
-        mat = materialize_mixture(h.density)
-        by_e = {c.e: c.weight for c in mat.components}
-        assert by_e == pytest.approx({2: 0.1, 3: 0.9})
+        assert birth_death_pmf(h.density) == pytest.approx({(0, 2): 0.1, (0, 3): 0.9})
 
     def test_certain_survival_keeps_single_component(self):
         tracker = scalar_setup(ps=1.0, mode="all")
         state = single_track_state(tracker, r=0.8, k=1, mean=[0.0, 0.0], var=np.eye(2))
         out = tracker.predict(state)
-        mat = materialize_mixture(out.density.track_by_id(0).hypotheses[0].density)
-        assert [(c.b, c.e) for c in mat.components] == [(0, 2)]
+        assert list(birth_death_pmf(out.density.track_by_id(0).hypotheses[0].density)) == [(0, 2)]
 
     def test_stale_component_passes_through_bit_identical(self):
         tracker = scalar_setup(mode="all")
@@ -356,6 +353,15 @@ class TestUpdate:
         with pytest.raises(ValueError):
             tracker.update(tracker.initial(), [[float("nan")]])
 
+    @pytest.mark.parametrize(
+        "scan,where", [([[1.0]], "scan 1: measurement 0 has 1"), ([[1.0, 2.0], [3.0]], "scan 1: measurement 1 has 1")]
+    )
+    def test_rejects_measurement_of_wrong_dimension(self, scan, where):
+        cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "scenario3.json")
+        tracker = PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival())
+        with pytest.raises(ValueError, match=f"^{where} coordinates, the sensor measures 2$"):
+            tracker.update(tracker.predict(tracker.initial()), scan)
+
     def test_update_requires_scan(self):
         tracker = scalar_setup()
         with pytest.raises(ValueError):
@@ -511,7 +517,10 @@ class TestOracleEquivalence:
         scan still matches at that scan and every later one.  A window
         query drawn after the last scan answers a valid posterior that
         round-trips through its JSON dump and matches the same restriction
-        of the reference's explicit components."""
+        of the reference's explicit components: weights, r and (b, e) pmf,
+        and for the exact backends the mean and second moment of each
+        (b, e) piece (L-scan keeps no cross-covariance beyond L steps, so
+        its window moments are not the exact ones)."""
         tracker = scalar_setup(ps, pd, clutter_rate, birth_w, mode, backend, L=L)
         oracle = OracleTracker(
             tracker.model, [(birth_w, [0.0], [[4.0]])], ps, pd, clutter_rate / SCALAR_REGION.volume, mode
@@ -529,7 +538,10 @@ class TestOracleEquivalence:
         validate(answer)
         text = json.dumps(dump_density(answer))
         assert json.dumps(dump_density(load_density(json.loads(text)))) == text
-        assert_tables_match(restricted_global_table(answer), oracle.restricted_table(alpha, gamma, eta, zeta))
+        exact = backend != "lscan"
+        assert_tables_match(
+            restricted_global_table(answer, exact), oracle.restricted_table(alpha, gamma, eta, zeta, exact)
+        )
 
     def test_no_data_steps(self):
         tracker = scalar_setup(ps=0.9, pd=0.8, clutter_rate=0.5, mode="all")

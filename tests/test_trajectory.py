@@ -6,7 +6,7 @@ from scipy.stats import multivariate_normal, norm
 
 from trajpmbm import gaussseq as gs
 from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Track, dump_density, load_density, validate
-from trajpmbm.marginal import materialize_mixture
+from trajpmbm.marginal import AliveQuery, materialize_mixture
 from trajpmbm.trajectory import (
     MixtureComponent,
     TimeWindow,
@@ -37,12 +37,10 @@ class TestTimeWindow:
     def test_length(self):
         assert TimeWindow(2, 5).length == 4
 
-    def test_contains_intersects(self):
+    def test_contains(self):
         w = TimeWindow(2, 8)
         assert w.contains(TimeWindow(3, 8))
         assert not w.contains(TimeWindow(0, 4))
-        assert w.intersects(TimeWindow(8, 9))
-        assert not w.intersects(TimeWindow(9, 10))
 
 
 class TestTrajectory:
@@ -121,7 +119,7 @@ class TestMixture:
         mix = TrajectoryMixture(
             (comp(1.0, 0, 2, mean=[1.0, 2.0, 3.0], eps_pmf=((0, 0.2), (2, 0.8))),)
         )
-        out = materialize_mixture(mix)
+        out = materialize_mixture(mix, AliveQuery(0, 2, 0, 2))
         assert [(c.b, c.e) for c in out.components] == [(0, 0), (0, 2)]
         assert [c.weight for c in out.components] == pytest.approx([0.2, 0.8])
         np.testing.assert_allclose(out.components[0].seq.mean, [1.0])
