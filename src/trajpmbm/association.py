@@ -87,7 +87,9 @@ class CostMatrix:
     per column (finite only in its own column), and a column per measurement
     in ``cols``.  The ``forced`` measurements, which no chosen hypothesis
     gates, start their own track in every child.  ``base`` is the log weight
-    of the child in which every track misses.
+    every child shares: the prior global's, the miss factors of the tracks
+    that gate nothing and the forced new-track weights; a child adds the
+    factor each row track chooses and the weight of each track it starts.
     """
 
     matrix: np.ndarray
@@ -102,32 +104,32 @@ def build_cost_matrix(p: PmbmDensity, g: GlobalHypothesis, tables: ScanTables) -
     """Negative log weight ratios of the scan's contested associations under
     the prior global ``g``.
 
-    Entry (track, j): detection-vs-miss log ratio (infinite when it is not
-    finite); entry (pseudo-row of j, j): negative log new-track weight.
-    Measurements in ``tables.unexplained`` appear nowhere.
+    Entry (track, j): detection-vs-miss log ratio, a zero miss weight
+    floored (infinite when not finite); entry (pseudo-row of j, j): negative
+    log new-track weight.  ``tables.unexplained`` measurements appear nowhere.
     """
     miss_log, det_log, new_log = tables.miss_log, tables.det_log, tables.new_log
     chosen = dict(g.choice)
-    track_ids = [t.id for t in p.tracks]
-    miss_total = sum(miss_log[(tid, chosen[tid])] for tid in track_ids)
+    base = g.log_weight
     contested: set = set()
     rows = []
-    for tid in track_ids:
-        js = tables.gated_by_hyp.get((tid, chosen[tid]))
+    for t in p.tracks:
+        js = tables.gated_by_hyp.get((t.id, chosen[t.id]))
         if js:
-            rows.append(tid)
+            rows.append(t.id)
             contested |= js
+        else:
+            base += miss_log[(t.id, chosen[t.id])]
     cols = sorted(contested)
     skip = contested.union(tables.unexplained)
     forced = [j for j in range(len(new_log)) if j not in skip]
-    forced_logw = sum(new_log[j] for j in forced)
-    base = g.log_weight + miss_total + forced_logw
+    base += sum(new_log[j] for j in forced)
     mat = np.full((len(rows) + len(cols), len(cols)), INF)
     for r_i, tid in enumerate(rows):
         miss = miss_log[(tid, chosen[tid])]
         # a certain detection makes the miss weight zero; floor it so the
-        # ratio stays finite (child weights are summed from the factor
-        # tables, the matrix only drives the enumeration order)
+        # ratio stays finite (the update sums each child's weight from the
+        # factors it chooses, the matrix only sets the enumeration order)
         safe_miss = miss if math.isfinite(miss) else -745.0
         for c_i, j in enumerate(cols):
             d = det_log.get((tid, chosen[tid], j))

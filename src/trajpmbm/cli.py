@@ -65,6 +65,8 @@ def cmd_simulate(args) -> int:
 def cmd_track(args) -> int:
     cfg = ScenarioConfig.from_json(args.scenario)
     log = read_measurement_log(args.measurements)
+    if not log:
+        raise ValueError(f"measurement log {args.measurements} holds no scan")
     tracker = PmbmTracker(
         cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode=args.mode, config=_tracker_config(args)
     )

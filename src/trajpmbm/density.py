@@ -3,16 +3,18 @@
 The posterior over the set of trajectories is a Poisson intensity for
 never-detected trajectories plus a track table.  Each track holds local
 (single-trajectory) hypotheses; a global hypothesis picks one local
-hypothesis per track and carries a log weight.  Maintenance (normalization,
-pruning, capping) never changes which global is best.  The constructors
-only store their fields; :func:`validate` checks the invariants.
+hypothesis per track and carries a log weight.  The tracker's update
+selects the globals and builds only the local hypotheses they choose;
+maintenance (normalization, pruning) never changes which global is best.
+The constructors only store their fields; :func:`validate` checks the
+invariants.
 
 In all-trajectories mode a track of one hypothesis with no trajectory
 alive is one fixed factor of every global, since every global chooses that
 hypothesis: it leaves the live track table for an append-only archive
-(:func:`archive_ended`), one packed :class:`ArchiveBatch` per scan.  Pruning
-keeps only hypotheses some global chooses, so once the globals agree on an
-ended track it has one hypothesis.  Normalization and pruning see only the
+(:func:`archive_ended`), one packed :class:`ArchiveBatch` per scan.  Every
+hypothesis is chosen by some global, so once the globals agree on an ended
+track it has one hypothesis.  Normalization and pruning see only the
 live table; :func:`validate` and the dump read the archive too, as tracks
 of one hypothesis that every global chooses, and the dump writes them into
 its track table, so the format is unchanged.
@@ -168,12 +170,12 @@ class PmbmDensity:
         """Every archived track, unpacked, in archive order."""
         return tuple(Track(tid, (h,)) for b in self.archive for tid, h in zip(b.ids, b.hypotheses))
 
-    def ranked(self, globals_=None) -> list:
-        """Globals by decreasing weight; exact ties go to the
-        lexicographically smallest choice map, which orders them as the
-        full choice maps over live and archived tracks do, since every
-        global chooses the same hypotheses of the archived ones."""
-        return sorted(self.global_hyps if globals_ is None else globals_, key=lambda g: (-g.log_weight, g.choice))
+
+def _without_tracks(globals_: tuple, ids) -> tuple:
+    """The globals with the tracks in ``ids`` dropped from their choice maps."""
+    if not ids:
+        return globals_
+    return tuple(GlobalHypothesis(g.log_weight, tuple(c for c in g.choice if c[0] not in ids)) for g in globals_)
 
 
 def archive_ended(p: PmbmDensity, ended: dict) -> PmbmDensity:
@@ -190,9 +192,7 @@ def archive_ended(p: PmbmDensity, ended: dict) -> PmbmDensity:
         return p
     return replace(
         p,
-        global_hyps=tuple(
-            GlobalHypothesis(g.log_weight, tuple(c for c in g.choice if c[0] not in ended)) for g in p.global_hyps
-        ),
+        global_hyps=_without_tracks(p.global_hyps, ended),
         archive=p.archive + (ArchiveBatch.of(ended, ended.values(), p.window.gamma),),
     )
 
@@ -211,63 +211,39 @@ def normalize(p: PmbmDensity) -> PmbmDensity:
 
 
 def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> PmbmDensity:
-    """Threshold-based reduction.
+    """Threshold-based reduction of the hypotheses the update kept.
 
     Drops Poisson components below ``ppp_w`` (absolute weight); replaces
     local hypotheses with r below ``bern_r`` by non-existence placeholders
-    (r = 0, density dropped, history kept so referencing globals stay
-    valid); drops globals below ``global_w`` relative to the best and
-    beyond the cap; removes local hypotheses no longer referenced and tracks
-    that are non-existent under every surviving global.  The result is
-    renormalized.
+    (r = 0, density dropped, history kept so the globals choosing them stay
+    valid); removes the tracks that are non-existent under every hypothesis
+    and retires their measurements.  Global weights are unchanged: the update
+    has already selected and normalized the globals.
     """
-    # global hypotheses: relative threshold, cap, always keep the best
-    if p.global_hyps:
-        best = max(g.log_weight for g in p.global_hyps)
-        keep = [g for g in p.global_hyps if g.log_weight - best >= np.log(thresholds.global_w)]
-        keep = p.ranked(keep)[: thresholds.cap_M]
-        globals_ = tuple(keep)
-    else:
-        globals_ = ()
-
-    # per track: drop unreferenced hypotheses, turn those with r below
-    # bern_r into placeholders, and remap the indices in the choice maps
-    referenced: dict = {}
-    for g in globals_:
-        for tid, h in g.choice:
-            referenced.setdefault(tid, set()).add(h)
     kept_tracks = []
-    remap: dict = {}
+    removed = set()
     fresh = set()  # measurements this pruning retires
     for track in p.tracks:
-        used = sorted(referenced.get(track.id, ()))
-        if not used:
-            continue  # orphaned track: no surviving global references it
         hyps = tuple(
             h if h.r >= thresholds.bern_r or h.r == 0.0 else LocalHypothesis(0.0, None, h.history)
-            for h in (track.hypotheses[i] for i in used)
+            for h in track.hypotheses
         )
         if all(h.r == 0.0 for h in hyps):
             # non-existent under every global: remove the track outright;
             # its likelihood factors stay banked in the global log weights
+            removed.add(track.id)
             fresh.update(key for h in hyps for key in h.history if key not in p.retired)
             continue
-        # one (track id, new index) pair object for every global choosing it
-        remap[track.id] = {old: (track.id, new) for new, old in enumerate(used)}
-        same = len(hyps) == len(track.hypotheses) and all(a is b for a, b in zip(hyps, track.hypotheses))
+        same = all(a is b for a, b in zip(hyps, track.hypotheses))
         kept_tracks.append(track if same else Track(track.id, hyps))
-    globals_ = tuple(
-        replace(g, choice=tuple(remap[tid][h] for tid, h in g.choice if tid in remap))
-        for g in globals_
-    )
 
     ppp = TrajectoryMixture(
         tuple(c for c in p.ppp.components if c.weight >= thresholds.ppp_w), "intensity"
     )
 
     retired = p.retired | fresh if fresh else p.retired
-    out = replace(p, ppp=ppp, tracks=tuple(kept_tracks), global_hyps=globals_, retired=retired)
-    return normalize(out)
+    globals_ = _without_tracks(p.global_hyps, removed)
+    return replace(p, ppp=ppp, tracks=tuple(kept_tracks), global_hyps=globals_, retired=retired)
 
 
 def _require(ok: bool, msg: str, *args) -> None:
@@ -328,7 +304,8 @@ def validate(p: PmbmDensity) -> None:
         common.update(hist)
     for g in p.global_hyps:
         _require(list(g.choice) == sorted(g.choice), "choice map not sorted")
-        _require({tid for tid, _ in g.choice} == set(ids), "choice map does not cover the track table")
+        ok = len(g.choice) == len(ids) and {tid for tid, _ in g.choice} == set(ids)
+        _require(ok, "choice map does not name each live track once")
         seen = set(common)
         for tid, hidx in g.choice:
             track = p.track_by_id(tid)

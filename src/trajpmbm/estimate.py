@@ -46,10 +46,11 @@ def expected_sequence(d: TrajectoryMixture, beta: int, epsilon: int) -> np.ndarr
 
 def best_global(p: PmbmDensity):
     """Highest-weight global hypothesis; exact weight ties resolve to the
-    lexicographically smallest choice map."""
+    lexicographically smallest choice map, as they would over the dumped
+    choice maps, since every global chooses the same archived hypotheses."""
     if not p.global_hyps:
         raise ValueError("density has no global hypotheses")
-    return p.ranked()[0]
+    return min(p.global_hyps, key=lambda g: (-g.log_weight, g.choice))
 
 
 def _estimate(h) -> Trajectory:

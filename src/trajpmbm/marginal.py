@@ -3,9 +3,9 @@
 Restricting a posterior over trajectories on steps 0..k to the states inside
 a window [alpha, gamma], keeping only trajectories alive somewhere in
 [eta, zeta], yields another PMBM density whose parameters follow in closed
-form.  Each (component, death time eps) piece of a mixture is read once:
-a piece whose b..eps never touches the alive interval is dropped, and every
-other one is marginalized in one step to max(b, alpha)..min(eps, gamma).
+form.  A (component, death time eps) piece of a mixture whose b..eps never
+touches the alive interval is dropped; the others are restricted to
+max(b, alpha)..min(eps, gamma), all read from one marginal of the component.
 """
 
 from __future__ import annotations
@@ -53,15 +53,20 @@ def materialize_mixture(mix: TrajectoryMixture, q: AliveQuery) -> TrajectoryMixt
     Each (component, death time eps) piece, a ``death_pmf`` entry of mass
     m, whose steps b..eps meet [eta, zeta] becomes one component of weight
     w * m with the sequence marginalized to max(b, alpha)..min(eps, gamma);
-    the other pieces are dropped unmarginalized.  The result is an intensity
-    mixture since its weights no longer sum to one.
+    the other pieces are dropped unmarginalized.  Each piece is read from
+    one marginal of its component, to its longest kept piece.  The result
+    is an intensity mixture since its weights no longer sum to one.
     """
     out = []
     for c in mix.components:
-        for e, m in c.death_pmf:
-            if m > 0.0 and c.b <= q.zeta and q.eta <= e:  # b..e meets [eta, zeta]
-                keep = TimeWindow(max(c.b, q.alpha), min(e, q.gamma))
-                out.append(MixtureComponent(c.weight * m, gaussseq.marginalize_steps(c.seq, keep)))
+        # (kept end, mass) of each piece whose b..eps meets [eta, zeta]
+        pieces = [(min(e, q.gamma), m) for e, m in c.death_pmf if m > 0.0 and c.b <= q.zeta and q.eta <= e]
+        if pieces:
+            start, last = max(c.b, q.alpha), pieces[-1][0]
+            longest = gaussseq.marginalize_steps(c.seq, TimeWindow(start, last))
+            for end, m in pieces:
+                seq = longest if end == last else longest.marginalize(TimeWindow(start, end))
+                out.append(MixtureComponent(c.weight * m, seq))
     return TrajectoryMixture(tuple(out), "intensity")
 
 

@@ -121,12 +121,15 @@ class ScenarioConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+def _draw_state(c: BirthComponent, rng: np.random.Generator) -> np.ndarray:
+    L = cholesky(np.asarray(c.cov), lower=True)
+    return np.asarray(c.mean) + L @ rng.standard_normal(len(c.mean))
+
+
 def _sample_birth(birth: BirthModel, rng: np.random.Generator) -> np.ndarray:
     w = np.array([c.weight for c in birth.components])
     idx = rng.choice(len(w), p=w / w.sum())
-    c = birth.components[idx]
-    L = cholesky(np.asarray(c.cov), lower=True)
-    return np.asarray(c.mean) + L @ rng.standard_normal(len(c.mean))
+    return _draw_state(birth.components[idx], rng)
 
 
 def generate_scenario(cfg: ScenarioConfig, seed: Optional[int] = None):
@@ -154,9 +157,7 @@ def generate_scenario(cfg: ScenarioConfig, seed: Optional[int] = None):
         else:
             for c in cfg.birth.components:
                 for _ in range(rng.poisson(c.weight)):
-                    L = cholesky(np.asarray(c.cov), lower=True)
-                    x = np.asarray(c.mean) + L @ rng.standard_normal(len(c.mean))
-                    alive.append([k, [x], None])
+                    alive.append([k, [_draw_state(c, rng)], None])
         # motion for targets born before this step
         for t in alive:
             if t[0] < k and len(t[1]) == k - t[0]:

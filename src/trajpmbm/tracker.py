@@ -10,16 +10,17 @@ Two trackers share one measurement update and differ in prediction:
 
 The update processes a scan jointly: per prior global hypothesis the best
 children are enumerated with Murty's algorithm over a cost matrix of negative
-log weight ratios, new tracks are spawned per measurement, and the result is
-normalized and pruned.
+log weight ratios, a child weighing the sum of the log factors it chooses;
+the kept children become the new globals, only the local hypotheses they
+choose are built, and the result is normalized and pruned.
 
 In all-trajectories mode the recursion visits only the live tracks.
 Prediction ends a component's surviving tail once its surviving mass falls
 below the Bernoulli threshold, and moves every track of one hypothesis with
 no trajectory alive to the density's archive, where no later scan changes
-it; estimates still read the archive.  Pruning keeps only the hypotheses
-some global chooses, so an ended track the globals agree on has one.  Exact
-mode neither truncates nor archives.
+it; estimates still read the archive.  Every hypothesis is chosen by some
+global, so an ended track the globals agree on has one.  Exact mode neither
+truncates nor archives.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -140,7 +142,7 @@ class PmbmTracker:
         and no trajectory alive at the new scan moves to the density's
         archive (:func:`density.archive_ended`).  An ended track with more
         hypotheses stays live, gating nothing and adding no row to the cost
-        matrices, until pruning leaves it one.
+        matrices, until the update keeps only children that agree on it.
         """
         mode = self.mode
         if s.density.mode != mode:
@@ -188,6 +190,10 @@ class PmbmTracker:
     def update(self, s: TrackerState, scan) -> TrackerState:
         """Joint measurement update of one scan (a list of measurements).
 
+        Except in exact mode, the children within ``thresholds.global_w`` of
+        the best, at most ``thresholds.cap_M`` of them, are kept before any
+        hypothesis is built; each track holds only the hypotheses they choose.
+
         An empty scan is informative (it applies the missed-detection
         update); use ``scan=None`` in :meth:`run` logs for steps with no data.
         A measurement that is not a finite vector of the sensor's dimension
@@ -213,7 +219,7 @@ class PmbmTracker:
         weights = np.array([g.log_weight for g in p.global_hyps])
         weights = np.exp(weights - weights.max()) if len(weights) else weights
         weights = weights / weights.sum() if len(weights) else weights
-        # children further than the prune floor below their global's best
+        # children further than the global floor below their global's best
         # would be dropped right away, so stop enumerating there
         exact = self.config.murty_budget is None
         new_threshold = 0.0 if exact else NEW_COMPONENT_THRESHOLD
@@ -238,17 +244,18 @@ class PmbmTracker:
                     if row < len(cm.rows):
                         tid = cm.rows[row]
                         detected[tid] = j
-                        logw += det_log[(tid, chosen[tid], j)] - miss_log[(tid, chosen[tid])]
+                        logw += det_log[(tid, chosen[tid], j)]
                     else:
                         new_js.append(j)
                         logw += new_log[j]
+                logw += sum(miss_log[(tid, chosen[tid])] for tid in cm.rows if tid not in detected)
                 if math.isfinite(logw):
                     chosen_children.append((logw, chosen, detected, tuple(sorted(new_js))))
         if not chosen_children:
             raise ValueError("no feasible association for the scan")
 
-        # trim by the same relative threshold and cap that pruning would
-        # apply, before materializing hypotheses
+        # the one selection of globals: a floor relative to the best child
+        # and the cap, before any hypothesis is materialized
         if not exact:
             best = max(c[0] for c in chosen_children)
             floor = best + math.log(self.config.thresholds.global_w)
@@ -277,21 +284,24 @@ class PmbmTracker:
                 hyps.append(child)
                 pair_of[(tid, parent, assoc)] = (tid, i)
             tracks.append(Track(tid, tuple(hyps)))
-        realized_new = sorted({j for _, _, _, new_js in chosen_children for j in new_js})
-        new_track_ids = {j: s.next_track_id + j for j in range(m)}
-        for j in realized_new:
-            gated = tables.ppp_gated[j]
-            pair = bernoulli.new_track_hypotheses(
-                p.ppp, self.model, self.sensor, scan[j], meas_keys[j], gated, new_threshold, shared
+        # the track started on j keeps its non-existence hypothesis only
+        # when some kept child leaves j to another track
+        starts = Counter(j for _, _, _, new_js in chosen_children for j in new_js)
+        new_pairs = {}  # j -> (pair when j is left, pair when j is started)
+        for j in sorted(starts):
+            tid = s.next_track_id + j
+            both = bernoulli.new_track_hypotheses(
+                p.ppp, self.model, self.sensor, scan[j], meas_keys[j], tables.ppp_gated[j], new_threshold, shared
             )
-            tracks.append(Track(new_track_ids[j], pair))
+            hyps = both if starts[j] < len(chosen_children) else both[1:]
+            tracks.append(Track(tid, hyps))
+            new_pairs[j] = ((tid, 0), (tid, len(hyps) - 1))
 
-        new_pairs = {j: ((new_track_ids[j], 0), (new_track_ids[j], 1)) for j in realized_new}
         globals_ = []
         for logw, chosen, detected, new_js in chosen_children:
             choice = [pair_of[(tid, chosen[tid], detected.get(tid, -1))] for tid in track_ids]
-            for j in realized_new:
-                choice.append(new_pairs[j][1 if j in new_js else 0])
+            for j, pairs in new_pairs.items():
+                choice.append(pairs[1 if j in new_js else 0])
             globals_.append(GlobalHypothesis(logw, tuple(choice)))
 
         density = replace(

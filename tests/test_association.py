@@ -225,13 +225,16 @@ class TestCostMatrix:
         z = np.array([0.5, 0.0])
         # 1-d measurement: use only the first coordinate
         scan = [z[:1]]
-        cm = self.cost_matrix(p, scan, model, sensor)
+        tables = scan_weight_tables(p, scan, model, sensor)
+        cm = build_cost_matrix(p, p.global_hyps[0], tables)
         assert cm.matrix.shape == (2, 1)
         h = p.track_by_id(0).hypotheses[0]
         lik = predictive_likelihood(h.density.components[0].seq, model, scan[0])
         w_miss = 1.0 - 0.6 * 0.8
         w_det = 0.6 * 0.8 * lik
-        assert cm.base == pytest.approx(math.log(w_miss))
+        # a row track's factor is the child's choice, not part of the base
+        assert cm.base == 0.0
+        assert cm.base + tables.miss_log[(0, 0)] == pytest.approx(math.log(w_miss))
         assert cm.matrix[0, 0] == pytest.approx(-(math.log(w_det) - math.log(w_miss)))
         lam = sensor.clutter_rate / sensor.region.volume
         ppp_lik = predictive_likelihood(p.ppp.components[0].seq, model, scan[0])

@@ -195,6 +195,7 @@ RECORD = '{"k": 0, "trajectories": []}\n'
         ("evaluate", "", None, "0 and 0"),
         ("evaluate", RECORD, RECORD + '{"k": 1, "trajectories": []}\n', "1 and 2"),
         ("track", '{"k": 0, "scan": [[1.0, 2.0], [3.0]]}\n', None, "scan 0: measurement 1 has 1 coordinates"),
+        ("track", "", None, "holds no scan"),
     ],
     ids=[
         "config-without-region",
@@ -205,6 +206,7 @@ RECORD = '{"k": 0, "trajectories": []}\n'
         "empty-logs",
         "logs-of-unequal-length",
         "measurement-of-wrong-dimension",
+        "empty-measurement-log",
     ],
 )
 def test_malformed_input_is_one_error_line_not_a_traceback(tmp_path, config_path, command, text, truth, names):

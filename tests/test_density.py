@@ -24,6 +24,7 @@ from trajpmbm.density import (
     prune,
     validate,
 )
+from trajpmbm.estimate import best_global
 from trajpmbm.marginal import AliveQuery, marginalize_pmbm
 from trajpmbm.scenario import ScenarioConfig, generate_scenario
 from trajpmbm.tracker import PmbmTracker, TrackerConfig, TrackerState
@@ -112,24 +113,6 @@ class TestPrune:
         out = prune(p, PruneThresholds(ppp_w=1e-3))
         assert [c.weight for c in out.ppp.components] == [0.5]
 
-    def test_cap_keeps_argmax_only(self):
-        p = fixture_density(
-            {0: [hyp(0.9, {(0, 0)}), hyp(0.6, {(0, 0)})]},
-            [GlobalHypothesis(math.log(0.2), ((0, 0),)), GlobalHypothesis(math.log(0.8), ((0, 1),))],
-        )
-        out = prune(p, PruneThresholds(cap_M=1))
-        assert len(out.global_hyps) == 1
-        assert out.global_hyps[0].log_weight == pytest.approx(0.0)
-        # the surviving global must point at the re-indexed argmax hypothesis
-        assert out.track_by_id(0).hypotheses[out.global_hyps[0].choice[0][1]].r == 0.6
-
-    def test_relative_threshold_drops_weak_globals(self):
-        p = fixture_density(
-            {}, [GlobalHypothesis(0.0, ()), GlobalHypothesis(math.log(1e-6), ())]
-        )
-        out = prune(p, PruneThresholds(global_w=1e-4))
-        assert len(out.global_hyps) == 1
-
     def test_cap_below_one_rejected(self):
         with pytest.raises(ValueError):
             PruneThresholds(cap_M=0)
@@ -176,18 +159,6 @@ class TestPrune:
             [g.log_weight for g in once.global_hyps]
         )
         assert [t2.id for t2 in twice.tracks] == [t1.id for t1 in once.tracks]
-
-    def test_unreferenced_track_removed(self):
-        p = fixture_density(
-            {0: [hyp(0.9, {(0, 0)})], 1: [hyp(0.9, {(0, 1)}), hyp(0.9, {(0, 1)})]},
-            [
-                GlobalHypothesis(0.0, ((0, 0), (1, 0))),
-                GlobalHypothesis(math.log(1e-9), ((0, 0), (1, 1))),
-            ],
-        )
-        out = prune(p, PruneThresholds(global_w=1e-4))
-        assert len(out.global_hyps) == 1
-        assert len(out.track_by_id(1).hypotheses) == 1
 
     def test_all_nonexistent_track_retires_measurements(self):
         p = fixture_density(
@@ -323,6 +294,12 @@ class TestDumpRoundTrip:
             lambda d: d.update(mode="some"),
             lambda d: d["globals"][0].update(choice=[[3, 0], [7, -1]]),
             lambda d: d["globals"][0].update(choice=[[3, 0], [7, 5]]),
+            # track 7 named twice: once with its existing hypothesis, once
+            # with an added non-existence hypothesis
+            lambda d: (
+                d["tracks"][1]["hypotheses"].append({"r": 0.0, "meas_history": [], "components": None}),
+                d["globals"][0].update(choice=[[3, 0], [7, 0], [7, 1]]),
+            ),
             # a missing entry or a mistyped one is malformed as well
             lambda d: d.pop("globals"),
             lambda d: d.pop("tracks"),
@@ -344,6 +321,7 @@ class TestDumpRoundTrip:
             "mode",
             "choice-negative",
             "choice-past-end",
+            "choice-names-a-track-twice",
             "no-globals",
             "no-tracks",
             "no-retired",
@@ -586,7 +564,7 @@ class TestArchive:
 
     def test_alive_hypothesis_in_the_archive_rejected(self):
         p = scenario1_run(scans=12)[2].density
-        k, g = p.window.gamma, p.ranked()[0]
+        k, g = p.window.gamma, best_global(p)
         tid, hidx = next((tid, h) for tid, h in g.choice if p.track_by_id(tid).hypotheses[h].alive_at(k))
         only_g = replace(p, global_hyps=(GlobalHypothesis(0.0, g.choice),))
         validate(only_g)
@@ -615,13 +593,14 @@ class TestArchive:
         existing = {tid for gd in d["globals"] for tid, h in gd["choice"] if r[(tid, h)] > 0.0}
         assert existing == {td["id"] for td in d["tracks"]}
 
-    def test_ranked_orders_ties_as_the_dumped_choice_maps(self):
+    def test_best_global_breaks_ties_as_the_dumped_choice_maps(self):
         p = scenario1_run(scans=12)[2].density
         assert p.archive and len(p.global_hyps) > 2
         tied = replace(p, global_hyps=tuple(GlobalHypothesis(0.0, g.choice) for g in p.global_hyps))
         dumped = [gd["choice"] for gd in dump_density(tied)["globals"]]
-        position = {id(g): i for i, g in enumerate(tied.global_hyps)}
-        assert [position[id(g)] for g in tied.ranked()] == sorted(range(len(dumped)), key=dumped.__getitem__)
+        for i in range(len(dumped)):  # every suffix: each global in turn is the smallest left
+            rest = replace(tied, global_hyps=tied.global_hyps[i:])
+            assert best_global(rest) is tied.global_hyps[i + dumped[i:].index(min(dumped[i:]))]
 
 
 class TestOneScanShares:

@@ -86,6 +86,27 @@ class TestMarginalizeBernoulli:
         assert calls == [TimeWindow(5, 5)]
         assert out.r == pytest.approx(0.15)
 
+    @pytest.mark.parametrize("backend", ["info", "moment", "lscan"])
+    def test_pieces_of_a_component_share_one_marginal(self, backend, monkeypatch):
+        # death times 2, 3 and 5 meet [2, 4]: one marginal to steps 1..4,
+        # and each piece equals its own marginal bit for bit
+        model = gs.ModelLG(F=[[1.0]], Q=[[1.0]], H=[[1.0]], R=[[1.0]])
+        s = gs.make_seq(backend, TimeWindow(0, 0), [0.0], [[1.0]], L=2)
+        for z in (0.3, -0.2, 0.9, 1.4, 0.1):
+            s = gs.update_seq(gs.predict_seq(s, model), model, [z])
+        c = MixtureComponent(1.0, s, ((1, 0.1), (2, 0.2), (3, 0.3), (5, 0.4)))
+        calls = []
+        real = gs.marginalize_steps
+        monkeypatch.setattr(gs, "marginalize_steps", lambda s, keep: calls.append(keep) or real(s, keep))
+        out = marginalize_bernoulli(bern(0.9, [c]), AliveQuery(1, 4, 2, 4))
+        assert calls == [TimeWindow(1, 4)]
+        assert [(p.b, p.e) for p in out.density.components] == [(1, 2), (1, 3), (1, 4)]
+        for p in out.density.components:
+            ref = real(s, TimeWindow(p.b, p.e))
+            assert type(p.seq) is type(ref)
+            assert p.seq.mean.tobytes() == ref.mean.tobytes() and p.seq.cov.tobytes() == ref.cov.tobytes()
+            assert np.asarray(p.seq.old_blocks).tobytes() == np.asarray(ref.old_blocks).tobytes()
+
 
 class TestMarginalizePpp:
     def test_clamp_and_keep_weight(self):

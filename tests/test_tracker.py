@@ -109,7 +109,7 @@ class TestPredictAll:
 class TestTruncation:
     """All mode ends a component's surviving tail at the previous scan once
     r * weight * alive mass * ps falls below ``bern_r`` and archives a
-    track left with no trajectory alive once pruning leaves it one
+    track left with no trajectory alive once the update leaves it one
     hypothesis; exact mode and ``bern_r = 0`` keep every tail."""
 
     SCANS = [[[0.4]], [[0.9], [6.0]], [], [[2.1]], [[2.9], [-4.0]], [], [], [[3.5]], []]
@@ -201,14 +201,16 @@ class TestTruncation:
         tables = scan_weight_tables(out, [np.array([1.0])], tracker.model, tracker.sensor)
         assert all(build_cost_matrix(out, g, tables).rows == () for g in out.global_hyps)
 
-        agree = replace(out, global_hyps=(GlobalHypothesis(0.0, ((0, 1),)),))
-        # hypothesis 0, which no global chooses, keeps the track live until
-        # pruning drops it
-        held = tracker.predict(TrackerState(agree, 3, 1)).density
+        # a hypothesis that no global chooses would keep the track live; the
+        # update never builds one
+        held = replace(out, global_hyps=(GlobalHypothesis(0.0, ((0, 1),)),))
+        held = tracker.predict(TrackerState(held, 3, 1)).density
         validate(held)
         assert held.archive == () and [len(t.hypotheses) for t in held.tracks] == [2]
-        agree = prune(agree, tracker.config.thresholds)
-        assert [len(t.hypotheses) for t in agree.tracks] == [1]
+        agree = replace(
+            out, tracks=(Track(0, out.tracks[0].hypotheses[1:]),), global_hyps=(GlobalHypothesis(0.0, ((0, 0),)),)
+        )
+        validate(agree)
         out = tracker.predict(TrackerState(agree, 3, 1)).density
         validate(out)
         assert out.tracks == () and out.global_hyps[0].choice == ()
@@ -239,10 +241,10 @@ class TestTruncation:
 
 
 class TestOneHypothesisRule:
-    """The update builds only hypotheses that some global chooses, and
-    pruning drops those that no surviving global chooses, so an ended track
-    that every global chooses the same hypothesis of has one hypothesis:
-    prediction archives exactly the ended tracks of one hypothesis."""
+    """The update builds only hypotheses that some kept global chooses, new
+    tracks' included, so an ended track that every global chooses the same
+    hypothesis of has one hypothesis: prediction archives exactly the ended
+    tracks of one hypothesis."""
 
     @pytest.mark.parametrize(
         "name,scans,budget",
@@ -262,15 +264,94 @@ class TestOneHypothesisRule:
                 ended = [t.id for t in tracks if len(t.hypotheses) == 1 and not t.hypotheses[0].alive_at(k)]
                 assert budget is None or ended == []
             if scan is not None:
-                born = state.next_track_id
                 state = tracker.update(state, scan)
                 p = state.density
                 chosen = {c for g in p.global_hyps for c in g.choice}
-                unchosen = {(t.id, i) for t in p.tracks for i in range(len(t.hypotheses))} - chosen
-                # exact mode does not prune, so a new track keeps both
-                # hypotheses of its pair even when no global chooses one
-                assert all(tid >= born for tid, _ in unchosen) if budget is None else unchosen == set()
+                assert chosen == {(t.id, i) for t in p.tracks for i in range(len(t.hypotheses))}
         assert bool(state.density.archive) == (budget is not None)
+
+    def test_prune_keeps_every_global_the_update_selected(self):
+        # the update's floor and cap are the one selection of globals:
+        # pruning a posterior again removes no track and changes no global
+        cfg = ScenarioConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "scenario1.json")
+        tracker = PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode="all")
+        for state in validated_run(tracker, generate_scenario(cfg)[1][:30]):
+            p = state.density
+            chosen = {c for g in p.global_hyps for c in g.choice}
+            assert chosen == {(t.id, i) for t in p.tracks for i in range(len(t.hypotheses))}
+            again = prune(p, tracker.config.thresholds)
+            assert again.global_hyps is p.global_hyps and again.tracks == p.tracks
+
+
+class TestGlobalSelection:
+    """A non-exact update keeps the children within ``global_w`` of the best,
+    at most ``cap_M`` of them, and builds only the hypotheses they choose.
+    The track at 0 detects 10 with a relative weight near 1e-6, below the
+    default floor, and the two stronger children both start a track on 10."""
+
+    SCAN = [[0.0], [10.0]]
+
+    def updates(self, thresholds):
+        exact = scalar_setup(mode="all")
+        state = single_track_state(exact, r=0.9, k=1, mean=[0.0, 0.0], var=np.eye(2))
+        selected = scalar_setup(mode="all", exact=False, thresholds=thresholds)
+        return exact.update(state, self.SCAN).density, selected.update(state, self.SCAN).density
+
+    @staticmethod
+    def children(p) -> dict:
+        """Weight per global, keyed by the histories of its existing chosen
+        hypotheses."""
+        out = {}
+        for g in p.global_hyps:
+            hyps = (p.track_by_id(tid).hypotheses[h] for tid, h in g.choice)
+            out[frozenset((h.history, h.r) for h in hyps if h.r > 0.0)] = math.exp(g.log_weight)
+        return out
+
+    def test_cap_keeps_the_best_child_only(self):
+        full, capped = self.updates(PruneThresholds(cap_M=1))
+        assert len(full.global_hyps) == 3
+        (g,) = capped.global_hyps
+        assert g.log_weight == 0.0
+        # each track holds only the hypothesis the kept child chooses
+        assert g.choice == tuple((t.id, 0) for t in capped.tracks)
+        all_children = self.children(full)
+        best = max(all_children, key=all_children.get)
+        assert self.children(capped).keys() == {best}
+
+    def test_children_below_the_floor_are_never_materialized(self):
+        full, kept = self.updates(PruneThresholds())
+        all_children = self.children(full)
+        top = max(all_children.values())
+        above = {key: w for key, w in all_children.items() if w >= 1e-4 * top}
+        assert len(above) == 2 and min(all_children.values()) < 1e-5 * top
+        got = self.children(kept)
+        assert got.keys() == above.keys()
+        total = sum(above.values())
+        for key, w in got.items():
+            assert w == pytest.approx(above[key] / total, rel=1e-12)
+        # the weak detection of 10 by the track is not built, and the track
+        # started on 10 keeps only its existence hypothesis
+        built = {h.history for t in kept.tracks for h in t.hypotheses}
+        assert ((0, 0), (1, 1)) in {h.history for t in full.tracks for h in t.hypotheses}
+        assert ((0, 0), (1, 1)) not in built
+        assert [len(t.hypotheses) for t in kept.tracks if t.id == 2] == [1]
+        assert [len(t.hypotheses) for t in full.tracks if t.id == 2] == [2]
+
+    @pytest.mark.parametrize("mode", ["all", "current"])
+    def test_certain_detection_and_survival_track_every_scan(self, mode):
+        # pd = 1 makes a certain track's miss weight zero: the children that
+        # miss it weigh nothing, but the scan that detects it stays feasible
+        birth = BirthModel((BirthComponent(0.1, np.zeros(4), np.diag([100.0, 100.0, 1.0, 1.0])),))
+        sensor = SensorModel(1.0, 1.0, Rectangle(-1e3, 1e3, -1e3, 1e3))
+        tracker = PmbmTracker(constant_velocity_model(1.0, 1.0), birth, sensor, SurvivalModel(1.0), mode=mode)
+        scans = [[[0.0, 0.0]], [[0.1, 0.0]], [[0.2, 0.1]], [[0.3, 0.1]]]
+        states = list(validated_run(tracker, scans))
+        assert max(h.r for t in states[1].density.tracks for h in t.hypotheses) == 1.0
+        got = [[(traj.beta, traj.epsilon) for traj in tracker.estimate(state)] for state in states]
+        # all mode reports a trajectory once its existence is certain (r_e = 1)
+        assert got == [[] if mode == "all" else [(0, 0)], [(0, 1)], [(0, 2)], [(0, 3)]]
+        (track,) = states[-1].density.tracks
+        assert [h.history for h in track.hypotheses] == [((0, 0), (1, 0), (2, 0), (3, 0))]
 
 
 class TestPredictCurrent:
