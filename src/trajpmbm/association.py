@@ -8,7 +8,9 @@ are negative log weight ratios against the all-miss baseline, so the k
 cheapest assignments are the k heaviest posterior global hypotheses.
 
 :func:`scan_weight_tables` computes every association weight (as a log; a
-zero factor maps to -inf) and measurement likelihood of a scan, once.
+zero factor maps to -inf), measurement likelihood and clutter intensity of a
+scan, once: the alive components of every local hypothesis and of the
+undetected intensity are gated in one ``gaussseq.gate_likelihoods`` call.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class ScanTables:
     ``det_liks[(track, hyp, j)]`` lists (component index, likelihood of j)
     for every alive component of a hypothesis that gates j, and
     ``ppp_gated[j]`` the same for the undetected components that gate with
-    j; the detection child and the new track for j condition on them.
+    j; the detection child and the new track for j (with ``clutter[j]``)
+    condition on them.
     ``gated_by_hyp`` holds, for each hypothesis that gates any measurement,
     the set of the ``j`` its ``det_log`` keys name.
     """
@@ -69,6 +72,7 @@ class ScanTables:
     new_log: dict  # j -> log new-track weight
     ppp_gated: dict  # j -> tuple of (ppp component index, likelihood)
     gated_by_hyp: dict  # (track, hyp) -> set of the measurements it gates
+    clutter: tuple  # j -> clutter intensity at measurement j
 
     @cached_property
     def unexplained(self) -> tuple:
@@ -147,57 +151,53 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
     Detection factors exist only for (hypothesis, measurement) pairs where at
     least one alive component passes the gate, and then sum every alive
     component; the new-track weight for a measurement sums the gated
-    undetected components only.
+    undetected components only.  Every alive component of every hypothesis
+    and of the undetected intensity is gated in one batch: one row of
+    last-state moments each.
     """
-    k = p.window.gamma
-    pd = sensor.pd
-    m = len(scan)
+    k, pd, m = p.window.gamma, sensor.pd, len(scan)
     Z = np.asarray(scan, dtype=float).reshape(m, -1) if m else np.zeros((0, model.nz))
+    clutter = tuple(clutter_density(sensor, Z).tolist())
     miss_log: dict = {}
-    det_log: dict = {}
-    det_liks: dict = {}
-    gated_by_hyp: dict = {}
+    owners = [(None, p.ppp)]  # (owner, mixture): (track id, hypothesis index, r), None for the intensity
     for t in p.tracks:
         for hidx, h in enumerate(t.hypotheses):
             if h.r == 0.0 or h.density is None:
                 miss_log[(t.id, hidx)] = 0.0
-                continue
-            miss_log[(t.id, hidx)] = _log(1.0 - h.r * bernoulli._mixture_detection_prob(h.density, pd, k))
-            if m == 0:
-                continue
-            gated_any = np.zeros(m, dtype=bool)
-            evid = np.zeros(m)
-            comp_liks = []
-            for idx, c in enumerate(h.density.components):
-                a = c.alive_mass(k)
-                if a <= 0.0:
-                    continue
-                mask, liks = gaussseq.gate_likelihoods(c.seq, model, Z, sensor.gate_prob)
-                gated_any |= mask
-                evid += c.weight * a * liks
-                comp_liks.append((idx, liks))
-            js = np.flatnonzero(gated_any).tolist()
-            if js:
-                gated_by_hyp[(t.id, hidx)] = set(js)
-            for j in js:
-                key = (t.id, hidx, j)
-                det_log[key] = _log(h.r * pd * evid[j])
-                det_liks[key] = tuple((idx, float(liks[j])) for idx, liks in comp_liks)
-    new_log: dict = {}
+            else:
+                miss_log[(t.id, hidx)] = _log(1.0 - h.r * bernoulli._mixture_detection_prob(h.density, pd, k))
+                owners.append(((t.id, hidx, h.r), h.density))
+    # one row per alive component, in blocks of (owner, rows, component
+    # indices, weight x alive mass)
+    blocks, seqs = [], []
+    for owner, mix in owners if m else ():
+        alive = [(idx, c.weight * a, c.seq) for idx, c in enumerate(mix.components) if (a := c.alive_mass(k)) > 0.0]
+        if alive:
+            idxs, wa, block_seqs = zip(*alive)
+            blocks.append((owner, slice(len(seqs), len(seqs) + len(idxs)), idxs, wa))
+            seqs += block_seqs
+    if blocks:
+        means, covs = zip(*(seq.last_moments() for seq in seqs))
+        mask, liks = gaussseq.gate_likelihoods(np.stack(means), np.stack(covs), model, Z, sensor.gate_prob)
+    det_log, det_liks, gated_by_hyp = {}, {}, {}
     ppp_gated: dict = {j: [] for j in range(m)}
-    evid = np.zeros(m)
-    for idx, c in enumerate(p.ppp.components):
-        a = c.alive_mass(k)
-        if a <= 0.0 or m == 0:
-            continue
-        mask, liks = gaussseq.gate_likelihoods(c.seq, model, Z, sensor.gate_prob)
-        for j in np.flatnonzero(mask):
-            evid[j] += c.weight * a * liks[j]
-            ppp_gated[j].append((idx, float(liks[j])))
-    for j, z in enumerate(scan):
-        new_log[j] = _log(clutter_density(sensor, z) + pd * evid[j])
+    evid_new = np.zeros(m)
+    for owner, rows, idxs, wa in blocks:
+        gated, block = mask[rows], liks[rows]
+        if owner is None:
+            for i, j in zip(*np.nonzero(gated)):
+                ppp_gated[j].append((idxs[i], float(block[i, j])))
+            evid_new = sum(w * row for w, row in zip(wa, np.where(gated, block, 0.0)))
+        elif js := np.flatnonzero(gated.any(axis=0)).tolist():
+            tid, hidx, r = owner
+            evid = sum(w * row for w, row in zip(wa, block))
+            gated_by_hyp[(tid, hidx)] = set(js)
+            for j in js:
+                det_log[(tid, hidx, j)] = _log(r * pd * evid[j])
+                det_liks[(tid, hidx, j)] = tuple(zip(idxs, block[:, j].tolist()))
+    new_log = {j: _log(clutter[j] + pd * evid_new[j]) for j in range(m)}
     ppp_gated = {j: tuple(v) for j, v in ppp_gated.items()}
-    return ScanTables(miss_log, det_log, det_liks, new_log, ppp_gated, gated_by_hyp)
+    return ScanTables(miss_log, det_log, det_liks, new_log, ppp_gated, gated_by_hyp, clutter)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ all-trajectories mode), missed-detection and detection updates of a
 Bernoulli, thinning of the undetected Poisson intensity, and creation of the
 two-hypothesis Bernoulli for a track started on a measurement.
 
-The children's association weights, and the measurement likelihoods the
-updates condition on, come from :func:`association.scan_weight_tables`.
+The children's association weights, and the measurement likelihoods and
+clutter intensities the updates condition on, come from
+:func:`association.scan_weight_tables`.
 The predictions or the updates of one scan may pass one ``shared`` dict: equal
 death-time pmfs, and the last steps one z updates from equal ones, are then one object.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from . import gaussseq
 from .density import LocalHypothesis
-from .models import SensorModel, clutter_density
 from .trajectory import MixtureComponent, TrajectoryMixture, epsilon_pmf_miss_update, epsilon_pmf_predict, prune_mixture
 
 __all__ = [
@@ -151,7 +151,8 @@ def thin_ppp(ppp: TrajectoryMixture, pd: float, k: int, shared: dict | None = No
 def new_track_hypotheses(
     ppp: TrajectoryMixture,
     model: gaussseq.ModelLG,
-    sensor: SensorModel,
+    pd: float,
+    clutter: float,
     z,
     scan: tuple,
     gated: tuple,
@@ -161,14 +162,14 @@ def new_track_hypotheses(
     """Two-hypothesis Bernoulli for the track started on measurement z.
 
     Returns (non-existence hypothesis, existence hypothesis).  The existence
-    weight is the clutter intensity at z plus the detected Poisson mass; the
-    existence probability is the detected mass' share of it.  ``gated`` lists
-    (component index, likelihood) for the Poisson components that pass the
-    gate with z, as :func:`association.scan_weight_tables` records them.
+    weight is the ``clutter`` intensity at z plus the detected Poisson mass;
+    the existence probability is the detected mass' share of it.  ``gated``
+    lists (component index, likelihood) for the Poisson components that pass
+    the gate with z; :func:`association.scan_weight_tables` records both.
     """
     density, evid = _condition(ppp, model, z, scan[0], gated, component_threshold, shared)
-    signal = sensor.pd * evid
-    w_exist = clutter_density(sensor, z) + signal
+    signal = pd * evid
+    w_exist = clutter + signal
     r = signal / w_exist if w_exist > 0.0 else 0.0
     exist = LocalHypothesis(r, density if r > 0.0 else None, (scan,))
     return LocalHypothesis(0.0, None, ()), exist

@@ -148,8 +148,9 @@ class PmbmDensity:
     measurement_record: tuple = ()  # (scan, measurement count) per updated scan
     # measurements no global's tracks cover any more: those of removed
     # all-r=0 tracks, and those no association could explain (nothing gated
-    # them and no track could start on them, e.g. outside the region)
-    retired: frozenset = frozenset()
+    # them and no track could start on them, e.g. outside the region); as
+    # (scan, sorted measurement indices) pairs in scan order (see retire)
+    retired: tuple = ()
     # append-only tuple of ArchiveBatch: all-mode tracks with no alive
     # trajectory, which the recursion no longer visits (see archive_ended)
     archive: tuple = ()
@@ -169,6 +170,18 @@ class PmbmDensity:
     def archived_tracks(self) -> tuple:
         """Every archived track, unpacked, in archive order."""
         return tuple(Track(tid, (h,)) for b in self.archive for tid, h in zip(b.ids, b.hypotheses))
+
+
+def retire(retired: tuple, keys) -> tuple:
+    """``retired`` with the (scan, index) ``keys`` added.  Posteriors share
+    the entries of the scans a call adds nothing to; a call that adds
+    nothing returns ``retired`` itself."""
+    by_scan, new = dict(retired), {}
+    for k, j in keys:
+        if j not in by_scan.get(k, ()):
+            new.setdefault(k, set(by_scan.get(k, ()))).add(j)
+    by_scan.update((k, tuple(sorted(js))) for k, js in new.items())
+    return tuple(sorted(by_scan.items())) if new else retired
 
 
 def _without_tracks(globals_: tuple, ids) -> tuple:
@@ -232,7 +245,7 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
             # non-existent under every global: remove the track outright;
             # its likelihood factors stay banked in the global log weights
             removed.add(track.id)
-            fresh.update(key for h in hyps for key in h.history if key not in p.retired)
+            fresh.update(key for h in hyps for key in h.history)
             continue
         same = all(a is b for a, b in zip(hyps, track.hypotheses))
         kept_tracks.append(track if same else Track(track.id, hyps))
@@ -241,9 +254,8 @@ def prune(p: PmbmDensity, thresholds: PruneThresholds = PruneThresholds()) -> Pm
         tuple(c for c in p.ppp.components if c.weight >= thresholds.ppp_w), "intensity"
     )
 
-    retired = p.retired | fresh if fresh else p.retired
     globals_ = _without_tracks(p.global_hyps, removed)
-    return replace(p, ppp=ppp, tracks=tuple(kept_tracks), global_hyps=globals_, retired=retired)
+    return replace(p, ppp=ppp, tracks=tuple(kept_tracks), global_hyps=globals_, retired=retire(p.retired, fresh))
 
 
 def _require(ok: bool, msg: str, *args) -> None:
@@ -296,6 +308,7 @@ def validate(p: PmbmDensity) -> None:
             if h.density is not None:
                 _validate_mixture(h.density, "density")
     expected = {(k, j) for k, m in p.measurement_record for j in range(m)}
+    expected -= {(k, j) for k, js in p.retired for j in js}
     # every global chooses the one hypothesis of each archived track
     common: set = set()
     for t in archived:
@@ -314,7 +327,7 @@ def validate(p: PmbmDensity) -> None:
             hist = hyps[hidx].history
             _require(seen.isdisjoint(hist), "measurement shared between chosen hypotheses")
             seen.update(hist)
-        missing = expected - seen - p.retired
+        missing = expected - seen
         _require(not missing, "measurements not covered: {}", sorted(missing)[:5])
 
 
@@ -348,7 +361,7 @@ def dump_density(p: PmbmDensity) -> dict:
         "mode": p.mode,
         "window": [p.window.alpha, p.window.gamma],
         "measurement_record": [list(r) for r in p.measurement_record],
-        "retired": sorted(list(x) for x in p.retired),
+        "retired": [[k, j] for k, js in p.retired for j in js],
         "ppp": [comp_dict(c) for c in p.ppp.components],
         "tracks": [
             {
@@ -404,7 +417,7 @@ def load_density(d: dict) -> PmbmDensity:
             window=TimeWindow(*d["window"]),
             mode=d["mode"],
             measurement_record=tuple((int(k), int(m)) for k, m in d["measurement_record"]),
-            retired=frozenset((int(k), int(j)) for k, j in d["retired"]),
+            retired=retire((), ((int(k), int(j)) for k, j in d["retired"])),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed density dump: {exc!r}") from exc

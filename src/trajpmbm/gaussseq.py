@@ -20,9 +20,10 @@ the new sequence only), ``last_moments``, ``full_mean``, ``marginalize``,
 ``to_moment`` and ``dump`` (its JSON form, which ``load_seq`` reads back as
 the same form).  The module functions ``predict_seq``, ``update_seq``,
 ``last_state_moments``, ``mean_sequence``, ``marginalize_steps`` and
-``to_moment`` delegate to them; ``gate_likelihoods`` scores a batch of
-measurements against any form's last state and is the only measurement
-likelihood.  Values are immutable; every operation returns a new value.
+``to_moment`` delegate to them; ``gate_likelihoods``, the only measurement
+likelihood, gates and scores a batch of measurements against a stack of
+last-state moments (``last_moments`` of any form), all rows in one batched
+Cholesky.  Values are immutable; every operation returns a new value.
 Constructors only convert and store; ``load_seq`` checks outside input
 (missing entries, non-finite values, shapes) and raises ValueError.
 
@@ -45,7 +46,7 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky, cholesky_banded, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky, cholesky_banded
 from scipy.special import gammaincinv
 
 from .trajectory import TimeWindow, _frozen_array
@@ -70,7 +71,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.T)
+    """The symmetric part of a matrix, or of each in a stack."""
+    return 0.5 * (P + P.swapaxes(-1, -2))
 
 
 @lru_cache(maxsize=4096)
@@ -594,27 +596,32 @@ def _gate_threshold(gate_prob: float, df: int) -> float:
     return float(2.0 * gammaincinv(df / 2.0, gate_prob))
 
 
-def gate_likelihoods(s, m: ModelLG, Z: np.ndarray, gate_prob: float = 1.0):
+def gate_likelihoods(means: np.ndarray, covs: np.ndarray, m: ModelLG, Z: np.ndarray, gate_prob: float = 1.0):
     """Vectorized ellipsoidal gating and Gaussian evidence of a batch of
-    measurements against the predicted last state.
+    measurements against a stack of last-state moments.
 
-    Returns (mask, likelihoods) over the rows of Z; ungated entries keep
-    their likelihood value (callers decide whether to zero them).
+    ``means`` (n, nx) and ``covs`` (n, nx, nx) are the last-state moments of
+    n components, ``Z`` (m, nz) the measurements.  Returns (mask,
+    likelihoods), each (n, m); ungated entries keep their likelihood value
+    (callers decide whether to zero them).
     """
-    mean, cov = s.last_moments()
     H, R = np.asarray(m.H), np.asarray(m.R)
-    S = _symmetrize(H @ cov @ H.T + R)
+    S = _symmetrize(H @ covs @ H.T + R)
     try:
-        L = cholesky(S, lower=True)
+        L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular innovation covariance") from exc
-    v = np.atleast_2d(np.asarray(Z, dtype=float)) - (H @ mean)[None, :]
-    w = solve_triangular(L, v.T, lower=True)
-    d2 = np.einsum("ij,ij->j", w, w)
-    logdet = 2.0 * np.log(np.diag(L)).sum()
-    liks = np.exp(-0.5 * (m.nz * LOG_2PI + logdet + d2))
+    v = np.asarray(Z, dtype=float)[None, :, :] - (means @ H.T)[:, None, :]
+    # w = L^-1 v by forward substitution, one measurement coordinate at a time
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
+    w = np.empty_like(v)
+    for i in range(m.nz):
+        w[..., i] = (v[..., i] - np.einsum("nk,njk->nj", L[:, i, :i], w[..., :i])) * (1.0 / diag[:, i, None])
+    d2 = np.einsum("nji,nji->nj", w, w)
+    logdet = 2.0 * np.log(diag).sum(axis=-1)
+    liks = np.exp(-0.5 * (m.nz * LOG_2PI + logdet[:, None] + d2))
     if gate_prob >= 1.0:
-        mask = np.ones(len(v), dtype=bool)
+        mask = np.ones(d2.shape, dtype=bool)
     else:
         mask = d2 <= _gate_threshold(gate_prob, m.nz)
     return mask, liks

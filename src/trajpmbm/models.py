@@ -45,12 +45,12 @@ class Rectangle:
     def volume(self) -> float:
         return (self.xmax - self.xmin) * (self.ymax - self.ymin)
 
-    def contains(self, z) -> bool:
-        """Whether the leading position coordinates of z fall in the region
-        (scalar measurement spaces check the x interval only)."""
-        z = np.asarray(z, dtype=float).reshape(-1)
-        lo, hi = (self.xmin, self.ymin), (self.xmax, self.ymax)
-        return all(lo[i] <= z[i] <= hi[i] for i in range(min(len(z), 2)))
+    def contains(self, Z) -> np.ndarray:
+        """Which rows of Z have their leading position coordinates in the
+        region (scalar measurement spaces check the x interval only)."""
+        Z = np.asarray(Z, dtype=float)[:, :2]
+        lo, hi = (self.xmin, self.ymin)[: Z.shape[1]], (self.xmax, self.ymax)[: Z.shape[1]]
+        return ((lo <= Z) & (Z <= hi)).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,10 @@ def birth_intensity_at(b: BirthModel, k: int, backend: str = "moment", L: int = 
     return TrajectoryMixture(comps, kind="intensity")
 
 
-def clutter_density(s: SensorModel, z) -> float:
-    """Spatial clutter intensity at z: uniform clutter_rate / region volume,
-    zero outside the region."""
-    if not s.region.contains(z):
-        return 0.0
-    return s.clutter_rate / s.region.volume
+def clutter_density(s: SensorModel, Z) -> np.ndarray:
+    """Spatial clutter intensity at each row of Z: uniform clutter_rate /
+    region volume, zero outside the region."""
+    return np.where(s.region.contains(Z), s.clutter_rate / s.region.volume, 0.0)
 
 
 def constant_velocity_model(sigma_v: float, sigma_r: float, dt: float = 1.0) -> gaussseq.ModelLG:

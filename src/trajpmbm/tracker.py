@@ -45,6 +45,7 @@ from .density import (
     archive_ended,
     normalize,
     prune,
+    retire,
 )
 from .models import BirthModel, SensorModel, SurvivalModel, birth_intensity_at
 from .trajectory import TimeWindow, TrajectoryMixture
@@ -291,7 +292,7 @@ class PmbmTracker:
         for j in sorted(starts):
             tid = s.next_track_id + j
             both = bernoulli.new_track_hypotheses(
-                p.ppp, self.model, self.sensor, scan[j], meas_keys[j], tables.ppp_gated[j], new_threshold, shared
+                p.ppp, self.model, self.sensor.pd, tables.clutter[j], scan[j], meas_keys[j], tables.ppp_gated[j], new_threshold, shared
             )
             hyps = both if starts[j] < len(chosen_children) else both[1:]
             tracks.append(Track(tid, hyps))
@@ -310,7 +311,7 @@ class PmbmTracker:
             tracks=tuple(tracks),
             global_hyps=tuple(globals_),
             measurement_record=p.measurement_record + ((k, m),),
-            retired=p.retired.union(meas_keys[j] for j in tables.unexplained) if tables.unexplained else p.retired,
+            retired=retire(p.retired, (meas_keys[j] for j in tables.unexplained)),
         )
         density = normalize(density)
         if not exact:

@@ -54,7 +54,8 @@ def run_pipeline(backend, model, window0, mean0, cov0, events, L=1):
     for ev in events:
         s = gs.predict_seq(s, model)
         if ev is not None:
-            _, lik = gs.gate_likelihoods(s, model, [ev])
-            logliks.append(math.log(lik[0]))
+            mean, cov = gs.last_state_moments(s)
+            _, lik = gs.gate_likelihoods(mean[None], cov[None], model, [ev])
+            logliks.append(math.log(lik[0, 0]))
             s = gs.update_seq(s, model, ev)
     return s, logliks

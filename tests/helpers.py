@@ -137,8 +137,20 @@ def gate(seq, m, z, gate_prob: float) -> bool:
     """Whether z passes the ellipsoidal gate of ``seq``'s last state."""
     if not 0.0 < gate_prob <= 1.0:
         raise ValueError("gate probability must lie in (0, 1]")
-    mask, _ = gs.gate_likelihoods(seq, m, np.asarray(z, dtype=float).reshape(1, -1), gate_prob)
-    return bool(mask[0])
+    mask, _ = gs.gate_likelihoods(*stacked_moments([seq]), m, np.asarray(z, dtype=float).reshape(1, -1), gate_prob)
+    return bool(mask[0, 0])
+
+
+def retired_keys(retired: tuple) -> set:
+    """The (scan, index) keys of a posterior's ``retired`` entries."""
+    return {(k, j) for k, js in retired for j in js}
+
+
+def stacked_moments(seqs) -> tuple:
+    """(means, covariances) of the sequences' last states, stacked in the
+    batch form ``gaussseq.gate_likelihoods`` takes."""
+    means, covs = zip(*(gs.last_state_moments(s) for s in seqs))
+    return np.stack(means), np.stack(covs)
 
 
 def nonzero_counts(s) -> tuple:

@@ -37,3 +37,14 @@ def test_tracer_installs_and_restores_every_hook():
     silent = [name for _, _, name, _ in tracing.TARGETS if name is not None and tracer.calls[name] == 0]
     assert silent == []
     assert tracer.counts["association.matrix_cells"] > 0
+
+
+def test_gating_is_one_batch_per_scan_with_measurements():
+    """A scan's alive components are gated in one call: a traced run makes
+    at most one gating call per scan that has measurements."""
+    tracing = load_tracing()
+    scans = [[[0.5]], [[1.0], [8.0]], [], [[1.5], [-3.0], [9.0]], [[2.0], [8.5]]]
+    tracer = tracing.Tracer()
+    with tracer:
+        scalar_setup(exact=False).run(scans)
+    assert 0 < tracer.calls["gaussseq.gate_likelihoods"] <= sum(1 for s in scans if s)

@@ -22,6 +22,7 @@ from trajpmbm.density import (
     load_density,
     normalize,
     prune,
+    retire,
     validate,
 )
 from trajpmbm.estimate import best_global
@@ -30,7 +31,7 @@ from trajpmbm.scenario import ScenarioConfig, generate_scenario
 from trajpmbm.tracker import PmbmTracker, TrackerConfig, TrackerState
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
-from helpers import scalar_setup
+from helpers import retired_keys, scalar_setup
 
 
 def unit_density(b=0, e=0, mean=None):
@@ -168,8 +169,15 @@ class TestPrune:
         )
         out = prune(p, PruneThresholds(bern_r=1e-5))
         assert [t.id for t in out.tracks] == [1]
-        assert (0, 0) in out.retired
+        assert (0, 0) in retired_keys(out.retired)
         validate(out)
+
+    def test_retire_shares_the_scans_it_adds_nothing_to(self):
+        prior = ((0, (1,)), (2, (0, 3)))
+        out = retire(prior, [(2, 1), (5, 0), (2, 3)])
+        assert out == ((0, (1,)), (2, (0, 1, 3)), (5, (0,)))
+        assert out[0][1] is prior[0][1]
+        assert retire(out, [(2, 1), (0, 1)]) is out and retire(out, ()) is out
 
 
 class TestValidate:

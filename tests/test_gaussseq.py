@@ -17,7 +17,7 @@ from trajpmbm.tracker import PmbmTracker, TrackerConfig
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
 from conftest import run_pipeline
-from helpers import nonzero_counts
+from helpers import nonzero_counts, stacked_moments
 from oracles import exact_band_moments, joint_predict, joint_update, point_predict, point_update, predictive_likelihood
 
 
@@ -65,8 +65,8 @@ class TestMomentForm:
         np.testing.assert_allclose(out.mean, [2.0 / 3.0, 4.0 / 3.0])
         np.testing.assert_allclose(out.cov, [[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]])
         # innovation 2 under variance 3
-        _, lik = gs.gate_likelihoods(s, scalar_model, [[2.0]])
-        assert math.log(lik[0]) == pytest.approx(-0.5 * (math.log(2 * math.pi * 3) + 4.0 / 3.0))
+        _, lik = gs.gate_likelihoods(*stacked_moments([s]), scalar_model, [[2.0]])
+        assert math.log(lik[0, 0]) == pytest.approx(-0.5 * (math.log(2 * math.pi * 3) + 4.0 / 3.0))
 
     def test_update_zero_innovation_keeps_mean_shrinks_cov(self, scalar_model):
         s = gs.MomentSeq(TimeWindow(0, 1), [1.0, 2.0], [[1.0, 1.0], [1.0, 2.0]])
@@ -414,8 +414,8 @@ class TestPredictiveLikelihood:
         s = gs.MomentSeq(TimeWindow(0, 0), rng.standard_normal(4), np.eye(4))
         s = gs.predict_seq(s, cv_model)
         z = rng.standard_normal(2)
-        _, lik = gs.gate_likelihoods(s, cv_model, [z])
-        assert predictive_likelihood(s, cv_model, z) == pytest.approx(lik[0])
+        _, lik = gs.gate_likelihoods(*stacked_moments([s]), cv_model, [z])
+        assert predictive_likelihood(s, cv_model, z) == pytest.approx(lik[0, 0])
 
     def test_same_for_all_backends(self, cv_model):
         rng = np.random.default_rng(15)
@@ -427,6 +427,73 @@ class TestPredictiveLikelihood:
             s, _ = run_pipeline(backend, cv_model, TimeWindow(0, 0), mean, cov, events, L=2)
             vals.append(predictive_likelihood(s, cv_model, z))
         np.testing.assert_allclose(vals, vals[0], rtol=1e-8)
+
+
+class TestBatchGating:
+    """``gate_likelihoods`` scores every row of a stack of last-state moments
+    as the single-component reference does."""
+
+    @staticmethod
+    def sequences(model):
+        """A moment, an L-scan (L=2) and an information sequence, 8 apart,
+        each with its own correlated prior, so that no innovation covariance
+        is diagonal."""
+        rng = np.random.default_rng(16)
+        seqs = []
+        for i, (backend, L) in enumerate((("moment", 1), ("lscan", 2), ("info", 1))):
+            shift = np.array([8.0 * i, -8.0 * i])
+            events = [None if e is None else e + shift for e in random_events(rng, 5, 2, 3)]
+            mean0 = np.concatenate([shift, [0.5, -0.5]])
+            B = rng.standard_normal((4, 4))
+            seqs.append(run_pipeline(backend, model, TimeWindow(0, 0), mean0, 4.0 * np.eye(4) + B @ B.T, events, L=L)[0])
+        return seqs
+
+    @staticmethod
+    def reference(seq, model, Z, gate_prob) -> tuple:
+        """Chi-square gate and predictive likelihood of each row of Z."""
+        from scipy.stats import chi2
+
+        mean, cov = gs.last_state_moments(seq)
+        H, R = np.asarray(model.H), np.asarray(model.R)
+        v = Z - H @ mean
+        d2 = np.einsum("ij,ji->i", v, np.linalg.solve(H @ cov @ H.T + R, v.T))
+        return d2 <= chi2.ppf(gate_prob, model.nz), np.array([predictive_likelihood(seq, model, z) for z in Z])
+
+    def measurements(self, seqs, model):
+        """Near each sequence's predicted measurement, and one far from all."""
+        near = [np.asarray(model.H) @ gs.last_state_moments(s)[0] + [0.3, -0.2] for s in seqs]
+        return np.array(near + [[100.0, 100.0]])
+
+    def test_rows_match_the_single_component_reference(self, cv_model):
+        seqs = self.sequences(cv_model)
+        Z = self.measurements(seqs, cv_model)
+        for gate_prob in (1.0, 0.99):
+            mask, liks = gs.gate_likelihoods(*stacked_moments(seqs), cv_model, Z, gate_prob)
+            assert mask.shape == liks.shape == (3, 4)
+            for row, s in enumerate(seqs):
+                ref_mask, ref_liks = self.reference(s, cv_model, Z, gate_prob)
+                np.testing.assert_array_equal(mask[row], ref_mask)
+                np.testing.assert_allclose(liks[row], ref_liks, rtol=1e-12, atol=0.0)
+        # each row gates its own measurement and none of the others
+        np.testing.assert_array_equal(mask, np.eye(3, 4, dtype=bool))
+
+    def test_single_component(self, cv_model):
+        s = self.sequences(cv_model)[1]
+        Z = self.measurements([s], cv_model)
+        mask, liks = gs.gate_likelihoods(*stacked_moments([s]), cv_model, Z, 0.99)
+        ref_mask, ref_liks = self.reference(s, cv_model, Z, 0.99)
+        np.testing.assert_array_equal(mask, [ref_mask])
+        np.testing.assert_allclose(liks, [ref_liks], rtol=1e-12, atol=0.0)
+
+    def test_no_measurements(self, cv_model):
+        mask, liks = gs.gate_likelihoods(*stacked_moments(self.sequences(cv_model)), cv_model, np.zeros((0, 2)), 0.99)
+        assert mask.shape == liks.shape == (3, 0)
+
+    def test_one_singular_innovation_covariance_raises(self, cv_model):
+        means, covs = stacked_moments(self.sequences(cv_model))
+        covs[1] = -10.0 * np.eye(4)
+        with pytest.raises(ValueError, match="singular innovation covariance"):
+            gs.gate_likelihoods(means, covs, cv_model, np.zeros((1, 2)))
 
 
 class TestBackendEquivalenceSweep:

@@ -70,23 +70,32 @@ class TestBirth:
 class TestClutter:
     def test_uniform_density_large_region(self):
         s = SensorModel(pd=0.9, clutter_rate=100.0, region=Rectangle(-1e4, 1e4, -1e4, 1e4))
-        assert clutter_density(s, [0.0, 0.0]) == pytest.approx(2.5e-7)
+        assert clutter_density(s, [[0.0, 0.0]])[0] == pytest.approx(2.5e-7)
 
     def test_zero_rate(self):
         s = SensorModel(pd=0.9, clutter_rate=0.0, region=Rectangle(-1, 1, -1, 1))
-        assert clutter_density(s, [0.0, 0.0]) == 0.0
+        assert clutter_density(s, [[0.0, 0.0]])[0] == 0.0
 
     def test_small_region_same_density(self):
         s = SensorModel(pd=0.9, clutter_rate=1.0, region=Rectangle(-1e3, 1e3, -1e3, 1e3))
-        assert clutter_density(s, [500.0, -500.0]) == pytest.approx(2.5e-7)
+        assert clutter_density(s, [[500.0, -500.0]])[0] == pytest.approx(2.5e-7)
 
     def test_outside_region_is_zero(self):
         s = SensorModel(pd=0.9, clutter_rate=1.0, region=Rectangle(-1, 1, -1, 1))
-        assert clutter_density(s, [2.0, 0.0]) == 0.0
+        assert clutter_density(s, [[2.0, 0.0]])[0] == 0.0
+
+    def test_scores_each_row(self):
+        s = SensorModel(pd=0.9, clutter_rate=4.0, region=Rectangle(-1, 1, -1, 1))
+        Z = [[0.0, 0.0], [2.0, 0.0], [0.5, -1.5], [1.0, -1.0]]
+        np.testing.assert_array_equal(clutter_density(s, Z), [1.0, 0.0, 0.0, 1.0])
+
+    def test_scalar_measurements_check_x_only(self):
+        s = SensorModel(pd=0.9, clutter_rate=4.0, region=Rectangle(-1, 1, 5, 6))
+        np.testing.assert_array_equal(clutter_density(s, [[0.5], [1.5]]), [2.0, 0.0])
 
     def test_density_integrates_to_rate(self):
         s = SensorModel(pd=0.9, clutter_rate=7.0, region=Rectangle(0.0, 2.0, -3.0, 1.0))
-        assert clutter_density(s, [1.0, 0.0]) * s.region.volume == pytest.approx(7.0)
+        assert clutter_density(s, [[1.0, 0.0]])[0] * s.region.volume == pytest.approx(7.0)
 
 
 class TestValidation:

@@ -47,6 +47,7 @@ from helpers import (
     epsilon_bookkeeping,
     epsilon_marginal,
     restricted_global_table,
+    retired_keys,
     scalar_setup,
     tracker_global_table,
     validated_run,
@@ -478,7 +479,7 @@ class TestUpdate:
         tracker = PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival())
         scans = [[[1001.0, 0.0]], [[0.0, 0.0]]][::order]
         states = list(validated_run(tracker, scans))
-        assert states[-1].density.retired == {(scans.index([[1001.0, 0.0]]), 0)}
+        assert retired_keys(states[-1].density.retired) == {(scans.index([[1001.0, 0.0]]), 0)}
         assert len([tracker.estimate(s) for s in states]) == 2
 
     def test_scan_that_retires_nothing_keeps_the_retired_set(self):
@@ -491,11 +492,11 @@ class TestUpdate:
             prior = state.density.retired
             state = tracker.update(tracker.predict(state), scans[k])
             if state.density.retired != prior:
-                assert state.density.retired > prior
+                assert retired_keys(state.density.retired) > retired_keys(prior)
             elif prior:
                 assert state.density.retired is prior
                 kept += 1
-        assert 0 < kept and len(state.density.retired) > kept
+        assert 0 < kept and len(retired_keys(state.density.retired)) > kept
 
     def test_conjugate_structure_valid_after_each_step(self):
         tracker = scalar_setup(exact=False)
