@@ -10,7 +10,8 @@ cheapest assignments are the k heaviest posterior global hypotheses.
 :func:`scan_weight_tables` computes every association weight (as a log; a
 zero factor maps to -inf), measurement likelihood and clutter intensity of a
 scan, once: the alive components of every local hypothesis and of the
-undetected intensity are gated in one ``gaussseq.gate_likelihoods`` call.
+undetected intensity are gated and conditioned on every measurement in one
+``gaussseq.gate_likelihoods`` call.
 """
 
 from __future__ import annotations
@@ -57,22 +58,23 @@ class Assignment:
 class ScanTables:
     """Per-scan association factors shared by every prior global hypothesis.
 
-    ``det_liks[(track, hyp, j)]`` lists (component index, likelihood of j)
-    for every alive component of a hypothesis that gates j, and
-    ``ppp_gated[j]`` the same for the undetected components that gate with
-    j; the detection child and the new track for j (with ``clutter[j]``)
-    condition on them.
+    ``det_liks[(track, hyp, j)]`` lists (component index, batch row,
+    likelihood of j) for every alive component of a hypothesis that gates
+    j, and ``ppp_gated[j]`` the same for the undetected components that
+    gate with j; the detection child and the new track for j (with
+    ``clutter[j]``) condition each component on its row of ``post``.
     ``gated_by_hyp`` holds, for each hypothesis that gates any measurement,
     the set of the ``j`` its ``det_log`` keys name.
     """
 
     miss_log: dict  # (track, hyp) -> log miss factor
     det_log: dict  # (track, hyp, j) -> log detection factor (gated only)
-    det_liks: dict  # (track, hyp, j) -> tuple of (component index, likelihood)
+    det_liks: dict  # (track, hyp, j) -> tuple of (component index, row, likelihood)
     new_log: dict  # j -> log new-track weight
-    ppp_gated: dict  # j -> tuple of (ppp component index, likelihood)
+    ppp_gated: dict  # j -> tuple of (ppp component index, row, likelihood)
     gated_by_hyp: dict  # (track, hyp) -> set of the measurements it gates
     clutter: tuple  # j -> clutter intensity at measurement j
+    post: tuple | None  # (S, innovations, gains, posterior covariances) of the batch rows; None without rows
 
     @cached_property
     def unexplained(self) -> tuple:
@@ -125,6 +127,7 @@ def build_cost_matrix(p: PmbmDensity, g: GlobalHypothesis, tables: ScanTables) -
         else:
             base += miss_log[(t.id, chosen[t.id])]
     cols = sorted(contested)
+    col_of = {j: c_i for c_i, j in enumerate(cols)}
     skip = contested.union(tables.unexplained)
     forced = [j for j in range(len(new_log)) if j not in skip]
     base += sum(new_log[j] for j in forced)
@@ -135,10 +138,10 @@ def build_cost_matrix(p: PmbmDensity, g: GlobalHypothesis, tables: ScanTables) -
         # ratio stays finite (the update sums each child's weight from the
         # factors it chooses, the matrix only sets the enumeration order)
         safe_miss = miss if math.isfinite(miss) else -745.0
-        for c_i, j in enumerate(cols):
-            d = det_log.get((tid, chosen[tid], j))
-            if d is not None and math.isfinite(d - safe_miss):
-                mat[r_i, c_i] = -(d - safe_miss)
+        for j in tables.gated_by_hyp[(tid, chosen[tid])]:
+            d = det_log[(tid, chosen[tid], j)]
+            if math.isfinite(d - safe_miss):
+                mat[r_i, col_of[j]] = -(d - safe_miss)
     for c_i, j in enumerate(cols):
         if math.isfinite(new_log[j]):
             mat[len(rows) + c_i, c_i] = -new_log[j]
@@ -152,8 +155,8 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
     least one alive component passes the gate, and then sum every alive
     component; the new-track weight for a measurement sums the gated
     undetected components only.  Every alive component of every hypothesis
-    and of the undetected intensity is gated in one batch: one row of
-    last-state moments each.
+    and of the undetected intensity is gated and conditioned in one batch:
+    one row of last-state moments each.
     """
     k, pd, m = p.window.gamma, sensor.pd, len(scan)
     Z = np.asarray(scan, dtype=float).reshape(m, -1) if m else np.zeros((0, model.nz))
@@ -169,7 +172,7 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
                 owners.append(((t.id, hidx, h.r), h.density))
     # one row per alive component, in blocks of (owner, rows, component
     # indices, weight x alive mass)
-    blocks, seqs = [], []
+    blocks, seqs, post = [], [], None
     for owner, mix in owners if m else ():
         alive = [(idx, c.weight * a, c.seq) for idx, c in enumerate(mix.components) if (a := c.alive_mass(k)) > 0.0]
         if alive:
@@ -178,7 +181,7 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
             seqs += block_seqs
     if blocks:
         means, covs = zip(*(seq.last_moments() for seq in seqs))
-        mask, liks = gaussseq.gate_likelihoods(np.stack(means), np.stack(covs), model, Z, sensor.gate_prob)
+        mask, liks, post = gaussseq.gate_likelihoods(np.stack(means), np.stack(covs), model, Z, sensor.gate_prob)
     det_log, det_liks, gated_by_hyp = {}, {}, {}
     ppp_gated: dict = {j: [] for j in range(m)}
     evid_new = np.zeros(m)
@@ -186,7 +189,7 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
         gated, block = mask[rows], liks[rows]
         if owner is None:
             for i, j in zip(*np.nonzero(gated)):
-                ppp_gated[j].append((idxs[i], float(block[i, j])))
+                ppp_gated[j].append((idxs[i], rows.start + i, float(block[i, j])))
             evid_new = sum(w * row for w, row in zip(wa, np.where(gated, block, 0.0)))
         elif js := np.flatnonzero(gated.any(axis=0)).tolist():
             tid, hidx, r = owner
@@ -194,10 +197,10 @@ def scan_weight_tables(p: PmbmDensity, scan, model: gaussseq.ModelLG, sensor) ->
             gated_by_hyp[(tid, hidx)] = set(js)
             for j in js:
                 det_log[(tid, hidx, j)] = _log(r * pd * evid[j])
-                det_liks[(tid, hidx, j)] = tuple(zip(idxs, block[:, j].tolist()))
+                det_liks[(tid, hidx, j)] = tuple(zip(idxs, range(rows.start, rows.stop), block[:, j].tolist()))
     new_log = {j: _log(clutter[j] + pd * evid_new[j]) for j in range(m)}
     ppp_gated = {j: tuple(v) for j, v in ppp_gated.items()}
-    return ScanTables(miss_log, det_log, det_liks, new_log, ppp_gated, gated_by_hyp, clutter)
+    return ScanTables(miss_log, det_log, det_liks, new_log, ppp_gated, gated_by_hyp, clutter, post)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,7 @@ def _solve(matrix: np.ndarray):
         return None
     mapping = np.full(matrix.shape[1], -1, dtype=int)
     mapping[cols] = rows
-    return tuple(int(r) for r in mapping), float(cost)
+    return tuple(mapping.tolist()), float(cost)
 
 
 def murty_kbest(matrix: np.ndarray, M: int, max_gap=None) -> list:

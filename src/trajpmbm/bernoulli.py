@@ -6,9 +6,10 @@ all-trajectories mode), missed-detection and detection updates of a
 Bernoulli, thinning of the undetected Poisson intensity, and creation of the
 two-hypothesis Bernoulli for a track started on a measurement.
 
-The children's association weights, and the measurement likelihoods and
-clutter intensities the updates condition on, come from
-:func:`association.scan_weight_tables`.
+The children's association weights, and the measurement likelihoods,
+clutter intensities and Kalman updates the children condition on, come from
+:func:`association.scan_weight_tables`: ``gaussseq.update_seq`` conditions
+each component from its row of the scan's gating batch.
 The predictions or the updates of one scan may pass one ``shared`` dict: equal
 death-time pmfs, and the last steps one z updates from equal ones, are then one object.
 """
@@ -79,17 +80,19 @@ def miss_update(h: LocalHypothesis, pd: float, k: int, shared: dict | None = Non
     return LocalHypothesis(r, density, h.history)
 
 
-def _condition(mix: TrajectoryMixture, model: gaussseq.ModelLG, z, k: int, gated: tuple, component_threshold: float, shared):
-    """The ``gated`` (component index, likelihood of z) components of ``mix``
-    weighted by weight * alive mass * likelihood, updated with z, normalized
-    and pruned.  Returns (density or None when no weight remains, total
-    weight)."""
-    comps, shared = [], {} if shared is None else shared
-    for idx, lik in gated:
+def _condition(mix: TrajectoryMixture, model: gaussseq.ModelLG, z, scan: tuple, gated: tuple, post: tuple, component_threshold: float, shared):
+    """The ``gated`` (component index, batch row, likelihood of z)
+    components of ``mix`` weighted by weight * alive mass * likelihood,
+    updated with ``scan`` = (k, j) from their rows of the batch's ``post``,
+    normalized and pruned.  Returns (density or None, total weight)."""
+    (k, j), comps, shared = scan, [], {} if shared is None else shared
+    for idx, row, lik in gated:
         c = mix.components[idx]
         w = c.weight * c.alive_mass(k) * lik
         if w > 0.0:
-            comps.append(MixtureComponent(w, gaussseq.update_seq(c.seq, model, z, shared)))
+            S, v, K, covs = post
+            seq = gaussseq.update_seq(c.seq, model, z, (S[row], v[row, j], K[row], covs[row]), shared)
+            comps.append(MixtureComponent(w, seq))
     if not comps:
         return None, 0.0
     total = sum(c.weight for c in comps)
@@ -105,18 +108,20 @@ def detect_update(
     z,
     scan: tuple,
     gated: tuple,
+    post: tuple,
     component_threshold: float = 0.0,
     shared: dict | None = None,
 ) -> LocalHypothesis:
     """Detection child: hypothesis h updated with measurement z at scan k.
 
     Existence becomes one and the death-time pmf collapses onto the current
-    scan.  ``gated`` lists (component index, likelihood) for every component
-    of h alive at scan k, as :class:`association.ScanTables` records them
-    under ``det_liks``.  Returns a non-existence placeholder when the
-    measurement is impossible under the hypothesis.
+    scan.  ``gated`` lists (component index, batch row, likelihood) for
+    every component of h alive at scan k, as :class:`association.ScanTables`
+    records them under ``det_liks``, and ``post`` is the batch's update of
+    every row (``ScanTables.post``).  Returns a non-existence placeholder
+    when the measurement is impossible under the hypothesis.
     """
-    density = _condition(h.density, model, z, scan[0], gated, component_threshold, shared)[0] if h.r > 0.0 else None
+    density = _condition(h.density, model, z, scan, gated, post, component_threshold, shared)[0] if h.r > 0.0 else None
     return LocalHypothesis(0.0 if density is None else 1.0, density, h.history + (scan,))
 
 
@@ -156,6 +161,7 @@ def new_track_hypotheses(
     z,
     scan: tuple,
     gated: tuple,
+    post: tuple,
     component_threshold: float = 1e-3,
     shared: dict | None = None,
 ) -> tuple:
@@ -164,10 +170,11 @@ def new_track_hypotheses(
     Returns (non-existence hypothesis, existence hypothesis).  The existence
     weight is the ``clutter`` intensity at z plus the detected Poisson mass;
     the existence probability is the detected mass' share of it.  ``gated``
-    lists (component index, likelihood) for the Poisson components that pass
-    the gate with z; :func:`association.scan_weight_tables` records both.
+    lists (component index, batch row, likelihood) for the Poisson
+    components that pass the gate with z, and ``post`` is the batch's update
+    of every row; :func:`association.scan_weight_tables` records them.
     """
-    density, evid = _condition(ppp, model, z, scan[0], gated, component_threshold, shared)
+    density, evid = _condition(ppp, model, z, scan, gated, post, component_threshold, shared)
     signal = pd * evid
     w_exist = clutter + signal
     r = signal / w_exist if w_exist > 0.0 else 0.0

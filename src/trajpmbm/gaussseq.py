@@ -15,15 +15,17 @@ spanning the steps of its window.  Two representations are provided:
                      (backend ``info``).
 
 Each form carries its own operations as methods: ``predict`` (append one
-step), ``update`` (condition on a measurement of the last state; it returns
-the new sequence only), ``last_moments``, ``full_mean``, ``marginalize``,
-``to_moment`` and ``dump`` (its JSON form, which ``load_seq`` reads back as
-the same form).  The module functions ``predict_seq``, ``update_seq``,
-``last_state_moments``, ``mean_sequence``, ``marginalize_steps`` and
-``to_moment`` delegate to them; ``gate_likelihoods``, the only measurement
-likelihood, gates and scores a batch of measurements against a stack of
-last-state moments (``last_moments`` of any form), all rows in one batched
-Cholesky.  Values are immutable; every operation returns a new value.
+step), ``update`` (condition on a measurement of the last state from its row
+of the gating batch; it returns the new sequence only), ``last_moments``,
+``full_mean``, ``marginalize``, ``to_moment`` and ``dump`` (its JSON form,
+which ``load_seq`` reads back as the same form).  The module functions
+``predict_seq``, ``update_seq``, ``last_state_moments``, ``mean_sequence``,
+``marginalize_steps`` and ``to_moment`` delegate to them;
+``gate_likelihoods``, the only measurement likelihood and the only place S =
+HPH' + R is formed, gates, scores and conditions a batch of measurements
+against a stack of last-state moments (``last_moments`` of any form): one
+batched Cholesky for the likelihoods and one inverse for the gains of every
+row.  Values are immutable; every operation returns a new value.
 Constructors only convert and store; ``load_seq`` checks outside input
 (missing entries, non-finite values, shapes) and raises ValueError.
 
@@ -239,14 +241,13 @@ class MomentSeq(_Seq):
             new_cov = new_cov[nx:, nx:]
         return MomentSeq(window, mean, new_cov, self.L, old)
 
-    def update(self, m: ModelLG, z, shared: Optional[dict] = None) -> "MomentSeq":
-        """Condition the dense steps on a measurement of the last state;
-        detached steps are untouched.  Nothing is ``shared``."""
-        nx, H, R = m.nx, np.asarray(m.H), np.asarray(m.R)
-        z = np.asarray(z, dtype=float).reshape(-1)
-        P_tail = self.cov[:, -nx:]
-        S = _symmetrize(H @ P_tail[-nx:, :] @ H.T + R)
-        v = z - H @ self.mean[-nx:]
+    def update(self, m: ModelLG, z, post: tuple, shared: Optional[dict] = None) -> "MomentSeq":
+        """Condition the dense steps on a measurement of the last state from
+        its S and innovation in ``post`` (see ``gate_likelihoods``); detached
+        steps are untouched.  Nothing is ``shared``."""
+        S, v = post[:2]
+        H = np.asarray(m.H)
+        P_tail = self.cov[:, -m.nx :]
         K = np.linalg.solve(S, H @ P_tail.T).T
         mean = np.array(self.mean)
         mean[-len(self.cov) :] += K @ v
@@ -383,22 +384,19 @@ class InfoSeq(_Seq):
         last = _stacked(F @ self.last[0], _symmetrize(F @ self.last[1:] @ F.T + m.Q), self.last.shape)
         return InfoSeq(window, done + (self.head,), m.info_head, last)
 
-    def update(self, m: ModelLG, z, shared: Optional[dict] = None) -> "InfoSeq":
-        """Add H'R^{-1}z / H'R^{-1}H to the last step's entries; nothing else
-        moves.  Updates under one model passing one ``shared`` dict share the
-        new entries of equal last steps updated with equal z."""
-        H, R, Rinv = m.H, m.R, m.Rinv
+    def update(self, m: ModelLG, z, post: tuple, shared: Optional[dict] = None) -> "InfoSeq":
+        """Add H'R^{-1}z / H'R^{-1}H to the last step's entries; the last
+        state takes the mean m + K v from the gain and innovation in ``post``
+        (see ``gate_likelihoods``) and its posterior covariance, copied.
+        Nothing else moves.  Updates under one model passing one ``shared``
+        dict share the new entries of equal last steps updated with equal z."""
+        H, Rinv = m.H, m.Rinv
         z = np.asarray(z, dtype=float).reshape(-1)
         shared, key = {} if shared is None else shared, self.head.tobytes() + z.tobytes()
         if key not in shared:
             shared[key] = _stacked(self.head[0] + H.T @ Rinv @ z, self.head[1:] + m.HtRinvH, self.head.shape)
-        head = shared[key]
-        mean, cov = self.last[0], self.last[1:]
-        S = _symmetrize(H @ cov @ H.T + R)
-        v = z - H @ mean
-        K = cov @ H.T @ np.linalg.inv(S)
-        last = _stacked(mean + K @ v, _symmetrize(cov - K @ H @ cov), self.last.shape)
-        return InfoSeq(self.window, self.done, head, last)
+        last = _stacked(self.last[0] + post[2] @ post[1], post[3], self.last.shape)
+        return InfoSeq(self.window, self.done, shared[key], last)
 
     def last_moments(self) -> tuple:
         return self.last[0], self.last[1:]
@@ -562,9 +560,9 @@ def predict_seq(s, m: ModelLG):
     return s.predict(m)
 
 
-def update_seq(s, m: ModelLG, z, shared: Optional[dict] = None):
-    """``s.update``: sibling updates by one z may pass one ``shared`` dict."""
-    return s.update(m, z, shared)
+def update_seq(s, m: ModelLG, z, post: tuple, shared: Optional[dict] = None):
+    """``s.update`` from its gating-batch row: sibling updates by one z may pass one ``shared`` dict."""
+    return s.update(m, z, post, shared)
 
 
 def last_state_moments(s) -> tuple:
@@ -597,13 +595,18 @@ def _gate_threshold(gate_prob: float, df: int) -> float:
 
 
 def gate_likelihoods(means: np.ndarray, covs: np.ndarray, m: ModelLG, Z: np.ndarray, gate_prob: float = 1.0):
-    """Vectorized ellipsoidal gating and Gaussian evidence of a batch of
-    measurements against a stack of last-state moments.
+    """Vectorized ellipsoidal gating, Gaussian evidence and Kalman update of
+    a batch of measurements against a stack of last-state moments.
 
     ``means`` (n, nx) and ``covs`` (n, nx, nx) are the last-state moments of
     n components, ``Z`` (m, nz) the measurements.  Returns (mask,
-    likelihoods), each (n, m); ungated entries keep their likelihood value
-    (callers decide whether to zero them).
+    likelihoods, post): mask and likelihoods (n, m), ungated entries keeping
+    their likelihood value (callers decide whether to zero them); post is
+    (S, innovations, gains, posterior covariances), shaped (n, nz, nz),
+    (n, m, nz), (n, nx, nz) and (n, nx, nx).  The gain K = P H' S^{-1} and
+    the posterior covariance do not depend on the measurement: each row
+    forms them once, by the arithmetic of one component's Kalman update,
+    and an update of a row with measurement j is the affine m + K v[j].
     """
     H, R = np.asarray(m.H), np.asarray(m.R)
     S = _symmetrize(H @ covs @ H.T + R)
@@ -624,4 +627,5 @@ def gate_likelihoods(means: np.ndarray, covs: np.ndarray, m: ModelLG, Z: np.ndar
         mask = np.ones(d2.shape, dtype=bool)
     else:
         mask = d2 <= _gate_threshold(gate_prob, m.nz)
-    return mask, liks
+    K = covs @ H.T @ np.linalg.inv(S)
+    return mask, liks, (S, v, K, _symmetrize(covs - K @ H @ covs))

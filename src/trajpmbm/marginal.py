@@ -54,19 +54,20 @@ def materialize_mixture(mix: TrajectoryMixture, q: AliveQuery) -> TrajectoryMixt
     m, whose steps b..eps meet [eta, zeta] becomes one component of weight
     w * m with the sequence marginalized to max(b, alpha)..min(eps, gamma);
     the other pieces are dropped unmarginalized.  Each piece is read from
-    one marginal of its component, to its longest kept piece.  The result
-    is an intensity mixture since its weights no longer sum to one.
+    the marginal of the next longer one, so a component's band is solved
+    at most once.  The result is an intensity mixture since its weights no
+    longer sum to one.
     """
     out = []
     for c in mix.components:
         # (kept end, mass) of each piece whose b..eps meets [eta, zeta]
         pieces = [(min(e, q.gamma), m) for e, m in c.death_pmf if m > 0.0 and c.b <= q.zeta and q.eta <= e]
         if pieces:
-            start, last = max(c.b, q.alpha), pieces[-1][0]
-            longest = gaussseq.marginalize_steps(c.seq, TimeWindow(start, last))
-            for end, m in pieces:
-                seq = longest if end == last else longest.marginalize(TimeWindow(start, end))
-                out.append(MixtureComponent(c.weight * m, seq))
+            start = max(c.b, q.alpha)
+            seqs = [gaussseq.marginalize_steps(c.seq, TimeWindow(start, pieces[-1][0]))]
+            for end, _ in pieces[-2::-1]:
+                seqs.append(seqs[-1].marginalize(TimeWindow(start, end)))
+            out += (MixtureComponent(c.weight * m, seq) for (_, m), seq in zip(pieces, seqs[::-1]))
     return TrajectoryMixture(tuple(out), "intensity")
 
 

@@ -46,8 +46,8 @@ def evaluate_run(estimates, truth, metric: str = "ospa2", c: float = 100.0, p: f
 
 
 def _single_run(args):
-    cfg, tracker_cfg, mode, seed_entropy, metric, c, p, q, w = args
-    truth, log = generate_scenario(cfg, seed=np.random.SeedSequence(entropy=seed_entropy))
+    cfg, tracker_cfg, mode, seed, metric, c, p, q, w = args
+    truth, log = generate_scenario(cfg, seed=seed)
     tracker = PmbmTracker(cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode=mode, config=tracker_cfg)
     result = tracker.run(log)
     rows = evaluate_run(result.estimates, truth, metric, c, p, q, w)
@@ -69,7 +69,7 @@ def run_monte_carlo(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     children = np.random.SeedSequence(cfg.seed).spawn(runs)
-    tasks = [(cfg, tracker_cfg, mode, child.entropy, metric, c, p, q, w) for child in children]
+    tasks = [(cfg, tracker_cfg, mode, child, metric, c, p, q, w) for child in children]
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         done = map(_single_run, tasks) if pool is None else pool.map(_single_run, tasks)
         results = []

@@ -281,7 +281,7 @@ class PmbmTracker:
                     child = bernoulli.miss_update(h, self.sensor.pd, k, shared)
                 else:
                     liks = tables.det_liks[(tid, parent, assoc)]
-                    child = bernoulli.detect_update(h, self.model, scan[assoc], meas_keys[assoc], liks, new_threshold, shared)
+                    child = bernoulli.detect_update(h, self.model, scan[assoc], meas_keys[assoc], liks, tables.post, new_threshold, shared)
                 hyps.append(child)
                 pair_of[(tid, parent, assoc)] = (tid, i)
             tracks.append(Track(tid, tuple(hyps)))
@@ -292,7 +292,7 @@ class PmbmTracker:
         for j in sorted(starts):
             tid = s.next_track_id + j
             both = bernoulli.new_track_hypotheses(
-                p.ppp, self.model, self.sensor.pd, tables.clutter[j], scan[j], meas_keys[j], tables.ppp_gated[j], new_threshold, shared
+                p.ppp, self.model, self.sensor.pd, tables.clutter[j], scan[j], meas_keys[j], tables.ppp_gated[j], tables.post, new_threshold, shared
             )
             hyps = both if starts[j] < len(chosen_children) else both[1:]
             tracks.append(Track(tid, hyps))

@@ -20,6 +20,8 @@ from trajpmbm.models import (
     constant_velocity_model,
 )
 
+from helpers import condition
+
 
 @pytest.fixture
 def scalar_model():
@@ -55,7 +57,7 @@ def run_pipeline(backend, model, window0, mean0, cov0, events, L=1):
         s = gs.predict_seq(s, model)
         if ev is not None:
             mean, cov = gs.last_state_moments(s)
-            _, lik = gs.gate_likelihoods(mean[None], cov[None], model, [ev])
+            _, lik, _ = gs.gate_likelihoods(mean[None], cov[None], model, [ev])
             logliks.append(math.log(lik[0, 0]))
-            s = gs.update_seq(s, model, ev)
+            s = condition(s, model, ev)
     return s, logliks

@@ -137,8 +137,16 @@ def gate(seq, m, z, gate_prob: float) -> bool:
     """Whether z passes the ellipsoidal gate of ``seq``'s last state."""
     if not 0.0 < gate_prob <= 1.0:
         raise ValueError("gate probability must lie in (0, 1]")
-    mask, _ = gs.gate_likelihoods(*stacked_moments([seq]), m, np.asarray(z, dtype=float).reshape(1, -1), gate_prob)
+    mask, _, _ = gs.gate_likelihoods(*stacked_moments([seq]), m, np.asarray(z, dtype=float).reshape(1, -1), gate_prob)
     return bool(mask[0, 0])
+
+
+def condition(seq, m, z, shared=None):
+    """``gaussseq.update_seq`` of one sequence with z, from its row of a
+    one-row gating batch, as the tracker updates each gated component."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    _, _, (S, v, K, covs) = gs.gate_likelihoods(*stacked_moments([seq]), m, z[None])
+    return gs.update_seq(seq, m, z, (S[0], v[0, 0], K[0], covs[0]), shared)
 
 
 def retired_keys(retired: tuple) -> set:

@@ -109,6 +109,29 @@ def point_update(mean, cov, H, R, z):
     return mean2, 0.5 * (cov2 + cov2.T), lik
 
 
+def textbook_update(mean, cov, H, R, z):
+    """One component's Kalman update of its last state, written out step by
+    step: the symmetric part of S = H P H' + R, the innovation v = z - H m,
+    the gain K = P H' S^{-1}, the mean m + K v and the symmetric part of
+    P - K H P.  Returns (S, v, K, mean, cov)."""
+    S = H @ cov @ H.T + R
+    S = 0.5 * (S + S.T)
+    v = np.asarray(z, dtype=float) - H @ mean
+    K = cov @ H.T @ np.linalg.inv(S)
+    cov2 = cov - K @ H @ cov
+    return S, v, K, mean + K @ v, 0.5 * (cov2 + cov2.T)
+
+
+def textbook_dense_update(mean, cov, H, S, v):
+    """Kalman update of a dense joint whose trailing state is measured, from
+    that state's S and innovation v: the gain K = (S^{-1} H P_tail')' by a
+    solve, the mean m + K v and the symmetric part of P - K H P_tail'."""
+    P_tail = cov[:, -H.shape[1] :]
+    K = np.linalg.solve(S, H @ P_tail.T).T
+    cov2 = cov - K @ H @ P_tail.T
+    return mean + K @ v, 0.5 * (cov2 + cov2.T)
+
+
 def predictive_likelihood(s, model, z) -> float:
     """Gaussian evidence N(z; H m_last, H P_last H' + R) of a sequence density."""
     mean, cov = last_state_moments(s)

@@ -48,6 +48,7 @@ from conftest import run_pipeline, random_spd
 from helpers import (
     SCALAR_REGION,
     assert_tables_match,
+    condition,
     epsilon_pmf_recursive,
     scalar_setup,
     tracker_global_table,
@@ -246,7 +247,7 @@ def _scalar_chain(seed, n_steps, meas):
     for i in range(n_steps):
         s = gs.predict_seq(s, model)
         if i in meas:
-            s = gs.update_seq(s, model, [meas[i]])
+            s = condition(s, model, [meas[i]])
     return s
 
 

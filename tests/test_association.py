@@ -18,7 +18,7 @@ from trajpmbm.scenario import ScenarioConfig, generate_scenario
 from trajpmbm.tracker import PmbmTracker
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
-from helpers import gate
+from helpers import condition, gate
 from oracles import enumerate_assignments, hungarian_best, predictive_likelihood
 
 INF = float("inf")
@@ -400,7 +400,7 @@ class TestDetectionChild:
         )
         z = np.array([0.7])
         tables = scan_weight_tables(p, [z], model, sensor)
-        child = bernoulli.detect_update(h, model, z, (1, 0), tables.det_liks[(0, 0, 0)])
+        child = bernoulli.detect_update(h, model, z, (1, 0), tables.det_liks[(0, 0, 0)], tables.post)
         # w N(z; H m, H P H' + R) per component, normalized
         expected = np.array([c.weight * predictive_likelihood(c.seq, model, z) for c in comps])
         assert child.r == 1.0
@@ -408,4 +408,4 @@ class TestDetectionChild:
             [c.weight for c in child.density.components], expected / expected.sum(), rtol=1e-12
         )
         for c, out in zip(comps, child.density.components):
-            np.testing.assert_allclose(out.seq.mean, gs.update_seq(c.seq, model, z).mean, rtol=1e-12)
+            np.testing.assert_allclose(out.seq.mean, condition(c.seq, model, z).mean, rtol=1e-12)

@@ -5,6 +5,8 @@ traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from trajpmbm import density, marginal
 from trajpmbm.marginal import AliveQuery
 
@@ -48,3 +50,22 @@ def test_gating_is_one_batch_per_scan_with_measurements():
     with tracer:
         scalar_setup(exact=False).run(scans)
     assert 0 < tracer.calls["gaussseq.gate_likelihoods"] <= sum(1 for s in scans if s)
+
+
+def test_one_inverse_per_scan_with_measurements(monkeypatch):
+    """The gains of a scan's updates come from one inverse of the gating
+    batch's stacked S: an update makes at most one ``np.linalg.inv`` call,
+    and none when the scan has no measurements."""
+    calls = []
+    real = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(np.ndim(a)) or real(a))
+    tracker = scalar_setup(exact=False, backend="info")
+    scans = [[[0.5]], [[1.0], [8.0]], [], [[1.5], [-3.0], [9.0]], [[2.0], [8.5]]]
+    state, per_scan = tracker.initial(), []
+    for k, scan in enumerate(scans):
+        if k:
+            state = tracker.predict(state)  # new births convert their moments with one 2-d inverse each
+        before = len(calls)
+        state = tracker.update(state, scan)
+        per_scan.append(calls[before:])
+    assert per_scan == [[3] if s else [] for s in scans]  # one inverse, of a stack

@@ -8,6 +8,8 @@ from trajpmbm.density import GlobalHypothesis, LocalHypothesis, PmbmDensity, Tra
 from trajpmbm.estimate import expected_sequence, extract_set, map_birth_death
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
+from helpers import condition
+
 
 def comp(w, b, e, mean, eps_pmf=None):
     nu = e - b + 1
@@ -67,8 +69,8 @@ class TestExpectedSequence:
             sm = gs.predict_seq(sm, scalar_model)
             si = gs.predict_seq(si, scalar_model)
             if z is not None:
-                sm = gs.update_seq(sm, scalar_model, z)
-                si = gs.update_seq(si, scalar_model, z)
+                sm = condition(sm, scalar_model, z)
+                si = condition(si, scalar_model, z)
         mix_m = TrajectoryMixture((MixtureComponent(1.0, sm),))
         mix_i = TrajectoryMixture((MixtureComponent(1.0, si),))
         np.testing.assert_allclose(

@@ -17,8 +17,17 @@ from trajpmbm.tracker import PmbmTracker, TrackerConfig
 from trajpmbm.trajectory import MixtureComponent, TimeWindow, TrajectoryMixture
 
 from conftest import run_pipeline
-from helpers import nonzero_counts, stacked_moments
-from oracles import exact_band_moments, joint_predict, joint_update, point_predict, point_update, predictive_likelihood
+from helpers import condition, nonzero_counts, stacked_moments
+from oracles import (
+    exact_band_moments,
+    joint_predict,
+    joint_update,
+    point_predict,
+    point_update,
+    predictive_likelihood,
+    textbook_dense_update,
+    textbook_update,
+)
 
 
 def random_events(rng, n_steps, nz, n_meas):
@@ -61,23 +70,23 @@ class TestMomentForm:
 
     def test_update_hand_values(self, scalar_model):
         s = gs.MomentSeq(TimeWindow(0, 1), [0.0, 0.0], [[1.0, 1.0], [1.0, 2.0]])
-        out = gs.update_seq(s, scalar_model, [2.0])
+        out = condition(s, scalar_model, [2.0])
         np.testing.assert_allclose(out.mean, [2.0 / 3.0, 4.0 / 3.0])
         np.testing.assert_allclose(out.cov, [[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]])
         # innovation 2 under variance 3
-        _, lik = gs.gate_likelihoods(*stacked_moments([s]), scalar_model, [[2.0]])
+        _, lik, _ = gs.gate_likelihoods(*stacked_moments([s]), scalar_model, [[2.0]])
         assert math.log(lik[0, 0]) == pytest.approx(-0.5 * (math.log(2 * math.pi * 3) + 4.0 / 3.0))
 
     def test_update_zero_innovation_keeps_mean_shrinks_cov(self, scalar_model):
         s = gs.MomentSeq(TimeWindow(0, 1), [1.0, 2.0], [[1.0, 1.0], [1.0, 2.0]])
-        out = gs.update_seq(s, scalar_model, [2.0])
+        out = condition(s, scalar_model, [2.0])
         np.testing.assert_allclose(out.mean, s.mean)
         assert np.all(np.linalg.eigvalsh(np.asarray(s.cov) - np.asarray(out.cov)) > -1e-12)
 
     def test_huge_noise_update_is_noop(self, cv_model):
         big_r = gs.ModelLG(cv_model.F, cv_model.Q, cv_model.H, 1e12 * np.asarray(cv_model.R))
         s = gs.predict_seq(gs.MomentSeq(TimeWindow(0, 0), np.ones(4), np.eye(4)), big_r)
-        out = gs.update_seq(s, big_r, [50.0, -20.0])
+        out = condition(s, big_r, [50.0, -20.0])
         np.testing.assert_allclose(out.mean, s.mean, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(out.cov, s.cov, rtol=1e-5, atol=1e-8)
 
@@ -93,7 +102,7 @@ class TestMomentForm:
             s = gs.predict_seq(s, cv_model)
             om, oc = joint_predict(om, oc, F, Q)
             if ev is not None:
-                s = gs.update_seq(s, cv_model, ev)
+                s = condition(s, cv_model, ev)
                 om, oc, _ = joint_update(om, oc, H, R, ev)
         np.testing.assert_allclose(s.mean, om, atol=1e-9)
         np.testing.assert_allclose(s.cov, oc, atol=1e-9)
@@ -127,7 +136,7 @@ class TestInformationForm:
         si = gs.make_seq("info", TimeWindow(0, 0), rng.standard_normal(4), np.eye(4))
         for _ in range(4):
             si = gs.predict_seq(si, cv_model)
-        ivec, diag, off = gs.update_seq(si, cv_model, [1.0, -1.0]).band()
+        ivec, diag, off = condition(si, cv_model, [1.0, -1.0]).band()
         ivec0, diag0, off0 = si.band()
         nx = si.nx
         assert np.array_equal(ivec[:-nx], ivec0[:-nx])
@@ -137,7 +146,7 @@ class TestInformationForm:
 
     def test_single_step_equals_information_filter(self, scalar_model):
         si = gs.make_seq("info", TimeWindow(0, 0), [0.5], [[2.0]])
-        ivec, diag, _ = gs.update_seq(si, scalar_model, [1.5]).band()
+        ivec, diag, _ = condition(si, scalar_model, [1.5]).band()
         # information filter: Y += H'R^{-1}H, y += H'R^{-1}z
         np.testing.assert_allclose(diag[0], [[0.5 + 1.0]])
         np.testing.assert_allclose(ivec, [0.25 + 1.5])
@@ -154,12 +163,12 @@ class TestInformationForm:
     def test_ivec_nonzeros_track_association_count(self, cv_model):
         rng = np.random.default_rng(4)
         si = gs.make_seq("info", TimeWindow(0, 0), np.zeros(4), np.eye(4))
-        si = gs.update_seq(si, cv_model, rng.standard_normal(2))
+        si = condition(si, cv_model, rng.standard_normal(2))
         n_assoc = 1
         for ev in random_events(rng, 6, 2, 3):
             si = gs.predict_seq(si, cv_model)
             if ev is not None:
-                si = gs.update_seq(si, cv_model, ev)
+                si = condition(si, cv_model, ev)
                 n_assoc += 1
         mean_nnz, _ = nonzero_counts(si)
         assert mean_nnz == cv_model.nz * n_assoc
@@ -301,7 +310,7 @@ class TestLScan:
         out = gs.predict_seq(sl, scalar_model)
         np.testing.assert_allclose(out.old_blocks, [[[1.0]]])
         np.testing.assert_allclose(out.cov, [[2.0]])
-        out2 = gs.update_seq(out, scalar_model, [2.0])
+        out2 = condition(out, scalar_model, [2.0])
         # detached step is untouched by the update
         assert np.array_equal(out2.old_blocks, np.asarray(out.old_blocks))
         np.testing.assert_allclose(out2.mean[:1], out.mean[:1])
@@ -327,7 +336,7 @@ class TestLScan:
         sl = gs.make_seq("lscan", TimeWindow(0, 0), rng.standard_normal(4), np.eye(4), L=2)
         for _ in range(5):
             sl = gs.predict_seq(sl, cv_model)
-        out = gs.update_seq(sl, cv_model, [0.5, 0.5])
+        out = condition(sl, cv_model, [0.5, 0.5])
         assert np.array_equal(out.old_blocks, np.asarray(sl.old_blocks))
 
     @pytest.mark.parametrize("L", [1, 2, 5])
@@ -414,7 +423,7 @@ class TestPredictiveLikelihood:
         s = gs.MomentSeq(TimeWindow(0, 0), rng.standard_normal(4), np.eye(4))
         s = gs.predict_seq(s, cv_model)
         z = rng.standard_normal(2)
-        _, lik = gs.gate_likelihoods(*stacked_moments([s]), cv_model, [z])
+        _, lik, _ = gs.gate_likelihoods(*stacked_moments([s]), cv_model, [z])
         assert predictive_likelihood(s, cv_model, z) == pytest.approx(lik[0, 0])
 
     def test_same_for_all_backends(self, cv_model):
@@ -468,7 +477,7 @@ class TestBatchGating:
         seqs = self.sequences(cv_model)
         Z = self.measurements(seqs, cv_model)
         for gate_prob in (1.0, 0.99):
-            mask, liks = gs.gate_likelihoods(*stacked_moments(seqs), cv_model, Z, gate_prob)
+            mask, liks, _ = gs.gate_likelihoods(*stacked_moments(seqs), cv_model, Z, gate_prob)
             assert mask.shape == liks.shape == (3, 4)
             for row, s in enumerate(seqs):
                 ref_mask, ref_liks = self.reference(s, cv_model, Z, gate_prob)
@@ -480,13 +489,13 @@ class TestBatchGating:
     def test_single_component(self, cv_model):
         s = self.sequences(cv_model)[1]
         Z = self.measurements([s], cv_model)
-        mask, liks = gs.gate_likelihoods(*stacked_moments([s]), cv_model, Z, 0.99)
+        mask, liks, _ = gs.gate_likelihoods(*stacked_moments([s]), cv_model, Z, 0.99)
         ref_mask, ref_liks = self.reference(s, cv_model, Z, 0.99)
         np.testing.assert_array_equal(mask, [ref_mask])
         np.testing.assert_allclose(liks, [ref_liks], rtol=1e-12, atol=0.0)
 
     def test_no_measurements(self, cv_model):
-        mask, liks = gs.gate_likelihoods(*stacked_moments(self.sequences(cv_model)), cv_model, np.zeros((0, 2)), 0.99)
+        mask, liks, _ = gs.gate_likelihoods(*stacked_moments(self.sequences(cv_model)), cv_model, np.zeros((0, 2)), 0.99)
         assert mask.shape == liks.shape == (3, 0)
 
     def test_one_singular_innovation_covariance_raises(self, cv_model):
@@ -494,6 +503,57 @@ class TestBatchGating:
         covs[1] = -10.0 * np.eye(4)
         with pytest.raises(ValueError, match="singular innovation covariance"):
             gs.gate_likelihoods(means, covs, cv_model, np.zeros((1, 2)))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchConditioning:
+    """The batch forms each row's S, innovations, gain and posterior
+    covariance as one component's textbook Kalman update does, bit for bit,
+    and each backend's update from its row is the textbook one: the
+    information form's last state takes m + K v and the posterior
+    covariance, the moment and L-scan forms solve over their dense steps
+    from the row's S and innovation."""
+
+    @pytest.fixture
+    def batch(self, cv_model):
+        seqs = TestBatchGating.sequences(cv_model)
+        Z = TestBatchGating().measurements(seqs, cv_model)
+        mask, _, post = gs.gate_likelihoods(*stacked_moments(seqs), cv_model, Z, 0.99)
+        assert mask.any() and not mask.all()  # measurements inside and outside the gate
+        return seqs, Z, post
+
+    def test_rows_are_the_textbook_update(self, cv_model, batch):
+        seqs, Z, (S, v, K, covs) = batch
+        H, R = np.asarray(cv_model.H), np.asarray(cv_model.R)
+        assert S.shape == (3, 2, 2) and v.shape == (3, 4, 2) and K.shape == (3, 4, 2) and covs.shape == (3, 4, 4)
+        for row, s in enumerate(seqs):
+            mean, cov = gs.last_state_moments(s)
+            for j, z in enumerate(Z):
+                ref_S, ref_v, ref_K, _, ref_cov = textbook_update(mean, cov, H, R, z)
+                got, want = (S[row], v[row, j], K[row], covs[row]), (ref_S, ref_v, ref_K, ref_cov)
+                assert all(same_bits(g, w) for g, w in zip(got, want)), (row, j)
+
+    def test_each_backend_stores_its_row(self, cv_model, batch):
+        seqs, Z, (S, v, K, covs) = batch
+        H, R = np.asarray(cv_model.H), np.asarray(cv_model.R)
+        assert [type(s).__name__ for s in seqs] == ["MomentSeq", "MomentSeq", "InfoSeq"] and seqs[1].L == 2
+        for row, s in enumerate(seqs):
+            for j, z in enumerate(Z):
+                out = gs.update_seq(s, cv_model, z, (S[row], v[row, j], K[row], covs[row]))
+                ref_S, ref_v, _, ref_mean, ref_cov = textbook_update(*gs.last_state_moments(s), H, R, z)
+                if isinstance(s, gs.InfoSeq):
+                    assert same_bits(out.last[0], ref_mean) and same_bits(out.last[1:], ref_cov)
+                    # a copy: the posterior holds no view of the scan's batch
+                    assert not any(np.shares_memory(out.last, a) for a in (S, v, K, covs))
+                    continue
+                n = len(s.cov)
+                want_mean, want_cov = textbook_dense_update(s.mean[-n:], s.cov, H, ref_S, ref_v)
+                assert same_bits(out.mean[-n:], want_mean) and same_bits(out.cov, want_cov)
+                assert same_bits(out.mean[:-n], s.mean[:-n]) and same_bits(out.old_blocks, s.old_blocks)
 
 
 class TestBackendEquivalenceSweep:
@@ -535,7 +595,7 @@ class TestBandSharing:
         s0 = gs.make_seq("info", TimeWindow(0, 0), np.arange(4.0), np.eye(4))
         s1 = gs.predict_seq(s0, cv_model)
         s2 = gs.predict_seq(s1, cv_model)
-        u2 = gs.update_seq(s2, cv_model, [0.5, -0.5])
+        u2 = condition(s2, cv_model, [0.5, -0.5])
         s3 = gs.predict_seq(u2, cv_model)
         # predict appends the parent's last step and shares every array before it
         assert all(a is b for a, b in zip(s1.done, s0.done)) and s1.done[4] is s0.head
@@ -550,8 +610,8 @@ class TestBandSharing:
         # siblings updated by one measurement share one updated last step
         t2 = gs.predict_seq(gs.predict_seq(gs.make_seq("info", TimeWindow(0, 0), -np.arange(4.0), np.eye(4)), cv_model), cv_model)
         shared = {}
-        a, b = (gs.update_seq(s, cv_model, [0.5, -0.5], shared) for s in (s2, t2))
-        other = gs.update_seq(s2, cv_model, [0.5, 0.5], shared)
+        a, b = (condition(s, cv_model, [0.5, -0.5], shared) for s in (s2, t2))
+        other = condition(s2, cv_model, [0.5, 0.5], shared)
         assert a.head is b.head and a.last is not b.last and other.head is not a.head
         assert np.array_equal(a.head, u2.head) and np.array_equal(a.last, u2.last)
         assert gs.predict_seq(a, cv_model).done[-1] is gs.predict_seq(b, cv_model).done[-1]
@@ -562,7 +622,8 @@ class TestBandSharing:
             for m in (np.zeros(4), np.ones(4))
         ]
         h = LocalHypothesis(1.0, TrajectoryMixture(tuple(MixtureComponent(0.5, s) for s in seqs)), ())
-        child = bernoulli.detect_update(h, cv_model, [0.5, 0.5], (1, 0), ((0, 0.2), (1, 0.1)))
+        _, _, post = gs.gate_likelihoods(*stacked_moments(seqs), cv_model, np.array([[0.5, 0.5]]))
+        child = bernoulli.detect_update(h, cv_model, [0.5, 0.5], (1, 0), ((0, 0, 0.2), (1, 1, 0.1)), post)
         a, b = (c.seq for c in child.density.components)
         assert a.head is b.head and a.last is not b.last
 
@@ -574,14 +635,14 @@ class TestBandSharing:
         for ev in random_events(rng, 6, 2, 4):
             seqs = [gs.predict_seq(s, cv_model) for s in seqs]
             if ev is not None:
-                seqs = [gs.update_seq(s, cv_model, ev) for s in seqs]
+                seqs = [condition(s, cv_model, ev) for s in seqs]
         gc.collect()
         assert all(len(s.done) > 2 and not gc.is_tracked(s.done) for s in seqs)
 
     def test_prediction_under_another_model_completes_the_earlier_steps(self, cv_model):
         other = gs.ModelLG(F=cv_model.F, Q=2.0 * np.asarray(cv_model.Q), H=cv_model.H, R=cv_model.R)
         s0 = gs.make_seq("info", TimeWindow(0, 0), np.arange(4.0), np.eye(4))
-        u = gs.update_seq(gs.predict_seq(gs.predict_seq(s0, cv_model), cv_model), cv_model, [0.5, -0.5])
+        u = condition(gs.predict_seq(gs.predict_seq(s0, cv_model), cv_model), cv_model, [0.5, -0.5])
         ivec, diag, off = u.band()
         mixed = gs.predict_seq(u, other)
         assert mixed.done[-3] is other.FtQinvF and mixed.done[-1] is u.head
@@ -592,7 +653,7 @@ class TestBandSharing:
 
     def test_replace_keeps_the_other_stored_fields(self, cv_model):
         s = gs.predict_seq(gs.make_seq("info", TimeWindow(0, 0), np.arange(4.0), np.eye(4)), cv_model)
-        u = gs.update_seq(s, cv_model, [0.5, -0.5])
+        u = condition(s, cv_model, [0.5, -0.5])
         r = dataclasses.replace(s, head=u.head, last=u.last)
         assert type(r) is gs.InfoSeq and r.done is s.done and r.head is u.head and r.last is u.last
         for got, want in zip(r.band() + r.last_moments(), u.band() + u.last_moments()):

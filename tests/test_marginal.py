@@ -14,7 +14,7 @@ from trajpmbm.trajectory import (
     epsilon_pmf_predict,
 )
 
-from helpers import death_time_estimate, epsilon_pmf_recursive
+from helpers import condition, death_time_estimate, epsilon_pmf_recursive
 from oracles import birth_pmf, epsilon_pmf_closed
 
 
@@ -93,7 +93,7 @@ class TestMarginalizeBernoulli:
         model = gs.ModelLG(F=[[1.0]], Q=[[1.0]], H=[[1.0]], R=[[1.0]])
         s = gs.make_seq(backend, TimeWindow(0, 0), [0.0], [[1.0]], L=2)
         for z in (0.3, -0.2, 0.9, 1.4, 0.1):
-            s = gs.update_seq(gs.predict_seq(s, model), model, [z])
+            s = condition(gs.predict_seq(s, model), model, [z])
         c = MixtureComponent(1.0, s, ((1, 0.1), (2, 0.2), (3, 0.3), (5, 0.4)))
         calls = []
         real = gs.marginalize_steps
@@ -106,6 +106,27 @@ class TestMarginalizeBernoulli:
             assert type(p.seq) is type(ref)
             assert p.seq.mean.tobytes() == ref.mean.tobytes() and p.seq.cov.tobytes() == ref.cov.tobytes()
             assert np.asarray(p.seq.old_blocks).tobytes() == np.asarray(ref.old_blocks).tobytes()
+
+
+    def test_whole_window_component_solves_its_band_once(self, monkeypatch):
+        # death times 2..5 meet [2, 5]: the longest piece is the whole
+        # window, the sequence itself, and the three shorter ones come from
+        # one band solve, bit for bit what a solve per piece gives
+        model = gs.ModelLG(F=[[1.0]], Q=[[1.0]], H=[[1.0]], R=[[1.0]])
+        s = gs.make_seq("info", TimeWindow(0, 0), [0.0], [[1.0]])
+        for z in (0.3, -0.2, 0.9, 1.4, 0.1):
+            s = condition(gs.predict_seq(s, model), model, [z])
+        c = MixtureComponent(1.0, s, ((2, 0.1), (3, 0.2), (4, 0.3), (5, 0.4)))
+        calls = []
+        real = gs.recover_moments
+        monkeypatch.setattr(gs, "recover_moments", lambda s, steps: calls.append(steps) or real(s, steps))
+        out = marginalize_bernoulli(bern(0.9, [c]), AliveQuery(0, 5, 2, 5))
+        assert calls == [TimeWindow(0, 4)]
+        pieces = out.density.components
+        assert [(p.b, p.e) for p in pieces] == [(0, 2), (0, 3), (0, 4), (0, 5)] and pieces[-1].seq is s
+        for p in pieces[:-1]:
+            mean, cov = real(s, TimeWindow(p.b, p.e))
+            assert p.seq.mean.tobytes() == mean.tobytes() and p.seq.cov.tobytes() == cov.tobytes()
 
 
 class TestMarginalizePpp:

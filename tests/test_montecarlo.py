@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trajpmbm import montecarlo
 from trajpmbm.models import BirthComponent, BirthModel, Rectangle
 from trajpmbm.montecarlo import evaluate_run, run_monte_carlo
 from trajpmbm.scenario import ScenarioConfig, generate_scenario
@@ -28,13 +29,28 @@ class TestMonteCarlo:
         cfg = tiny_cfg()
         out = run_monte_carlo(cfg, TrackerConfig(murty_budget=20), mode="all", runs=1, c=20.0)
         seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-        truth, log = generate_scenario(cfg, seed=np.random.SeedSequence(entropy=seed.entropy))
+        truth, log = generate_scenario(cfg, seed=seed)
         tracker = PmbmTracker(
             cfg.model(), cfg.birth, cfg.sensor(), cfg.survival(), mode="all",
             config=TrackerConfig(murty_budget=20),
         )
         rows = evaluate_run(tracker.run(log).estimates, truth, c=20.0)
         assert list(out.rows) == rows
+
+    def test_runs_draw_different_truths(self, monkeypatch):
+        """Each run simulates its own scenario: its seed is its spawned
+        child sequence, not the entropy the children share."""
+        truths = []
+
+        def recording(cfg, seed=None):
+            out = generate_scenario(cfg, seed=seed)
+            truths.append(out[0])
+            return out
+
+        monkeypatch.setattr(montecarlo, "generate_scenario", recording)
+        run_monte_carlo(tiny_cfg(), TrackerConfig(murty_budget=20), runs=3, c=20.0)
+        states = [b"".join(np.asarray(t.states).tobytes() for t in truth) for truth in truths]
+        assert len(states) == 3 and len(set(states)) == 3
 
     def test_aggregate_is_deterministic(self):
         cfg = tiny_cfg()
